@@ -4,26 +4,21 @@ quantum advantage protocol on ZZ lattices."""
 from .lattice import InputSpec, InputType, LatticeGeometry, build_lattice, random_input
 from .prover import (
     HistoryStateModel,
-    InstructionMode,
-    MeasurementInstruction,
     NoiseModel,
     echo_prepare,
     exact_model_parameters,
     ideal_history_state,
     make_degraded_model,
     make_honest_model,
-    measure_copy,
 )
 from .simulator import (
     Distribution,
-    MeasurementRecord,
     PureState,
     apply_global_cz,
     apply_single_qubit,
     apply_zz_evolution,
     ideal_output_distribution,
     product_state,
-    sample,
     u_value,
     walsh_hadamard,
 )
@@ -45,10 +40,7 @@ __all__ = [
     "HistoryStateModel",
     "InputSpec",
     "InputType",
-    "InstructionMode",
     "LatticeGeometry",
-    "MeasurementInstruction",
-    "MeasurementRecord",
     "NoiseModel",
     "ProtocolConfig",
     "ProtocolTranscript",
@@ -64,11 +56,9 @@ __all__ = [
     "ideal_output_distribution",
     "make_degraded_model",
     "make_honest_model",
-    "measure_copy",
     "product_state",
     "random_input",
     "run_protocol",
-    "sample",
     "u_value",
     "walsh_hadamard",
 ]

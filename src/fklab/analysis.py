@@ -532,8 +532,10 @@ def near_ideal_history_density(
 ) -> DensityMatrix:
     """Perfect history state with small coherent and depolarizing admixtures.
 
-    Perturbation magnitudes keep the state inside the epsilon <= 0.02 regime
-    of the first-order output-fidelity bound by construction.
+    The perturbations are small, but they do not always stay inside the
+    epsilon <= 0.02 regime of the first-order output-fidelity bound: a random
+    two-qubit rotation that touches the clock qubit can move p_samp by up to
+    about 0.027. Callers that need the regime must check each draw.
     """
     n = lattice.num_qubits
     if theta is None:
@@ -601,6 +603,10 @@ def suite_cauchy_schwarz(instances: int, seed: int) -> SuiteResult:
     return SuiteResult("cauchy_schwarz", instances, violations, worst)
 
 
+# Draws suite_lower_bound makes per instance before it gives up on the regime.
+LOWER_BOUND_DRAWS = 10
+
+
 def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3) -> SuiteResult:
     """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - slack for in-regime states."""
     lattice, spec = _suite_lattice_and_input(seed)
@@ -608,13 +614,19 @@ def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3) -> SuiteRe
     violations = 0
     worst = -math.inf
     for _ in range(instances):
-        rho = near_ideal_history_density(lattice, spec, rng)
-        params = exact_parameters(rho, lattice, spec)
-        eps = 0.25 - abs(params.tr_rho_o10) ** 2
-        eps_prime = abs(0.5 - params.p_samp)
-        eps_dprime = 1.0 - params.f_in
-        if max(eps, eps_prime, eps_dprime) > 0.02:
-            raise ValidationError("generated state left the epsilon <= 0.02 regime")
+        # An out-of-regime draw is replaced by the next one from the same stream.
+        for _ in range(LOWER_BOUND_DRAWS):
+            rho = near_ideal_history_density(lattice, spec, rng)
+            params = exact_parameters(rho, lattice, spec)
+            eps = 0.25 - abs(params.tr_rho_o10) ** 2
+            eps_prime = abs(0.5 - params.p_samp)
+            eps_dprime = 1.0 - params.f_in
+            if max(eps, eps_prime, eps_dprime) <= 0.02:
+                break
+        else:
+            raise ValidationError(
+                f"{LOWER_BOUND_DRAWS} generated states in a row left the epsilon <= 0.02 regime"
+            )
         bound = fidelity_lower_bound(abs(params.tr_rho_o10) ** 2, params.f_in)
         margin = (bound - slack) - params.f_out
         worst = max(worst, margin)

@@ -43,6 +43,43 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _convert(kind, value, context: str):
+    """kind(value), with a value that does not convert reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {value!r}")
+    return value
+
+
+def _seed(value, context: str) -> int:
+    seed = _convert(int, value, context)
+    if seed < 0:
+        raise ConfigError(f"{context} must be non-negative, got {seed}")
+    return seed
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for seeds, which must be non-negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def load_experiment_config(path: str) -> dict:
     """Parse and validate a run config, returning ready-to-use objects."""
     try:
@@ -52,50 +89,58 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = _object(raw, "config")
 
-    lattice_cfg = _require(raw, "lattice", "config")
-    rows = int(_require(lattice_cfg, "rows", "lattice"))
-    cols = int(_require(lattice_cfg, "cols", "lattice"))
+    lattice_cfg = _object(_require(raw, "lattice", "config"), "lattice")
+    rows = _convert(int, _require(lattice_cfg, "rows", "lattice"), "lattice.rows")
+    cols = _convert(int, _require(lattice_cfg, "cols", "lattice"), "lattice.cols")
     if rows * cols > MAX_STATE_QUBITS:
         raise CapacityError(f"{rows}x{cols} lattice exceeds the {MAX_STATE_QUBITS}-qubit guard")
     lattice = build_lattice(rows, cols)
 
-    input_seed = int(raw.get("input_seed", 0))
+    input_seed = _seed(raw.get("input_seed", 0), "input_seed")
     spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
 
-    prover_cfg = raw.get("prover", {"type": "honest"})
+    prover_cfg = _object(raw.get("prover", {"type": "honest"}), "prover")
     kind = prover_cfg.get("type", "honest")
-    noise = NoiseModel.from_json_dict(prover_cfg.get("noise", {}))
+    noise_cfg = _object(prover_cfg.get("noise", {}), "prover.noise")
+    try:
+        noise = NoiseModel.from_json_dict(noise_cfg)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad prover.noise: {exc}") from exc
     if kind == "honest":
         model = make_honest_model(lattice, spec, noise)
     elif kind == "degraded":
         model = make_degraded_model(
             lattice,
             spec,
-            float(_require(prover_cfg, "target_o10_sq", "prover")),
-            float(_require(prover_cfg, "target_f_in", "prover")),
+            _convert(float, _require(prover_cfg, "target_o10_sq", "prover"), "prover.target_o10_sq"),
+            _convert(float, _require(prover_cfg, "target_f_in", "prover"), "prover.target_f_in"),
         )
     else:
         raise ConfigError(f"unknown prover type {kind!r}")
 
-    proto_cfg = _require(raw, "protocol", "config")
+    proto_cfg = _object(_require(raw, "protocol", "config"), "protocol")
     window = proto_cfg.get("psamp_window", [0.494, 0.506])
+    if not isinstance(window, list) or len(window) != 2:
+        raise ConfigError(f"protocol.psamp_window must be a list of 2 numbers, got {window!r}")
     protocol = ProtocolConfig(
-        num_copies=int(_require(proto_cfg, "num_copies", "protocol")),
-        master_seed=int(_require(proto_cfg, "master_seed", "protocol")),
-        threshold_o10=float(proto_cfg.get("threshold_o10", 0.994)),
-        threshold_fin=float(proto_cfg.get("threshold_fin", 0.994)),
-        psamp_window=(float(window[0]), float(window[1])),
+        num_copies=_convert(int, _require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies"),
+        master_seed=_seed(_require(proto_cfg, "master_seed", "protocol"), "protocol.master_seed"),
+        threshold_o10=_convert(float, proto_cfg.get("threshold_o10", 0.994), "protocol.threshold_o10"),
+        threshold_fin=_convert(float, proto_cfg.get("threshold_fin", 0.994), "protocol.threshold_fin"),
+        psamp_window=tuple(_convert(float, w, "protocol.psamp_window") for w in window),
     )
+    repetitions = _convert(int, raw.get("repetitions", 1), "repetitions")
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     return {
         "lattice": lattice,
         "input_spec": spec,
         "model": model,
         "noise": noise,
         "protocol": protocol,
-        "repetitions": int(raw.get("repetitions", 1)),
+        "repetitions": repetitions,
     }
 
 
@@ -192,22 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the protocol from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the experiment config JSON")
-    p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p_run.add_argument("--seed", type=_nonnegative_int, default=None, help="override the master seed")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--transcript", action="store_true", help="also write per-copy JSONL")
-    p_run.add_argument("--reps", type=int, default=None, help="override the repetition count")
+    p_run.add_argument(
+        "--reps", type=_positive_int, default=None, help="override the repetition count (>= 1)"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_echo = sub.add_parser("echo-check", help="check the gate-level preparation fidelity")
     p_echo.add_argument("rows", type=int)
     p_echo.add_argument("cols", type=int)
-    p_echo.add_argument("--seed", type=int, default=0)
+    p_echo.add_argument("--seed", type=_nonnegative_int, default=0)
     p_echo.set_defaults(func=cmd_echo_check)
 
     p_bounds = sub.add_parser("verify-bounds", help="run a bound-verification suite")
     p_bounds.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
-    p_bounds.add_argument("--instances", type=int, default=200)
-    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--instances", type=_positive_int, default=200)
+    p_bounds.add_argument("--seed", type=_nonnegative_int, default=0)
     p_bounds.add_argument("--out", default=None)
     p_bounds.set_defaults(func=cmd_verify_bounds)
 

@@ -1,11 +1,11 @@
 """Prover-side models: history states, the echo preparation circuit, and
-per-copy measurement responses.
+the outcome distributions the verifier samples copies from.
 
 The honest prover is modeled analytically as clock-indexed input/output
-components (optionally a classical mixture over output components), so copy
-measurement statistics can be precomputed once and sampled in O(1) per shot.
-echo_prepare exists separately to certify that a gate-level device prepares
-the same state.
+components plus a scalar depolarizing weight on the output, so copy
+measurement statistics have closed forms that are precomputed once and
+sampled in O(1) per shot. echo_prepare exists separately to certify that a
+gate-level device prepares the same state.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,11 +22,10 @@ from .errors import (
     SearchFailureError,
     ValidationError,
 )
-from .lattice import InputSpec, InputType, LatticeGeometry
+from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
     HADAMARD,
-    MeasurementRecord,
     PAULI_X,
     PureState,
     apply_global_cz,
@@ -35,14 +33,12 @@ from .simulator import (
     interaction_energies,
     product_state,
     rotated_basis,
-    sample,
     walsh_hadamard,
     zz_phases,
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
 MAX_MODEL_DENSITY_QUBITS = 6
-MAX_DEPOLARIZING_QUBITS = 10
 
 TARGET_TOL = 1e-6
 
@@ -94,28 +90,17 @@ class NoiseModel:
         )
 
 
-class InstructionMode(Enum):
-    SAMPLE = "sample"
-    INPUT_TEST = "input_test"
-    PROP_TEST_X = "prop_test_x"
-    PROP_TEST_Y = "prop_test_y"
-
-
-@dataclass(frozen=True)
-class MeasurementInstruction:
-    """One copy's instruction; the mode fully determines per-qubit bases."""
-
-    mode: InstructionMode
-
-
 @dataclass(eq=False)
 class HistoryStateModel:
-    """Analytic (n+1)-qubit state (|0>|input> + e^{i theta}|1>|output>)/sqrt(2).
+    """Analytic (n+1)-qubit history state with a depolarized output branch.
 
-    The clock sits at the highest bit, so the statevector would be the
-    concatenation [input_component, e^{i theta} output_component] / sqrt(2).
-    stochastic_mixture, when present, replaces the single output component
-    with a classical mixture of pure output components (weights sum to 1).
+    The coherent part is (|0>|a> + e^{i theta}|1>|b>)/sqrt(2) with a the input
+    and b the output component; the clock sits at the highest bit, so its
+    statevector is the concatenation [a, e^{i theta} b] / sqrt(2). With
+    depolarizing_rate p the output branch is replaced, with probability p, by
+    the maximally mixed state:
+
+        (1-p)|psi><psi| + (p/2)|0><0|(x)|a><a| + (p/2^(n+1))|1><1|(x)I.
     """
 
     lattice: LatticeGeometry
@@ -123,7 +108,7 @@ class HistoryStateModel:
     clock_phase: float
     input_component: PureState
     output_component: PureState
-    stochastic_mixture: list[tuple[float, PureState]] | None = None
+    depolarizing_rate: float = 0.0
 
     def __post_init__(self):
         n = self.lattice.num_qubits
@@ -131,26 +116,26 @@ class HistoryStateModel:
             raise DimensionMismatchError("input spec size does not match lattice")
         if self.input_component.num_qubits != n or self.output_component.num_qubits != n:
             raise DimensionMismatchError("component size does not match lattice")
-        if self.stochastic_mixture is not None:
-            total = sum(q for q, _ in self.stochastic_mixture)
-            if abs(total - 1.0) > 1e-10:
-                raise ValidationError(f"mixture weights sum to {total!r}, not 1")
+        if not 0.0 <= self.depolarizing_rate <= 1.0:
+            raise ValidationError(
+                f"depolarizing_rate must be in [0, 1], got {self.depolarizing_rate}"
+            )
 
     @property
     def num_system_qubits(self) -> int:
         return self.lattice.num_qubits
 
     def components(self) -> list[tuple[float, PureState]]:
-        """Output components as (weight, state) pairs."""
-        if self.stochastic_mixture is None:
-            return [(1.0, self.output_component)]
-        return self.stochastic_mixture
+        """The coherent output component and its weight 1-p."""
+        return [(1.0 - self.depolarizing_rate, self.output_component)]
 
-    def to_statevector(self, weight_index: int = 0) -> PureState:
-        """Full (n+1)-qubit statevector of one pure branch."""
-        _, comp = self.components()[weight_index]
+    def to_statevector(self) -> PureState:
+        """Full (n+1)-qubit statevector of the coherent part."""
         amps = np.concatenate(
-            [self.input_component.amplitudes, np.exp(1j * self.clock_phase) * comp.amplitudes]
+            [
+                self.input_component.amplitudes,
+                np.exp(1j * self.clock_phase) * self.output_component.amplitudes,
+            ]
         ) / math.sqrt(2)
         return PureState(self.num_system_qubits + 1, amps)
 
@@ -162,11 +147,13 @@ class HistoryStateModel:
                 f"density matrix for {n} system qubits exceeds the "
                 f"{MAX_MODEL_DENSITY_QUBITS}-qubit guard"
             )
-        dim = 1 << (n + 1)
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        for k, (q, _) in enumerate(self.components()):
-            psi = self.to_statevector(k).amplitudes
-            rho += q * np.outer(psi, psi.conj())
+        p = self.depolarizing_rate
+        dim = 1 << n
+        psi = self.to_statevector().amplitudes
+        a = self.input_component.amplitudes
+        rho = (1.0 - p) * np.outer(psi, psi.conj())
+        rho[:dim, :dim] += (p / 2.0) * np.outer(a, a.conj())
+        rho[dim:, dim:] += (p / (2 * dim)) * np.eye(dim)
         return rho
 
 
@@ -195,29 +182,6 @@ def _tilted_input(spec: InputSpec, tilt: float) -> PureState:
     return PureState(n, state.amplitudes * phases)
 
 
-def _depolarized_mixture(
-    coherent_weight: float, coherent: PureState, depol_weight: float, n: int
-) -> list[tuple[float, PureState]]:
-    """Exact pure-state decomposition of (1-p)|B><B| + p I/2^n on the output slot.
-
-    Signed basis states in +/- pairs cancel the clock off-diagonal blocks, so
-    the resulting classical mixture of history states reproduces the
-    depolarized density matrix exactly.
-    """
-    if n > MAX_DEPOLARIZING_QUBITS:
-        raise CapacityError(
-            f"depolarizing mixture at {n} qubits exceeds the "
-            f"{MAX_DEPOLARIZING_QUBITS}-qubit guard"
-        )
-    mixture: list[tuple[float, PureState]] = [(coherent_weight, coherent)]
-    w = depol_weight / (1 << (n + 1))
-    eye = np.eye(1 << n, dtype=np.complex128)
-    for z in range(1 << n):
-        mixture.append((w, PureState(n, eye[z])))
-        mixture.append((w, PureState(n, -eye[z])))
-    return mixture
-
-
 def make_honest_model(
     lattice: LatticeGeometry, input_spec: InputSpec, noise: NoiseModel
 ) -> HistoryStateModel:
@@ -225,8 +189,7 @@ def make_honest_model(
 
     The input component carries the preparation tilt; the output component is
     the (1+eta)-time evolution of the ideal input; the clock carries theta.
-    With depolarizing_rate p the output becomes the exact mixture
-    (1-p)|phi'><phi'| + p I/2^n.
+    With depolarizing_rate p the output becomes (1-p)|phi'><phi'| + p I/2^n.
     """
     ideal = product_state(input_spec)
     input_component = _tilted_input(input_spec, noise.input_tilt)
@@ -234,44 +197,34 @@ def make_honest_model(
         ideal.num_qubits,
         ideal.amplitudes * zz_phases(lattice, 1.0 + noise.evolution_scale),
     )
-    mixture = None
-    if noise.depolarizing_rate > 0.0:
-        mixture = _depolarized_mixture(
-            1.0 - noise.depolarizing_rate,
-            output_component,
-            noise.depolarizing_rate,
-            lattice.num_qubits,
-        )
     return HistoryStateModel(
         lattice=lattice,
         input_spec=input_spec,
         clock_phase=noise.clock_phase_theta,
         input_component=input_component,
         output_component=output_component,
-        stochastic_mixture=mixture,
+        depolarizing_rate=noise.depolarizing_rate,
     )
 
 
 def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
     """Exact F_in, p_samp, Tr[rho O10], F_out of an analytic model.
 
-    Computed directly from the components in O(K 2^n); the density-matrix
-    route in the analysis module is the independent oracle for small n.
+    Computed in O(2^n) from the components: depolarizing scales Tr[rho O10]
+    by 1-p and mixes F_out with the 2^-n overlap of the maximally mixed state.
+    The density-matrix route in the analysis module is the independent oracle
+    for small n.
     """
     lattice = model.lattice
+    p = model.depolarizing_rate
     ideal = product_state(model.input_spec).amplitudes
     a = model.input_component.amplitudes
+    b = model.output_component.amplitudes
     u_diag = zz_phases(lattice, 1.0)
-    u_ideal = u_diag * ideal
 
     f_in = float(np.abs(np.vdot(ideal, a)) ** 2)
-    tr = 0.0 + 0.0j
-    f_out = 0.0
-    for q, comp in model.components():
-        b = comp.amplitudes
-        tr += q * np.vdot(b, u_diag * a)
-        f_out += q * float(np.abs(np.vdot(b, u_ideal)) ** 2)
-    tr *= 0.5 * np.exp(-1j * model.clock_phase)
+    tr = (1.0 - p) * np.vdot(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
+    f_out = (1.0 - p) * float(np.abs(np.vdot(b, u_diag * ideal)) ** 2) + p / a.size
     return ModelParameters(f_in=f_in, p_samp=0.5, tr_rho_o10=complex(tr), f_out=f_out)
 
 
@@ -449,19 +402,29 @@ def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
         return cached
     n = model.num_system_qubits
     dim = 1 << n
+    p = model.depolarizing_rate
     a = model.input_component.amplitudes
-    phase = np.exp(1j * model.clock_phase)
+    b = np.exp(1j * model.clock_phase) * model.output_component.amplitudes
 
-    samp = np.zeros(dim)
-    prop_x = np.zeros(2 * dim)
-    prop_y = np.zeros(2 * dim)
-    for q, comp in model.components():
-        b = phase * comp.amplitudes
-        samp += q * np.abs(walsh_hadamard(comp).amplitudes) ** 2
-        prop_x[:dim] += q * 0.25 * np.abs(a + b) ** 2
-        prop_x[dim:] += q * 0.25 * np.abs(a - b) ** 2
-        prop_y[:dim] += q * 0.25 * np.abs(a - 1j * b) ** 2
-        prop_y[dim:] += q * 0.25 * np.abs(a + 1j * b) ** 2
+    # A maximally mixed output reads uniform in any basis and, in each half
+    # of a propagation test, (1/4)(|a_z|^2 + 2^-n).
+    def depolarize(clean, mixed):
+        return (1.0 - p) * clean + p * mixed
+
+    samp = depolarize(np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2, 1.0 / dim)
+    mixed_half = 0.25 * (np.abs(a) ** 2 + 1.0 / dim)
+    prop_x = np.concatenate(
+        [
+            depolarize(0.25 * np.abs(a + b) ** 2, mixed_half),
+            depolarize(0.25 * np.abs(a - b) ** 2, mixed_half),
+        ]
+    )
+    prop_y = np.concatenate(
+        [
+            depolarize(0.25 * np.abs(a - 1j * b) ** 2, mixed_half),
+            depolarize(0.25 * np.abs(a + 1j * b) ** 2, mixed_half),
+        ]
+    )
 
     rotated = model.input_component
     for k, kind in enumerate(model.input_spec.choices):
@@ -479,107 +442,3 @@ def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
     )
     _DIST_CACHE[model] = dists
     return dists
-
-
-def _outcome_signs(index: int, n: int) -> tuple[int, ...]:
-    """Bit k of the index encodes qubit k's outcome, 1 meaning -1."""
-    return tuple(-1 if (index >> k) & 1 else 1 for k in range(n))
-
-
-def _flip_signs(outcomes: tuple[int, ...], eps: float, rng: np.random.Generator):
-    if eps <= 0.0:
-        return outcomes
-    flips = rng.random(len(outcomes)) < eps
-    return tuple(-o if f else o for o, f in zip(outcomes, flips))
-
-
-def measure_copy(
-    model: HistoryStateModel,
-    instruction: MeasurementInstruction,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-) -> MeasurementRecord:
-    """Measure one copy per the instruction.
-
-    Outcomes are drawn from the exact joint distribution (clock first, then
-    the conditional system measurement the mode prescribes); every reported
-    outcome is then independently flipped with the noise model's flip rate.
-    """
-    dists = mode_distributions(model)
-    n = dists.num_system
-    eps = noise.measurement_flip_rate if noise is not None else 0.0
-    mode = instruction.mode
-
-    if mode is InstructionMode.SAMPLE:
-        minus = rng.random() < dists.p_clock_minus
-        if minus:
-            x = sample(dists.sample_given_minus, rng)
-            labels = ("Z",) + ("X",) * n
-            outcomes = (-1,) + _outcome_signs(x, n)
-        else:
-            labels, outcomes = ("Z",), (1,)
-    elif mode is InstructionMode.INPUT_TEST:
-        minus = rng.random() < dists.p_clock_minus
-        rot = tuple("XROT" if k is InputType.X_TYPE else "YROT" for k in model.input_spec.choices)
-        if not minus:
-            o = sample(dists.input_given_plus, rng)
-            labels = ("Z",) + rot
-            outcomes = (1,) + _outcome_signs(o, n)
-        else:
-            labels, outcomes = ("Z",), (-1,)
-    elif mode in (InstructionMode.PROP_TEST_X, InstructionMode.PROP_TEST_Y):
-        joint = (
-            dists.prop_x if mode is InstructionMode.PROP_TEST_X else dists.prop_y
-        )
-        j = sample(joint, rng)
-        b = -1 if j >> n else 1
-        labels = ("X" if mode is InstructionMode.PROP_TEST_X else "Y",) + ("Z",) * n
-        outcomes = (b,) + _outcome_signs(j & ((1 << n) - 1), n)
-    else:
-        raise ValidationError(f"unknown instruction mode {mode!r}")
-
-    return MeasurementRecord(basis_labels=labels, outcomes=_flip_signs(outcomes, eps, rng))
-
-
-def batch_outcomes(
-    model: HistoryStateModel,
-    mode: InstructionMode,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    shots: int,
-):
-    """Vectorized many-copy variant of measure_copy for statistics tests.
-
-    Returns (clock_signs, system_indices); system index -1 marks copies whose
-    mode skipped the system measurement. Flip noise is applied to reported
-    values exactly as in measure_copy.
-    """
-    dists = mode_distributions(model)
-    n = dists.num_system
-    eps = noise.measurement_flip_rate if noise is not None else 0.0
-    u = rng.random((3, shots))
-
-    if mode in (InstructionMode.SAMPLE, InstructionMode.INPUT_TEST):
-        minus = u[0] < dists.p_clock_minus
-        clock = np.where(minus, -1, 1).astype(np.int8)
-        measured = minus if mode is InstructionMode.SAMPLE else ~minus
-        dist = (
-            dists.sample_given_minus
-            if mode is InstructionMode.SAMPLE
-            else dists.input_given_plus
-        )
-        sys_idx = np.full(shots, -1, dtype=np.int64)
-        sys_idx[measured] = dist.pick(u[1][measured], u[2][measured])
-    else:
-        joint = dists.prop_x if mode is InstructionMode.PROP_TEST_X else dists.prop_y
-        j = joint.pick(u[0], u[1])
-        clock = np.where(j >> n, -1, 1).astype(np.int8)
-        sys_idx = (j & ((1 << n) - 1)).astype(np.int64)
-        measured = np.ones(shots, dtype=bool)
-
-    if eps > 0.0:
-        flips = rng.random((shots, n + 1)) < eps
-        clock = (clock * np.where(flips[:, n], -1, 1)).astype(np.int8)
-        flip_bits = (flips[:, :n] << np.arange(n)).sum(axis=1).astype(np.int64)
-        sys_idx = np.where(measured, sys_idx ^ flip_bits, sys_idx)
-    return clock, sys_idx

@@ -16,7 +16,6 @@ TAG_INPUT = 1
 TAG_COPIES = 2
 TAG_REPETITION = 3
 TAG_BOUNDS = 4
-TAG_MEASURE = 5
 
 
 def substream(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:

@@ -68,28 +68,6 @@ class PureState:
         return PureState(self.num_qubits, self.amplitudes.copy())
 
 
-@dataclass
-class MeasurementRecord:
-    """Per-qubit bases and outcomes for the qubits actually measured.
-
-    Labels come from {Z, X, Y, XROT, YROT}; XROT/YROT are the rotated bases
-    matching the X_TYPE/Y_TYPE input states. When a copy includes both clock
-    and system measurements the clock entry comes first.
-    """
-
-    basis_labels: tuple[str, ...]
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.basis_labels) != len(self.outcomes):
-            raise DimensionMismatchError("basis label and outcome lengths differ")
-
-
-def single_qubit_input_state(kind: InputType) -> np.ndarray:
-    """Amplitudes of one input qubit (copy)."""
-    return _SINGLE_QUBIT_STATES[kind].copy()
-
-
 def rotated_basis(kind: InputType) -> np.ndarray:
     """2x2 unitary whose columns are the rotated measurement basis for `kind`."""
     return _ROTATED_BASES[kind].copy()
@@ -242,24 +220,6 @@ class Distribution:
         u_coin = np.asarray(u_coin)
         bins = np.minimum((u_bin * size).astype(np.int64), size - 1)
         return np.where(u_coin < accept[bins], bins, alias[bins])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,probability\n")
-            for i, p in enumerate(self.probabilities):
-                fh.write(f"{i},{p!r}\n")
-
-
-def sample(dist: Distribution, rng: np.random.Generator) -> int:
-    """One i.i.d. draw; deterministic given the generator state."""
-    u = rng.random(2)
-    return int(dist.pick(u[0:1], u[1:2])[0])
-
-
-def sample_many(dist: Distribution, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """`shots` i.i.d. draws using the same alias table."""
-    u = rng.random((2, shots))
-    return dist.pick(u[0], u[1])
 
 
 def bitstring(index: int, num_bits: int) -> str:

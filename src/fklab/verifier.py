@@ -118,8 +118,9 @@ class ProtocolTranscript:
     """Columnar per-copy records.
 
     basis is BASIS_X/BASIS_Y for propagation copies, BASIS_NONE otherwise;
-    sys_idx is -1 when no system measurement happened; u is nan outside the
-    propagation branch. clock holds the reported clock outcome.
+    sys_idx is -1 when no system measurement happened; clock holds the
+    reported clock outcome. A propagation copy's u is u_table[sys_idx], looked
+    up when it is read rather than stored.
     """
 
     num_copies: int
@@ -130,11 +131,12 @@ class ProtocolTranscript:
     basis: np.ndarray
     clock: np.ndarray
     sys_idx: np.ndarray
-    u: np.ndarray
+    u_table: np.ndarray
 
     def record(self, i: int) -> dict:
         has_sys = self.sys_idx[i] >= 0
         prop = self.basis[i] != BASIS_NONE
+        u = self.u_table[self.sys_idx[i]] if prop else None
         return {
             "copy_index": i,
             "b_sampling": int(self.b_sampling[i]),
@@ -142,7 +144,7 @@ class ProtocolTranscript:
             "basis_choice": {BASIS_X: "X", BASIS_Y: "Y", BASIS_NONE: None}[int(self.basis[i])],
             "clock_outcome": int(self.clock[i]),
             "system_outcomes": bitstring(int(self.sys_idx[i]), self.num_system) if has_sys else None,
-            "u": [self.u[i].real, self.u[i].imag] if prop else None,
+            "u": None if u is None else [u.real, u.imag],
         }
 
     def iter_records(self):
@@ -162,7 +164,7 @@ class ProtocolTranscript:
                     self.basis[sl],
                     self.clock[sl],
                     self.sys_idx[sl],
-                    self.u[sl],
+                    self.u_table,
                 )
             )
         return _merge_partials(partials)
@@ -174,7 +176,7 @@ class _ChunkPartial:
     samples: np.ndarray
 
 
-def _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u) -> _ChunkPartial:
+def _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_table) -> _ChunkPartial:
     """Counter updates for one chunk of transcript columns."""
     samp = b_sampling.astype(bool)
     input_test = (~samp) & (~b_testtype.astype(bool))
@@ -192,7 +194,7 @@ def _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u) -> _ChunkP
     )
     for basis_code in (BASIS_X, BASIS_Y):
         sel = basis == basis_code
-        contrib = complex(np.sum(clock[sel].astype(np.float64) * u[sel]))
+        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_table[sys_idx[sel]]))
         if basis_code == BASIS_X:
             counters.s_xu = contrib
             counters.n_x = int(sel.sum())
@@ -266,12 +268,8 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, count: int, eps: f
         measured = sys_idx >= 0
         sys_idx = np.where(measured, sys_idx ^ flip_bits, sys_idx)
 
-    u_col = np.full(count, np.nan, dtype=np.complex128)
-    is_prop = basis != BASIS_NONE
-    u_col[is_prop] = dists.u_table[sys_idx[is_prop]]
-
-    partial = _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_col)
-    columns = (b_sampling, b_testtype, basis, clock, sys_idx, u_col)
+    partial = _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, dists.u_table)
+    columns = (b_sampling, b_testtype, basis, clock, sys_idx)
     return columns, partial
 
 
@@ -353,7 +351,7 @@ def run_protocol(
         basis=col(2, np.int8),
         clock=col(3, np.int8),
         sys_idx=col(4, np.int32),
-        u=col(5, np.complex128),
+        u_table=dists.u_table,
     )
     counters, samples = _merge_partials([r[1] for r in results])
     report = _build_report(counters, samples, config, dists.num_system)

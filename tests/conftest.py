@@ -90,6 +90,33 @@ def dense_history_vector(lattice, spec, theta=0.0):
     return np.concatenate([phi, np.exp(1j * theta) * (u @ phi)]) / np.sqrt(2)
 
 
+def depolarized_mixture_density(model):
+    """A depolarized history model's density matrix as an explicit mixture.
+
+    Weight 1-p sits on the coherent history vector. For every basis string z
+    and sign s, weight p/2^(n+1) sits on (|0>|a> + s e^{i theta}|1>|z>)/sqrt(2),
+    where a is the input component; each +/- pair cancels the clock
+    coherences, so together they put p I/2^n on the output branch. That is
+    2^(n+1) + 1 pure states, summed one outer product at a time.
+    """
+    n = model.num_system_qubits
+    dim = 1 << n
+    p = model.depolarizing_rate
+    a = model.input_component.amplitudes
+    phase = np.exp(1j * model.clock_phase)
+    terms = [(1.0 - p, np.concatenate([a, phase * model.output_component.amplitudes]))]
+    for z in range(dim):
+        basis_z = np.zeros(dim, dtype=complex)
+        basis_z[z] = 1.0
+        for sign in (1.0, -1.0):
+            terms.append((p / (2 * dim), np.concatenate([a, sign * phase * basis_z])))
+    rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for weight, vec in terms:
+        psi = vec / np.sqrt(2)
+        rho += weight * np.outer(psi, psi.conj())
+    return rho
+
+
 def random_state_vector(n, rng):
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return v / np.linalg.norm(v)

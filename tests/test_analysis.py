@@ -406,6 +406,15 @@ def test_suite_lower_bound_clean():
     assert res.violations == 0
 
 
+@pytest.mark.parametrize("seed", [2028277857, 1912923437])
+def test_suite_lower_bound_redraws_out_of_regime_states(seed):
+    # At these seeds a generated state leaves the epsilon <= 0.02 regime; the
+    # suite replaces it with the next draw instead of failing.
+    res = suite_lower_bound(200, seed=seed)
+    assert res.instances == 200
+    assert res.violations == 0
+
+
 def test_suite_tvd_chain_clean():
     res = suite_tvd_chain(100, seed=0)
     assert res.violations == 0

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fklab.cli import main
 
 
@@ -168,6 +170,113 @@ def test_run_missing_file_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def _base_config():
+    config = {
+        "lattice": {"rows": 2, "cols": 2},
+        "input_seed": 5,
+        "prover": {"type": "honest", "noise": {"theta": 0.2}},
+        "protocol": {"num_copies": 1_000, "master_seed": 3, "psamp_window": [0.45, 0.55]},
+        "repetitions": 1,
+    }
+    return json.loads(json.dumps(config))
+
+
+def _set(config, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config[name]
+    config[key] = value
+
+
+# One row per malformed field: (dotted path in the config, bad value).
+MALFORMED_FIELDS = [
+    ("lattice", 5),
+    ("lattice.rows", "four"),
+    ("lattice.cols", [2]),
+    ("lattice.rows", 0),
+    ("input_seed", "seven"),
+    ("input_seed", -1),
+    ("prover", [1]),
+    ("prover.type", "oracle"),
+    ("prover.noise", [1]),
+    ("prover.noise.theta", "wide"),
+    ("prover.noise.meas_flip", 1.5),
+    ("prover.noise.depolarizing", -0.1),
+    ("protocol", "fast"),
+    ("protocol.num_copies", "many"),
+    ("protocol.num_copies", -5),
+    ("protocol.master_seed", None),
+    ("protocol.master_seed", -2),
+    ("protocol.threshold_o10", "high"),
+    ("protocol.threshold_fin", 1.5),
+    ("protocol.psamp_window", [0.5]),
+    ("protocol.psamp_window", "wide"),
+    ("protocol.psamp_window", [0.4, "x"]),
+    ("protocol.psamp_window", [0.6, 0.4]),
+    ("repetitions", 0),
+    ("repetitions", -1),
+    ("repetitions", "two"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [pytest.param(path, value, id=f"{path}={json.dumps(value)}") for path, value in MALFORMED_FIELDS],
+)
+def test_run_malformed_field_exit_2(tmp_path, capsys, path, value):
+    config = _base_config()
+    _set(config, path, value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"type": "degraded", "target_o10_sq": "most", "target_f_in": 1.0},
+        {"type": "degraded", "target_o10_sq": 0.97, "target_f_in": [1.0]},
+    ],
+    ids=["target_o10_sq", "target_f_in"],
+)
+def test_run_malformed_degraded_target_exit_2(tmp_path, value):
+    config = _base_config()
+    config["prover"] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--reps", "0"],
+        ["--reps", "-1"],
+        ["--reps", "x"],
+        ["--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_run_malformed_argument_exit_2(tmp_path, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_base_config()))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *argv]) == 2
+
+
+def test_run_depolarized_4x4_exit_0(tmp_path):
+    cfg = tmp_path / "config.json"
+    write_config(
+        cfg,
+        lattice={"rows": 4, "cols": 4},
+        repetitions=1,
+        prover={"type": "honest", "noise": {"depolarizing": 0.001}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "report_rep000.json").exists()
+
+
 def test_run_capacity_guard_exit_3(tmp_path):
     cfg = tmp_path / "config.json"
     write_config(cfg, lattice={"rows": 6, "cols": 6})
@@ -194,6 +303,20 @@ def test_verify_bounds_writes_csv(tmp_path):
     assert rows[0] == "test_name,instances,violations,max_margin"
     fields = rows[1].split(",")
     assert fields[0] == "cauchy_schwarz" and fields[2] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["echo-check", "1", "2", "--seed", "-1"],
+        ["verify-bounds", "stochastic", "--seed", "-1"],
+        ["verify-bounds", "stochastic", "--instances", "0"],
+        ["verify-bounds", "stochastic", "--instances", "-5"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_argument_exit_2(argv):
+    assert main(argv) == 2
 
 
 def test_verify_bounds_unknown_suite_exit_2(tmp_path):

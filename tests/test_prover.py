@@ -1,31 +1,36 @@
-"""History-state model, echo circuit, and per-copy measurement tests."""
+"""History-state model, echo circuit, and measurement-statistics tests.
+
+Per-copy measurements are drawn only by the verifier's chunk kernel, so the
+measurement tests read its output through run_protocol's transcript columns.
+"""
 
 import numpy as np
 import pytest
 
 from fklab.analysis import DensityMatrix, exact_parameters
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
-from fklab.lattice import InputType, build_lattice, random_input
+from fklab.lattice import build_lattice, random_input
 from fklab.prover import (
     HistoryStateModel,
-    InstructionMode,
-    MeasurementInstruction,
     NoiseModel,
-    batch_outcomes,
     echo_prepare,
     exact_model_parameters,
     ideal_history_state,
     make_degraded_model,
     make_honest_model,
-    measure_copy,
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import state_fidelity, u_value
+from fklab.simulator import rotated_basis, state_fidelity, u_value
+from fklab.verifier import BASIS_X, BASIS_Y, ProtocolConfig, run_protocol
 
 from conftest import (
     dense_coupling_hamiltonian,
+    dense_hadamard_all,
     dense_history_vector,
+    depolarized_mixture_density,
+    kron_chain,
+    small_lattices,
     spectral_expm,
 )
 
@@ -104,18 +109,55 @@ def test_depolarizing_scales_coherence(lattice, spec):
     assert noisy.p_samp == 0.5
 
 
+def _depolarized_model(lattice, spec, rate):
+    return honest(lattice, spec, clock_phase_theta=0.7, evolution_scale=0.04,
+                  input_tilt=0.15, depolarizing_rate=rate)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.3, 1.0])
+@pytest.mark.parametrize("rows,cols", small_lattices())
+def test_density_matrix_matches_mixture_oracle(rows, cols, rate):
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = _depolarized_model(lat, spec, rate)
+    assert np.max(np.abs(model.to_density_matrix() - depolarized_mixture_density(model))) < 1e-14
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices())
+def test_depolarized_parameters_match_density_matrix_oracle(rows, cols):
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = _depolarized_model(lat, spec, 0.3)
+    analytic = exact_model_parameters(model)
+    dense = exact_parameters(
+        DensityMatrix(lat.num_qubits + 1, model.to_density_matrix()), lat, spec
+    )
+    assert abs(analytic.f_in - dense.f_in) < 1e-10
+    assert abs(analytic.p_samp - dense.p_samp) < 1e-10
+    assert abs(analytic.tr_rho_o10 - dense.tr_rho_o10) < 1e-10
+    assert abs(analytic.f_out - dense.f_out) < 1e-10
+
+
 def test_depolarizing_mixture_weights(lattice, spec):
+    # Weight 1-p stays on the coherent output, which components() reports;
+    # the rest is the maximally mixed output, and each clock branch keeps 1/2.
     model = honest(lattice, spec, depolarizing_rate=0.2)
-    weights = [q for q, _ in model.components()]
-    assert abs(sum(weights) - 1.0) < 1e-12
-    assert len(weights) == 1 + 2 ** (4 + 1)
+    assert model.components() == [(0.8, model.output_component)]
+    rho = model.to_density_matrix()
+    assert abs(np.trace(rho[:16, :16]) - 0.5) < 1e-12
+    assert abs(np.trace(rho[16:, 16:]) - 0.5) < 1e-12
 
 
 def test_depolarizing_capacity_guard():
+    # Depolarizing costs nothing extra to build; only the dense density
+    # matrix is guarded.
     lat = build_lattice(3, 4)
     spec = random_input(12, np.random.default_rng(0))
+    model = make_honest_model(lat, spec, NoiseModel(depolarizing_rate=0.1))
+    assert model.components() == [(0.9, model.output_component)]
+    assert abs(exact_model_parameters(model).f_out - (0.9 + 0.1 / 4096)) < 1e-12
     with pytest.raises(CapacityError):
-        make_honest_model(lat, spec, NoiseModel(depolarizing_rate=0.1))
+        model.to_density_matrix()
 
 
 def test_noise_model_validation():
@@ -204,121 +246,154 @@ def test_echo_capacity_guard():
 
 
 # ---------------------------------------------------------------------------
-# measure_copy
+# Measurement statistics of the verifier's chunk kernel
 
 
-def test_input_test_perfect_state(lattice, spec, rng):
+def _run(model, lattice, spec, num_copies, seed, noise=None):
+    config = ProtocolConfig(num_copies=num_copies, master_seed=seed)
+    return run_protocol(model, lattice, spec, config, noise=noise)
+
+
+def test_input_test_perfect_state(lattice, spec):
     model = honest(lattice, spec)
-    instruction = MeasurementInstruction(InstructionMode.INPUT_TEST)
-    saw_plus = False
-    for _ in range(64):
-        record = measure_copy(model, instruction, NoiseModel(), rng)
-        assert record.basis_labels[0] == "Z"
-        if record.outcomes[0] == 1:
-            saw_plus = True
-            assert len(record.outcomes) == 5
-            assert all(o == 1 for o in record.outcomes[1:])
-            for label, kind in zip(record.basis_labels[1:], spec.choices):
-                assert label == ("XROT" if kind is InputType.X_TYPE else "YROT")
+    transcript, _ = _run(model, lattice, spec, 4_000, seed=17)
+    input_test = (transcript.b_sampling == 0) & (transcript.b_testtype == 0)
+    plus = input_test & (transcript.clock == 1)
+    assert plus.any()
+    # A perfect input reads the input state itself (outcome 0) on every qubit.
+    assert np.all(transcript.sys_idx[plus] == 0)
+    assert np.all(transcript.sys_idx[input_test & (transcript.clock == -1)] == -1)
+
+
+def test_sample_mode_record_shape(lattice, spec):
+    model = honest(lattice, spec)
+    transcript, _ = _run(model, lattice, spec, 400, seed=18)
+    for record in transcript.iter_records():
+        if record["b_sampling"] != 1:
+            continue
+        assert record["basis_choice"] is None
+        if record["clock_outcome"] == -1:
+            assert len(record["system_outcomes"]) == 4
         else:
-            assert len(record.outcomes) == 1
-    assert saw_plus
+            assert record["system_outcomes"] is None
 
 
-def test_sample_mode_record_shape(lattice, spec, rng):
+def test_flip_rate_one_negates_everything(lattice, spec):
     model = honest(lattice, spec)
-    instruction = MeasurementInstruction(InstructionMode.SAMPLE)
-    for _ in range(32):
-        record = measure_copy(model, instruction, NoiseModel(), rng)
-        if record.outcomes[0] == -1:
-            assert record.basis_labels == ("Z",) + ("X",) * 4
-        else:
-            assert record.basis_labels == ("Z",)
-
-
-def test_flip_rate_one_negates_everything(lattice, spec, rng):
-    model = honest(lattice, spec)
-    instruction = MeasurementInstruction(InstructionMode.INPUT_TEST)
     noise = NoiseModel(measurement_flip_rate=1.0)
-    for _ in range(16):
-        record = measure_copy(model, instruction, noise, rng)
-        if len(record.outcomes) > 1:
-            # True clock was +1 and perfect inputs give all +1, so every
-            # reported value is now -1.
-            assert all(o == -1 for o in record.outcomes)
+    transcript, _ = _run(model, lattice, spec, 4_000, seed=19, noise=noise)
+    input_test = (transcript.b_sampling == 0) & (transcript.b_testtype == 0)
+    measured = input_test & (transcript.sys_idx >= 0)
+    assert measured.any()
+    # True clock was +1 and perfect inputs give all +1, so every reported
+    # value is now -1: clock -1 and every system bit set.
+    assert np.all(transcript.clock[measured] == -1)
+    assert np.all(transcript.sys_idx[measured] == (1 << 4) - 1)
+    sampled = (transcript.b_sampling == 1) & (transcript.sys_idx >= 0)
+    assert np.all(transcript.clock[sampled] == 1)
 
 
-def _dense_mode_joint(model, mode):
-    """Born-rule outcome distribution of one instruction mode, built densely.
+def _dense_mode_joints(rho, spec):
+    """Born-rule outcome distribution of each branch, from a dense rho.
 
-    SAMPLE and INPUT_TEST return length 2^n + 1 vectors: entry z is the
-    probability of measuring outcome string z on the measured clock branch,
-    and the final bucket is the probability of the branch that skips the
-    system measurement. Propagation modes return the full 2^(n+1) joint with
-    index b_bit * 2^n + z (b_bit 1 meaning clock outcome -1).
+    "sample" and "input" are length 2^n + 1: entry z is the probability of
+    system outcome z on the clock value the branch measures after (-1 for
+    sampling, +1 for the input test), and the last entry is the probability
+    of the other clock value, which skips the system measurement. "x" and
+    "y" are the 2^(n+1) propagation joints indexed b_bit * 2^n + z, b_bit 1
+    meaning clock outcome -1.
     """
-    n = model.num_system_qubits
+    dim = 1 << spec.num_qubits
+    rho_00 = rho[:dim, :dim]
+    rho_11 = rho[dim:, dim:]
+    had = dense_hadamard_all(spec.num_qubits)
+    rot = kron_chain([rotated_basis(kind).conj().T for kind in spec.choices])
+    joints = {
+        "sample": np.append(np.diag(had @ rho_11 @ had.conj().T).real, np.trace(rho_00).real),
+        "input": np.append(np.diag(rot @ rho_00 @ rot.conj().T).real, np.trace(rho_11).real),
+    }
+    # Rows are the bras of the clock's +1 and -1 eigenstates.
+    clock_bras = {
+        "x": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        "y": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2),
+    }
+    for name, bras in clock_bras.items():
+        v = np.kron(bras, np.eye(dim))
+        joints[name] = np.diag(v @ rho @ v.conj().T).real
+    return joints
+
+
+def _branch_histogram(transcript, mode):
+    """Empirical version of one _dense_mode_joints entry from a transcript."""
+    n = transcript.num_system
     dim = 1 << n
-    rho_parts = [(q, model.input_component.amplitudes,
-                  np.exp(1j * model.clock_phase) * comp.amplitudes)
-                 for q, comp in model.components()]
-    if mode is InstructionMode.SAMPLE:
-        h_all = np.array([[1.0]])
-        for _ in range(n):
-            h_all = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), h_all)
-        joint = np.zeros(dim + 1)
-        joint[dim] = 0.5
-        for q, _, bot in rho_parts:
-            joint[:dim] += q * 0.5 * np.abs(h_all @ bot) ** 2
-        return joint
-    if mode is InstructionMode.INPUT_TEST:
-        from fklab.simulator import rotated_basis
-
-        rot = np.array([[1.0]])
-        for kind in model.input_spec.choices:
-            rot = np.kron(rotated_basis(kind).conj().T, rot)
-        joint = np.zeros(dim + 1)
-        joint[dim] = 0.5
-        for q, top, _ in rho_parts:
-            joint[:dim] += q * 0.5 * np.abs(rot @ top) ** 2
-        return joint
-    sign = 1.0 if mode is InstructionMode.PROP_TEST_X else -1j
-    joint = np.zeros(2 * dim)
-    for q, top, bot in rho_parts:
-        joint[:dim] += q * 0.25 * np.abs(top + sign * bot) ** 2
-        joint[dim:] += q * 0.25 * np.abs(top - sign * bot) ** 2
-    return joint
-
-
-@pytest.mark.parametrize(
-    "mode",
-    [
-        InstructionMode.SAMPLE,
-        InstructionMode.INPUT_TEST,
-        InstructionMode.PROP_TEST_X,
-        InstructionMode.PROP_TEST_Y,
-    ],
-)
-def test_measurement_marginals_match_born_rule(mode, lattice, spec):
-    # 1e6 vectorized shots per mode, compared against an independently built
-    # dense joint distribution; the expected empirical TVD is ~2e-3.
-    model = honest(lattice, spec, clock_phase_theta=0.6, evolution_scale=0.03)
-    n = 4
-    shots = 1_000_000
-    clock, sys_idx = batch_outcomes(
-        model, mode, NoiseModel(), np.random.default_rng(555), shots
-    )
-    dense = _dense_mode_joint(model, mode)
-    measured = sys_idx >= 0
-    counts = np.zeros(dense.size)
-    if mode in (InstructionMode.SAMPLE, InstructionMode.INPUT_TEST):
-        np.add.at(counts, sys_idx[measured], 1)
-        counts[1 << n] = (~measured).sum()
+    sys_idx = transcript.sys_idx.astype(np.int64)
+    if mode in ("sample", "input"):
+        samp = transcript.b_sampling == 1
+        rows = samp if mode == "sample" else (~samp & (transcript.b_testtype == 0))
+        measured = rows & (sys_idx >= 0)
+        counts = np.bincount(sys_idx[measured], minlength=dim + 1).astype(np.float64)
+        counts[dim] = (rows & (sys_idx < 0)).sum()
     else:
-        joint_idx = ((clock == -1).astype(np.int64) << n) | sys_idx
-        np.add.at(counts, joint_idx, 1)
-    tvd_emp = 0.5 * np.abs(counts / shots - dense).sum()
+        rows = transcript.basis == (BASIS_X if mode == "x" else BASIS_Y)
+        joint = ((transcript.clock[rows] == -1).astype(np.int64) << n) | sys_idx[rows]
+        counts = np.bincount(joint, minlength=2 * dim).astype(np.float64)
+    return counts / rows.sum()
+
+
+KERNEL_MODELS = {
+    "honest": NoiseModel(clock_phase_theta=0.6, evolution_scale=0.03),
+    "depolarized": NoiseModel(clock_phase_theta=0.6, evolution_scale=0.03, depolarizing_rate=0.3),
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_transcripts():
+    """One 4e6-copy transcript per model on a 2x2 lattice, built on first use."""
+    lattice = build_lattice(2, 2)
+    spec = random_input(4, np.random.default_rng(20240811))
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            model = make_honest_model(lattice, spec, KERNEL_MODELS[name])
+            transcript, _ = _run(model, lattice, spec, 4_000_000, seed=555)
+            cache[name] = (model, transcript)
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("mode", ["sample", "input", "x", "y"])
+@pytest.mark.parametrize("model_name", sorted(KERNEL_MODELS))
+def test_measurement_marginals_match_born_rule(kernel_transcripts, model_name, mode):
+    # Branch-conditioned histograms from one transcript against a dense joint
+    # built from the model's density matrix. The propagation branches get
+    # about 5e5 copies each, for an expected empirical TVD near 3e-3.
+    model, transcript = kernel_transcripts(model_name)
+    dense = _dense_mode_joints(model.to_density_matrix(), model.input_spec)[mode]
+    assert abs(dense.sum() - 1.0) < 1e-12
+    tvd_emp = 0.5 * np.abs(_branch_histogram(transcript, mode) - dense).sum()
     assert tvd_emp < 0.01
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("rows,cols", small_lattices())
+def test_mode_distributions_match_dense_joints(rows, cols, rate):
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = _depolarized_model(lat, spec, rate)
+    dists = mode_distributions(model)
+    joints = _dense_mode_joints(model.to_density_matrix(), spec)
+    dim = 1 << lat.num_qubits
+    assert abs(dists.p_clock_minus - joints["sample"][dim]) < 1e-12
+    for table, joint in (
+        (dists.sample_given_minus, joints["sample"][:dim]),
+        (dists.input_given_plus, joints["input"][:dim]),
+        (dists.prop_x, joints["x"]),
+        (dists.prop_y, joints["y"]),
+    ):
+        assert np.max(np.abs(table.probabilities - joint / joint.sum())) < 1e-12
 
 
 def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
@@ -330,12 +405,11 @@ def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
     bot = np.exp(1j * model.clock_phase) * model.output_component.amplitudes / np.sqrt(2)
     exact = np.vdot(top, u_dense @ bot) + np.vdot(bot, u_dense @ top)
 
-    clock, sys_idx = batch_outcomes(
-        model, InstructionMode.PROP_TEST_X, NoiseModel(), np.random.default_rng(8), 100_000
-    )
+    transcript, _ = _run(model, lattice, spec, 800_000, seed=8)
+    prop_x = transcript.basis == BASIS_X
     u_vals = np.array([u_value([1 - 2 * ((z >> k) & 1) for k in range(4)], lattice)
                        for z in range(16)])
-    mean_bu = np.mean(clock * u_vals[sys_idx])
+    mean_bu = np.mean(transcript.clock[prop_x] * u_vals[transcript.sys_idx[prop_x]])
     assert abs(mean_bu - exact) < 0.02
 
 
@@ -344,11 +418,8 @@ def test_sample_histogram_matches_ideal_distribution(lattice, spec):
     from fklab.simulator import ideal_output_distribution
 
     model = honest(lattice, spec)
-    clock, sys_idx = batch_outcomes(
-        model, InstructionMode.SAMPLE, NoiseModel(), np.random.default_rng(99), 1_000_000
-    )
-    kept = sys_idx[sys_idx >= 0]
-    hist = np.bincount(kept, minlength=16) / kept.size
+    _, report = _run(model, lattice, spec, 2_000_000, seed=99)
+    hist = np.bincount(report.samples, minlength=16) / report.samples.size
     assert tvd(hist, ideal_output_distribution(lattice, spec)) < 0.01
 
 
@@ -359,15 +430,16 @@ def test_mode_distributions_cached(lattice, spec):
 
 def test_history_model_rejects_bad_mixture(lattice, spec):
     base = honest(lattice, spec)
-    with pytest.raises(ValidationError):
-        HistoryStateModel(
-            lattice=lattice,
-            input_spec=spec,
-            clock_phase=0.0,
-            input_component=base.input_component,
-            output_component=base.output_component,
-            stochastic_mixture=[(0.5, base.output_component)],
-        )
+    for rate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValidationError):
+            HistoryStateModel(
+                lattice=lattice,
+                input_spec=spec,
+                clock_phase=0.0,
+                input_component=base.input_component,
+                output_component=base.output_component,
+                depolarizing_rate=rate,
+            )
 
 
 def test_statevector_against_conftest_oracle(lattice, spec):

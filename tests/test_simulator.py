@@ -14,8 +14,6 @@ from fklab.simulator import (
     bitstring,
     ideal_output_distribution,
     product_state,
-    sample,
-    sample_many,
     u_value,
     walsh_hadamard,
 )
@@ -241,31 +239,51 @@ def test_ideal_distribution_capacity_guard():
 
 def test_sample_point_mass():
     dist = Distribution(2, np.array([0.0, 0.0, 1.0, 0.0]))
-    rng = np.random.default_rng(9)
-    assert all(sample(dist, rng) == 2 for _ in range(32))
+    u = np.random.default_rng(9).random((2, 32))
+    assert np.all(dist.pick(u[0], u[1]) == 2)
 
 
 def test_sample_uniform_frequencies():
     dist = Distribution(2, np.full(4, 0.25))
-    outcomes = sample_many(dist, np.random.default_rng(31415), 1_000_000)
-    freqs = np.bincount(outcomes, minlength=4) / 1_000_000
+    u = np.random.default_rng(31415).random((2, 1_000_000))
+    freqs = np.bincount(dist.pick(u[0], u[1]), minlength=4) / 1_000_000
     assert np.all(freqs >= 0.2485) and np.all(freqs <= 0.2515)
 
 
 def test_sample_deterministic_given_seed():
     dist = Distribution(3, np.full(8, 0.125))
-    a = sample_many(dist, np.random.default_rng(77), 100)
-    b = sample_many(dist, np.random.default_rng(77), 100)
+    a = dist.pick(*np.random.default_rng(77).random((2, 100)))
+    b = dist.pick(*np.random.default_rng(77).random((2, 100)))
     assert np.array_equal(a, b)
 
 
-def test_distribution_csv_export(tmp_path):
-    dist = Distribution(1, np.array([0.25, 0.75]))
-    path = tmp_path / "dist.csv"
-    dist.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,probability"
-    assert lines[1].startswith("0,")
+def _alias_probabilities(dist):
+    """Rebuild the distribution an alias table encodes: bin i keeps
+    accept[i] of its 1/size share and hands the rest to alias[i]."""
+    alias, accept = dist._table()
+    size = alias.size
+    return (accept + np.bincount(alias, weights=1.0 - accept, minlength=size)) / size
+
+
+@pytest.fixture(scope="module")
+def models_4x4():
+    from fklab.prover import NoiseModel, make_degraded_model, make_honest_model
+
+    lat = build_lattice(4, 4)
+    spec = random_input(16, np.random.default_rng(4))
+    return {
+        "honest": make_honest_model(lat, spec, NoiseModel()),
+        "degraded": make_degraded_model(lat, spec, 0.98, 0.97),
+    }
+
+
+@pytest.mark.parametrize("name", ["honest", "degraded"])
+def test_alias_table_reconstructs_probabilities(models_4x4, name):
+    from fklab.prover import mode_distributions
+
+    dists = mode_distributions(models_4x4[name])
+    for table in (dists.sample_given_minus, dists.input_given_plus, dists.prop_x, dists.prop_y):
+        assert np.max(np.abs(_alias_probabilities(table) - table.probabilities)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_u_column_matches_u_value(setup_2x2):
     prop = transcript.basis != -1
     for i in np.flatnonzero(prop)[:50]:
         signs = [1 - 2 * ((int(transcript.sys_idx[i]) >> k) & 1) for k in range(4)]
-        assert abs(transcript.u[i] - u_value(signs, lattice)) < 1e-10
+        assert abs(complex(*transcript.record(i)["u"]) - u_value(signs, lattice)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,29 @@ def test_f_in_deviation_fraction_within_hoeffding(rng):
         exceed += abs(report.f_in_m - 0.97) > 0.006
     bound = hoeffding_bound(0.006, num_copies // 8, 2)
     assert exceed / runs <= bound + 0.1
+
+
+def _hoeffding_width(trials, value_range, failure_prob):
+    """Two-sided Hoeffding half-width for a mean of `trials` bounded terms."""
+    return value_range * np.sqrt(np.log(2.0 / failure_prob) / (2.0 * trials))
+
+
+def test_depolarized_4x4_estimators_within_hoeffding_width():
+    lattice = build_lattice(4, 4)
+    spec = random_input(16, np.random.default_rng(7))
+    model = make_honest_model(lattice, spec, NoiseModel(depolarizing_rate=0.01))
+    exact = exact_model_parameters(model)
+    _, report = run(model, lattice, spec, FULL_BUDGET, seed=2024)
+    c = report.counters
+    per_check = 1e-9 / 4  # F_in, p_samp and the two parts of o10
+    assert abs(report.f_in_m - exact.f_in) <= _hoeffding_width(c.n_in_plus, 1.0, per_check)
+    assert abs(report.p_samp_m - exact.p_samp) <= _hoeffding_width(c.n_input_test, 1.0, per_check)
+    # o10 = (h_x - i h_y) / 2 and each b*u term has parts in [-1, 1].
+    w_o10 = 0.5 * (_hoeffding_width(c.n_x, 2.0, per_check) + _hoeffding_width(c.n_y, 2.0, per_check))
+    dev = report.o10_m - exact.tr_rho_o10
+    assert max(abs(dev.real), abs(dev.imag)) <= w_o10
+    # The 1% depolarized output is 0.99 of the coherent one: |Tr rho O10|^2 = 0.99^2 / 4.
+    assert abs(4.0 * abs(exact.tr_rho_o10) ** 2 - 0.99**2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +248,8 @@ def test_thread_count_does_not_change_results(setup_2x2):
         r8.to_json_dict(), sort_keys=True
     )
     assert r1.counters.s_xu == r8.counters.s_xu  # bitwise, not approximate
-    assert np.array_equal(t1.u[t1.basis != -1], t8.u[t8.basis != -1])
+    for column in ("b_sampling", "b_testtype", "basis", "clock", "sys_idx"):
+        assert np.array_equal(getattr(t1, column), getattr(t8, column))
 
 
 def test_report_json_schema(setup_2x2):
