@@ -117,7 +117,7 @@ def apply_two_qubit_dense(vec: np.ndarray, num_qubits: int, qi: int, qj: int, ga
 # Exact protocol parameters
 
 
-MAX_DENSITY_QUBITS = 7
+MAX_DENSITY_QUBITS = MAX_DENSE_QUBITS + 1  # clock included
 
 
 @dataclass
@@ -434,7 +434,7 @@ def martingale_experiment(
 # ---------------------------------------------------------------------------
 # Pauli-product sign inversion and the generalized echo
 
-MAX_GENERAL_ECHO_QUBITS = 7  # total, clock included
+MAX_GENERAL_ECHO_QUBITS = MAX_DENSE_QUBITS + 1  # clock included
 
 
 def _validate_pauli_label(label: str, num_qubits: int | None = None) -> None:

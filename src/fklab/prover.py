@@ -26,6 +26,7 @@ from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
     HADAMARD,
+    MAX_DENSE_QUBITS,
     PAULI_X,
     PureState,
     apply_global_cz,
@@ -38,7 +39,7 @@ from .simulator import (
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
-MAX_MODEL_DENSITY_QUBITS = 6
+MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
 
 TARGET_TOL = 1e-6
 
@@ -90,7 +91,7 @@ class NoiseModel:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HistoryStateModel:
     """Analytic (n+1)-qubit history state with a depolarized output branch.
 
@@ -101,6 +102,8 @@ class HistoryStateModel:
     the maximally mixed state:
 
         (1-p)|psi><psi| + (p/2)|0><0|(x)|a><a| + (p/2^(n+1))|1><1|(x)I.
+
+    Frozen, because mode_distributions memoizes its tables by model identity.
     """
 
     lattice: LatticeGeometry
@@ -267,29 +270,14 @@ def tune_evolution_scale(
 
 
 def _tune_input_tilt(input_spec: InputSpec, target_f_in: float) -> float:
-    """Find tilt >= 0 with |<phi_ideal | phi_tilt>|^2 = target within 1e-6."""
+    """Tilt t in [0, pi] with |<phi_ideal | phi_tilt>|^2 = target.
+
+    Every input qubit has amplitudes of modulus 1/sqrt(2), so R_z(t) keeps an
+    overlap cos(t/2) per qubit and F_in(t) = cos(t/2)^(2n).
+    """
     if not 0.0 <= target_f_in <= 1.0:
         raise ValidationError(f"target input fidelity must be in [0, 1], got {target_f_in}")
-    if target_f_in == 1.0:
-        return 0.0
-    ideal = product_state(input_spec).amplitudes
-
-    def f_in_at(tilt: float) -> float:
-        return float(np.abs(np.vdot(ideal, _tilted_input(input_spec, tilt).amplitudes)) ** 2)
-
-    lo, hi = 0.0, math.pi
-    if f_in_at(hi) > target_f_in:
-        raise SearchFailureError(f"input fidelity target {target_f_in} unreachable")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if f_in_at(mid) > target_f_in:
-            lo = mid
-        else:
-            hi = mid
-    tilt = 0.5 * (lo + hi)
-    if abs(f_in_at(tilt) - target_f_in) > TARGET_TOL:
-        raise SearchFailureError("input tilt bisection failed to converge")
-    return tilt
+    return 2.0 * math.acos(target_f_in ** (1.0 / (2 * input_spec.num_qubits)))
 
 
 def make_degraded_model(

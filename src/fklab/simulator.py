@@ -224,7 +224,7 @@ class Distribution:
 
 def bitstring(index: int, num_bits: int) -> str:
     """Format an outcome index as a bit string, qubit 0 first."""
-    return "".join("1" if (index >> k) & 1 else "0" for k in range(num_bits))
+    return format(index, f"0{num_bits}b")[::-1]
 
 
 def ideal_output_distribution(lattice: LatticeGeometry, spec: InputSpec) -> Distribution:

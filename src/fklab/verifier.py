@@ -4,26 +4,29 @@ Copies are processed in fixed 65536-copy chunks. Chunk c draws all of its
 randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout,
 and counter reduction is numpy's pairwise sum within a chunk followed by a
 sequential merge in chunk order, so results are byte-identical for any thread
-count. Per-chunk counters are computed FROM the transcript columns through a
-shared helper, which makes the report reproducible from the transcript
-bit for bit.
+count. The transcript is the one record a run produces: its columns are
+allocated once, each chunk writes its own rows, and the report's counters and
+samples are ProtocolTranscript.recompute_counters() of it.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
 from .simulator import bitstring
 
 CHUNK_SIZE = 1 << 16
+# 1 GiB of transcript columns at 8 B per copy, the memory the 26-qubit
+# statevector guard admits.
+MAX_COPIES = 1 << 27
 
 BASIS_X = 0
 BASIS_Y = 1
@@ -43,6 +46,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.num_copies < 0:
             raise ValidationError("num_copies must be non-negative")
+        if self.num_copies > MAX_COPIES:
+            raise CapacityError(f"{self.num_copies} copies exceeds the {MAX_COPIES}-copy guard")
         for name in ("threshold_o10", "threshold_fin"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -110,7 +115,7 @@ class EstimatorReport:
         }
 
     def sample_bitstrings(self) -> list[str]:
-        return [bitstring(int(x), self.num_system) for x in self.samples]
+        return [bitstring(x, self.num_system) for x in self.samples.tolist()]
 
 
 @dataclass
@@ -151,33 +156,35 @@ class ProtocolTranscript:
         for i in range(self.num_copies):
             yield self.record(i)
 
+    def _chunk_rows(self, start: int) -> tuple[np.ndarray, ...]:
+        """Views of the five columns over the chunk that begins at copy `start`."""
+        rows = slice(start, start + self.chunk_size)
+        return (
+            self.b_sampling[rows],
+            self.b_testtype[rows],
+            self.basis[rows],
+            self.clock[rows],
+            self.sys_idx[rows],
+        )
+
     def recompute_counters(self) -> tuple[Counters, np.ndarray]:
-        """Re-derive counters and samples with the run's exact reduction order."""
-        partials = []
+        """Counters and samples: numpy sums per chunk, merged in chunk order."""
+        total = Counters()
+        samples = []
         for start in range(0, self.num_copies, self.chunk_size):
-            stop = min(start + self.chunk_size, self.num_copies)
-            sl = slice(start, stop)
-            partials.append(
-                _chunk_counters(
-                    self.b_sampling[sl],
-                    self.b_testtype[sl],
-                    self.basis[sl],
-                    self.clock[sl],
-                    self.sys_idx[sl],
-                    self.u_table,
-                )
-            )
-        return _merge_partials(partials)
+            counters, chunk_samples = _chunk_counters(*self._chunk_rows(start), self.u_table)
+            for f in fields(Counters):
+                setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+            samples.append(chunk_samples)
+        if not samples:
+            return total, np.zeros(0, dtype=np.uint32)
+        return total, np.concatenate(samples)
 
 
-@dataclass
-class _ChunkPartial:
-    counters: Counters
-    samples: np.ndarray
-
-
-def _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_table) -> _ChunkPartial:
-    """Counter updates for one chunk of transcript columns."""
+def _chunk_counters(
+    b_sampling, b_testtype, basis, clock, sys_idx, u_table
+) -> tuple[Counters, np.ndarray]:
+    """Counters and published samples of one chunk of transcript columns."""
     samp = b_sampling.astype(bool)
     input_test = (~samp) & (~b_testtype.astype(bool))
     has_sys = sys_idx >= 0
@@ -201,45 +208,27 @@ def _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_table) -> _
         else:
             counters.s_yu = contrib
             counters.n_y = int(sel.sum())
-    return _ChunkPartial(counters=counters, samples=samples)
+    return counters, samples
 
 
-def _merge_partials(partials: list[_ChunkPartial]) -> tuple[Counters, np.ndarray]:
-    total = Counters()
-    for part in partials:
-        c = part.counters
-        total.s_xu += c.s_xu
-        total.s_yu += c.s_yu
-        total.n_x += c.n_x
-        total.n_y += c.n_y
-        total.n_in_plus += c.n_in_plus
-        total.n_in_plus_0 += c.n_in_plus_0
-        total.n_total_sampling += c.n_total_sampling
-        total.n_clock_minus += c.n_clock_minus
-    if partials:
-        samples = np.concatenate([p.samples for p in partials])
-    else:
-        samples = np.zeros(0, dtype=np.uint32)
-    return total, samples
-
-
-def _process_chunk(dists, master_seed: int, chunk_index: int, count: int, eps: float):
-    """Generate one chunk of copies: transcript columns plus counter partial."""
+def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) -> None:
+    """Measure one chunk of copies, writing every entry of its column views."""
+    b_sampling, b_testtype, basis, clock, sys_idx = rows
+    count = b_sampling.size
     n = dists.num_system
     rng = substream(master_seed, TAG_COPIES, chunk_index)
     u_rand = rng.random((6, count))
     flips = rng.random((count, n + 1)) if eps > 0.0 else None
 
-    b_sampling = (u_rand[0] < 0.5).astype(np.uint8)
-    b_testtype = (u_rand[1] < 0.5).astype(np.uint8)
+    b_sampling[:] = u_rand[0] < 0.5
+    b_testtype[:] = u_rand[1] < 0.5
     samp = b_sampling.astype(bool)
     prop = (~samp) & b_testtype.astype(bool)
     input_test = (~samp) & (~b_testtype.astype(bool))
-    basis = np.full(count, BASIS_NONE, dtype=np.int8)
+    basis[:] = BASIS_NONE
     basis[prop] = np.where(u_rand[2][prop] < 0.5, BASIS_X, BASIS_Y)
 
-    clock = np.zeros(count, dtype=np.int8)
-    sys_idx = np.full(count, -1, dtype=np.int64)
+    sys_idx[:] = -1
 
     z_branch = samp | input_test
     true_minus = z_branch & (u_rand[3] < dists.p_clock_minus)
@@ -263,14 +252,10 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, count: int, eps: f
             sys_idx[sel] = j & ((1 << n) - 1)
 
     if flips is not None:
-        clock = (clock * np.where(flips[:, n] < eps, -1, 1)).astype(np.int8)
-        flip_bits = ((flips[:, :n] < eps) << np.arange(n)).sum(axis=1).astype(np.int64)
+        clock[flips[:, n] < eps] *= -1
+        flip_bits = ((flips[:, :n] < eps) << np.arange(n)).sum(axis=1)
         measured = sys_idx >= 0
-        sys_idx = np.where(measured, sys_idx ^ flip_bits, sys_idx)
-
-    partial = _chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, dists.u_table)
-    columns = (b_sampling, b_testtype, basis, clock, sys_idx)
-    return columns, partial
+        sys_idx[measured] ^= flip_bits[measured]
 
 
 def decide(
@@ -324,36 +309,31 @@ def run_protocol(
     eps = noise.measurement_flip_rate if noise is not None else 0.0
     n_m = config.num_copies
 
-    n_chunks = (n_m + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [min(CHUNK_SIZE, n_m - c * CHUNK_SIZE) for c in range(n_chunks)]
-
-    def worker(c: int):
-        return _process_chunk(dists, config.master_seed, c, sizes[c], eps)
-
-    n_threads = resolve_threads(threads)
-    if n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(worker, range(n_chunks)))
-    else:
-        results = [worker(c) for c in range(n_chunks)]
-
-    def col(i, dtype):
-        if not results:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate([r[0][i] for r in results]).astype(dtype, copy=False)
-
     transcript = ProtocolTranscript(
         num_copies=n_m,
         num_system=dists.num_system,
         chunk_size=CHUNK_SIZE,
-        b_sampling=col(0, np.uint8),
-        b_testtype=col(1, np.uint8),
-        basis=col(2, np.int8),
-        clock=col(3, np.int8),
-        sys_idx=col(4, np.int32),
+        b_sampling=np.empty(n_m, dtype=np.uint8),
+        b_testtype=np.empty(n_m, dtype=np.uint8),
+        basis=np.empty(n_m, dtype=np.int8),
+        clock=np.empty(n_m, dtype=np.int8),
+        sys_idx=np.empty(n_m, dtype=np.int32),
         u_table=dists.u_table,
     )
-    counters, samples = _merge_partials([r[1] for r in results])
+    n_chunks = (n_m + CHUNK_SIZE - 1) // CHUNK_SIZE
+
+    def worker(c: int) -> None:
+        _process_chunk(dists, config.master_seed, c, eps, transcript._chunk_rows(c * CHUNK_SIZE))
+
+    n_threads = resolve_threads(threads)
+    if n_threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(worker, range(n_chunks)))
+    else:
+        for c in range(n_chunks):
+            worker(c)
+
+    counters, samples = transcript.recompute_counters()
     report = _build_report(counters, samples, config, dists.num_system)
     return transcript, report
 

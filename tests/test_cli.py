@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fklab.cli import main
+from fklab.verifier import MAX_COPIES
 
 
 def write_config(path, **overrides):
@@ -281,6 +282,14 @@ def test_run_capacity_guard_exit_3(tmp_path):
     cfg = tmp_path / "config.json"
     write_config(cfg, lattice={"rows": 6, "cols": 6})
     assert main(["run", "--config", str(cfg)]) == 3
+
+
+def test_run_copy_budget_guard_exit_3(tmp_path):
+    config = _base_config()
+    config["protocol"]["num_copies"] = MAX_COPIES + 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_echo_check_small_lattices(capsys):

@@ -4,6 +4,8 @@ Per-copy measurements are drawn only by the verifier's chunk kernel, so the
 measurement tests read its output through run_protocol's transcript columns.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,16 @@ def test_degraded_f_in_target_against_oracle(lattice, spec):
     dense = exact_parameters(DensityMatrix(5, model.to_density_matrix()), lattice, spec)
     assert abs(dense.f_in - 0.95) < 1e-6
     assert abs(4.0 * abs(dense.tr_rho_o10) ** 2 - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_degraded_f_in_targets_hit_exactly(rows, cols):
+    # F_in = 0 is reachable: the tilt is pi, where cos(t/2)^(2n) vanishes.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * cols))
+    for target in (0.0, 0.01, 0.3, 0.5, 0.9, 0.95, 0.97, 0.994, 0.999999):
+        model = make_degraded_model(lat, spec, 1.0, target)
+        assert abs(exact_model_parameters(model).f_in - target) < 1e-12
 
 
 def test_degraded_infeasible_target(lattice, spec):
@@ -426,6 +438,9 @@ def test_sample_histogram_matches_ideal_distribution(lattice, spec):
 def test_mode_distributions_cached(lattice, spec):
     model = honest(lattice, spec)
     assert mode_distributions(model) is mode_distributions(model)
+    # The cache is keyed by identity, so a model must not change under it.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.depolarizing_rate = 1.0
 
 
 def test_history_model_rejects_bad_mixture(lattice, spec):

@@ -336,6 +336,17 @@ def test_product_formula_matches_dense_exponential(rows, cols):
     assert np.max(np.abs(product - whole)) < 1e-10
 
 
+def _bitstring_per_bit(index, num_bits):
+    return "".join("1" if (index >> k) & 1 else "0" for k in range(num_bits))
+
+
 def test_bitstring_formatting():
     assert bitstring(0b0110, 4) == "0110"
     assert bitstring(0, 3) == "000"
+    for n in range(1, 11):
+        for index in range(1 << n):
+            assert bitstring(index, n) == _bitstring_per_bit(index, n)
+    rng = np.random.default_rng(16)
+    for n in (16, 20):
+        for index in rng.integers(0, 1 << n, size=2000).tolist():
+            assert bitstring(index, n) == _bitstring_per_bit(index, n)

@@ -1,14 +1,16 @@
 """Protocol state-machine tests: counters, estimators, decision, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fklab.analysis import hoeffding_bound
+from fklab.errors import CapacityError
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import NoiseModel, exact_model_parameters, make_degraded_model, make_honest_model
-from fklab.verifier import CHUNK_SIZE, ProtocolConfig, decide, run_protocol
+from fklab.verifier import CHUNK_SIZE, MAX_COPIES, ProtocolConfig, decide, run_protocol
 
 FULL_BUDGET = 3_500_000
 
@@ -214,6 +216,21 @@ def test_decide_window_inclusive():
     assert decide(1.0, 1.0, 0.506, config)
 
 
+def test_run_protocol_memory_is_the_columns(setup_2x2):
+    # The five columns take 8 B per copy and the published samples about 1 B;
+    # everything else a run allocates is per chunk.
+    lattice, spec, model = setup_2x2
+    num = 2_000_000
+    config = ProtocolConfig(num_copies=num, master_seed=17)
+    tracemalloc.start()
+    try:
+        run_protocol(model, lattice, spec, config, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * num + 16 * 2**20
+
+
 def test_config_validation():
     with pytest.raises(Exception):
         ProtocolConfig(num_copies=-1, master_seed=0)
@@ -221,6 +238,9 @@ def test_config_validation():
         ProtocolConfig(num_copies=1, master_seed=0, threshold_o10=1.5)
     with pytest.raises(Exception):
         ProtocolConfig(num_copies=1, master_seed=0, psamp_window=(0.6, 0.4))
+    assert ProtocolConfig(num_copies=MAX_COPIES, master_seed=0).num_copies == MAX_COPIES
+    with pytest.raises(CapacityError):
+        ProtocolConfig(num_copies=MAX_COPIES + 1, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
