@@ -20,11 +20,13 @@ from .analysis import SUITE_NAMES, run_bound_suite
 from .errors import CapacityError, FklabError
 from .lattice import build_lattice, random_input
 from .prover import (
+    MAX_SETUP_BYTES,
     NoiseModel,
     echo_prepare,
     ideal_history_state,
     make_degraded_model,
     make_honest_model,
+    setup_bytes,
 )
 from .rng import TAG_INPUT, TAG_REPETITION, child_seed, substream
 from .simulator import MAX_STATE_QUBITS, state_fidelity
@@ -97,6 +99,11 @@ def load_experiment_config(path: str) -> dict:
     if rows * cols > MAX_STATE_QUBITS:
         raise CapacityError(f"{rows}x{cols} lattice exceeds the {MAX_STATE_QUBITS}-qubit guard")
     lattice = build_lattice(rows, cols)
+    if setup_bytes(lattice.num_qubits) > MAX_SETUP_BYTES:
+        raise CapacityError(
+            f"{rows}x{cols} lattice needs {setup_bytes(lattice.num_qubits) / 2**30:.1f} GiB to set up, "
+            f"over the {MAX_SETUP_BYTES / 2**30:.0f} GiB set-up guard"
+        )
 
     input_seed = _seed(raw.get("input_seed", 0), "input_seed")
     spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))

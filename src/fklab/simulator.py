@@ -163,23 +163,67 @@ def apply_global_cz(state: PureState, control: int, targets) -> PureState:
     return PureState(state.num_qubits, a)
 
 
+def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact prefix sums of non-negative multiples of 2^-53 that total below 2^31.
+
+    Each term splits into whole 2^-32 units and a remainder of fewer than
+    2^21 units of 2^-53; both parts are summed in int64 without rounding, so
+    prefix sum k is hi[k] * 2^-32 + lo[k] * 2^-53 exactly.
+    """
+    whole = np.floor(x * 2.0**32)
+    rest = (x - whole * 2.0**-32) * 2.0**53
+    return np.cumsum(whole.astype(np.int64)), np.cumsum(rest.astype(np.int64))
+
+
 def _build_alias(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction: (alias index J, acceptance threshold q)."""
+    """Vose alias table (alias index J, acceptance threshold q) in closed form.
+
+    This is the sweep construction (Vose 1991): the smalls (scaled < 1) and
+    the larges (scaled >= 1) are each taken in index order. With D_k the
+    smalls' cumulative deficit 1 - scaled and S_j the larges' cumulative
+    excess scaled - 1, small k keeps q = scaled and aliases the first large
+    j with S_j >= D_{k-1}. Large j (all but the last) tips at the first
+    small k with D_k > S_j: it keeps q = 1 + S_j - D_k and aliases large
+    j+1. Every other bin keeps q = 1 and aliases itself. Bins alias only
+    larges, so a zero-probability bin (q = 0) is never drawn.
+
+    Every deficit and excess is a multiple of 2^-53, so 1 + S_j - D_k is
+    taken from exact prefix sums: the mass large j keeps and the deficits
+    it covers then add up to its scaled probability to within rounding of
+    q itself, however many smalls it covers. The pairing is decided on the
+    rounded prefix sums, which are non-decreasing.
+    """
     p = np.asarray(probabilities, dtype=np.float64)
     size = p.size
     scaled = p * size
     alias = np.arange(size, dtype=np.int64)
     accept = np.ones(size, dtype=np.float64)
-    small = [i for i in range(size) if scaled[i] < 1.0]
-    large = [i for i in range(size) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
+    is_small = scaled < 1.0
+    small = np.flatnonzero(is_small)
+    large = np.flatnonzero(~is_small)
+    if small.size == 0 or large.size == 0:
+        return alias, accept
+    deficit = 1.0 - scaled[small]
+    excess = scaled[large] - 1.0
+    d_sum = np.cumsum(deficit)
+    s_sum = np.cumsum(excess)
+
+    accept[small] = scaled[small]
+    d_before = np.concatenate(([0.0], d_sum[:-1]))
+    # Rounding can leave D_{k-1} above S of the last large; it absorbs the rest.
+    donor = np.minimum(np.searchsorted(s_sum, d_before, side="left"), large.size - 1)
+    alias[small] = large[donor]
+
+    tip = np.searchsorted(d_sum, s_sum[:-1], side="right")
+    j = np.flatnonzero(tip < small.size)
+    k = tip[j]
+    d_hi, d_lo = _exact_cumsum(deficit)
+    s_hi, s_lo = _exact_cumsum(excess)
+    kept = 1.0 + ((s_hi[j] - d_hi[k]) * 2.0**-32 + (s_lo[j] - d_lo[k]) * 2.0**-53)
+    # Where the rounded pairing and the exact sums disagree in the last bit,
+    # kept can leave [0, 1] by that bit.
+    accept[large[j]] = np.clip(kept, 0.0, 1.0)
+    alias[large[j]] = large[j + 1]
     return alias, accept
 
 
@@ -222,9 +266,27 @@ class Distribution:
         return np.where(u_coin < accept[bins], bins, alias[bins])
 
 
-def bitstring(index: int, num_bits: int) -> str:
-    """Format an outcome index as a bit string, qubit 0 first."""
-    return format(index, f"0{num_bits}b")[::-1]
+# Indices are formatted in blocks of this many, so the temporaries stay near
+# 1 MiB whatever the input size.
+FORMAT_BLOCK = 1 << 16
+# Row b holds the bits of byte b, least significant first, as ASCII '0'/'1'.
+_BYTE_BITS = (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0")).astype(np.uint8)
+
+
+def bitstrings(indices, num_bits: int) -> list[str]:
+    """Format outcome indices in [0, 2^num_bits) as bit strings, qubit 0 first."""
+    indices = np.asarray(indices)
+    num_bytes = (num_bits + 7) // 8
+    out: list[str] = []
+    for start in range(0, indices.size, FORMAT_BLOCK):
+        block = indices[start : start + FORMAT_BLOCK].astype("<u8")
+        count = block.size
+        index_bytes = block.view(np.uint8).reshape(count, 8)[:, :num_bytes]
+        chars = np.empty((count, num_bits + 1), dtype=np.uint8)
+        chars[:, :num_bits] = _BYTE_BITS[index_bytes].reshape(count, 8 * num_bytes)[:, :num_bits]
+        chars[:, num_bits] = ord("\n")
+        out.extend(chars.tobytes().decode("ascii").split("\n")[:-1])
+    return out
 
 
 def ideal_output_distribution(lattice: LatticeGeometry, spec: InputSpec) -> Distribution:

@@ -21,7 +21,7 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
-from .simulator import bitstring
+from .simulator import bitstrings
 
 CHUNK_SIZE = 1 << 16
 # 1 GiB of transcript columns at 8 B per copy, the memory the 26-qubit
@@ -115,7 +115,7 @@ class EstimatorReport:
         }
 
     def sample_bitstrings(self) -> list[str]:
-        return [bitstring(x, self.num_system) for x in self.samples.tolist()]
+        return bitstrings(self.samples, self.num_system)
 
 
 @dataclass
@@ -139,22 +139,40 @@ class ProtocolTranscript:
     u_table: np.ndarray
 
     def record(self, i: int) -> dict:
-        has_sys = self.sys_idx[i] >= 0
-        prop = self.basis[i] != BASIS_NONE
-        u = self.u_table[self.sys_idx[i]] if prop else None
-        return {
-            "copy_index": i,
-            "b_sampling": int(self.b_sampling[i]),
-            "b_testtype": int(self.b_testtype[i]),
-            "basis_choice": {BASIS_X: "X", BASIS_Y: "Y", BASIS_NONE: None}[int(self.basis[i])],
-            "clock_outcome": int(self.clock[i]),
-            "system_outcomes": bitstring(int(self.sys_idx[i]), self.num_system) if has_sys else None,
-            "u": None if u is None else [u.real, u.imag],
-        }
+        if not 0 <= i < self.num_copies:
+            raise IndexError(f"copy {i} out of range for {self.num_copies} copies")
+        return next(self._records(i, i + 1))
 
     def iter_records(self):
-        for i in range(self.num_copies):
-            yield self.record(i)
+        for start in range(0, self.num_copies, self.chunk_size):
+            yield from self._records(start, min(start + self.chunk_size, self.num_copies))
+
+    def _records(self, start: int, stop: int):
+        """JSON-ready records of copies start..stop-1, built from list columns."""
+        rows = slice(start, stop)
+        basis = self.basis[rows]
+        sys_idx = self.sys_idx[rows]
+        outcomes = iter(bitstrings(sys_idx[sys_idx >= 0], self.num_system))
+        u = self.u_table[sys_idx[basis != BASIS_NONE]]
+        u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
+        names = {BASIS_X: "X", BASIS_Y: "Y", BASIS_NONE: None}
+        for i, b_samp, b_test, b, clock, z in zip(
+            range(start, stop),
+            self.b_sampling[rows].tolist(),
+            self.b_testtype[rows].tolist(),
+            basis.tolist(),
+            self.clock[rows].tolist(),
+            sys_idx.tolist(),
+        ):
+            yield {
+                "copy_index": i,
+                "b_sampling": b_samp,
+                "b_testtype": b_test,
+                "basis_choice": names[b],
+                "clock_outcome": clock,
+                "system_outcomes": next(outcomes) if z >= 0 else None,
+                "u": None if b == BASIS_NONE else list(next(u_pairs)),
+            }
 
     def _chunk_rows(self, start: int) -> tuple[np.ndarray, ...]:
         """Views of the five columns over the chunk that begins at copy `start`."""

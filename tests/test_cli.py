@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fklab import cli
 from fklab.cli import main
 from fklab.verifier import MAX_COPIES
 
@@ -282,6 +283,29 @@ def test_run_capacity_guard_exit_3(tmp_path):
     cfg = tmp_path / "config.json"
     write_config(cfg, lattice={"rows": 6, "cols": 6})
     assert main(["run", "--config", str(cfg)]) == 3
+
+
+class _ModelBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("rows,cols,admitted", [(4, 5, True), (4, 6, False), (5, 5, False)])
+def test_run_setup_memory_guard(tmp_path, monkeypatch, capsys, rows, cols, admitted):
+    """The guard acts at config load, before any model is built."""
+
+    def build(*args):
+        raise _ModelBuilt
+
+    monkeypatch.setattr(cli, "make_honest_model", build)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, lattice={"rows": rows, "cols": cols})
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if admitted:
+        with pytest.raises(_ModelBuilt):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        assert "set-up guard" in capsys.readouterr().err
 
 
 def test_run_copy_budget_guard_exit_3(tmp_path):

@@ -1,5 +1,7 @@
 """Statevector kernel tests against dense-matrix oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from fklab.simulator import (
     PureState,
     apply_global_cz,
     apply_single_qubit,
+    FORMAT_BLOCK,
+    _build_alias,
     apply_zz_evolution,
-    bitstring,
+    bitstrings,
     ideal_output_distribution,
     product_state,
     u_value,
@@ -286,6 +290,46 @@ def test_alias_table_reconstructs_probabilities(models_4x4, name):
         assert np.max(np.abs(_alias_probabilities(table) - table.probabilities)) < 1e-12
 
 
+def _alias_probabilities_exact(alias, accept):
+    """The distribution an alias table encodes, each bin's share summed with
+    math.fsum: a bin can collect the leftovers of ~10^5 others, and a float
+    running sum of those would round by more than the table does."""
+    size = alias.size
+    order = np.argsort(alias, kind="stable")
+    given = np.split((1.0 - accept)[order], np.searchsorted(alias[order], np.arange(1, size)))
+    return np.array([math.fsum([kept, *g]) for kept, g in zip(accept.tolist(), given)]) / size
+
+
+def _random_table(kind, size, rng):
+    if kind == "flat":
+        p = np.full(size, 1.0 / size)
+    elif kind == "uniform":
+        p = rng.random(size)
+    elif kind == "heavy_tailed":
+        p = rng.pareto(0.5, size)
+    elif kind == "point_mass":
+        p = np.zeros(size)
+        p[rng.integers(size)] = 1.0
+    else:
+        p = rng.random(size) + 1e-3
+        p[rng.permutation(size)[: size // 2]] = 0.0
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 257, 4096, 50_001, 1 << 17])
+@pytest.mark.parametrize("kind", ["flat", "uniform", "heavy_tailed", "point_mass", "half_zero"])
+def test_alias_table_exact(kind, size):
+    p = _random_table(kind, size, np.random.default_rng(size))
+    alias, accept = _build_alias(p)
+    assert np.all((accept >= 0.0) & (accept <= 1.0))
+    assert np.all((alias >= 0) & (alias < size))
+    # No bin hands its leftover to a zero-probability outcome, and a zero bin
+    # keeps nothing, so a zero bin is never drawn.
+    assert np.all(p[alias] > 0.0)
+    assert np.all(accept[p == 0.0] == 0.0)
+    assert np.max(np.abs(_alias_probabilities_exact(alias, accept) - p)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # u_value
 
@@ -341,12 +385,14 @@ def _bitstring_per_bit(index, num_bits):
 
 
 def test_bitstring_formatting():
-    assert bitstring(0b0110, 4) == "0110"
-    assert bitstring(0, 3) == "000"
+    assert bitstrings([0b0110, 0b0001, 0], 4) == ["0110", "1000", "0000"]
     for n in range(1, 11):
-        for index in range(1 << n):
-            assert bitstring(index, n) == _bitstring_per_bit(index, n)
+        assert bitstrings(np.arange(1 << n), n) == [_bitstring_per_bit(i, n) for i in range(1 << n)]
     rng = np.random.default_rng(16)
-    for n in (16, 20):
-        for index in rng.integers(0, 1 << n, size=2000).tolist():
-            assert bitstring(index, n) == _bitstring_per_bit(index, n)
+    for n in (16, 20, 26):
+        indices = rng.integers(0, 1 << n, size=2000)
+        assert bitstrings(indices, n) == [_bitstring_per_bit(i, n) for i in indices.tolist()]
+    assert bitstrings(np.zeros(0, dtype=np.uint32), 16) == []
+    for count in (FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1):
+        indices = rng.integers(0, 1 << 16, size=count).astype(np.uint32)
+        assert bitstrings(indices, 16) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]

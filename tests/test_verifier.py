@@ -119,6 +119,53 @@ def test_u_column_matches_u_value(setup_2x2):
         assert abs(complex(*transcript.record(i)["u"]) - u_value(signs, lattice)) < 1e-10
 
 
+def _old_bitstring(index, num_bits):
+    return format(index, f"0{num_bits}b")[::-1]
+
+
+def _record_per_copy(transcript, i):
+    """One copy's record built by per-copy numpy indexing, the reference for
+    the columnar iter_records."""
+    has_sys = transcript.sys_idx[i] >= 0
+    prop = transcript.basis[i] != -1
+    u = transcript.u_table[transcript.sys_idx[i]] if prop else None
+    return {
+        "copy_index": i,
+        "b_sampling": int(transcript.b_sampling[i]),
+        "b_testtype": int(transcript.b_testtype[i]),
+        "basis_choice": {0: "X", 1: "Y", -1: None}[int(transcript.basis[i])],
+        "clock_outcome": int(transcript.clock[i]),
+        "system_outcomes": (
+            _old_bitstring(int(transcript.sys_idx[i]), transcript.num_system) if has_sys else None
+        ),
+        "u": None if u is None else [u.real, u.imag],
+    }
+
+
+@pytest.mark.parametrize("prover", ["honest", "degraded_flip"])
+def test_transcript_jsonl_matches_per_copy_reference(prover):
+    lattice = build_lattice(3, 3)
+    spec = random_input(9, np.random.default_rng(12))
+    if prover == "honest":
+        model, noise = make_honest_model(lattice, spec, NoiseModel()), None
+    else:
+        model = make_degraded_model(lattice, spec, 0.97, 0.99)
+        noise = NoiseModel(measurement_flip_rate=0.01)
+    config = ProtocolConfig(num_copies=100_000, master_seed=606)
+    transcript, _ = run_protocol(model, lattice, spec, config, noise=noise)
+    lines = [json.dumps(r, sort_keys=True) + "\n" for r in transcript.iter_records()]
+    reference = [
+        json.dumps(_record_per_copy(transcript, i), sort_keys=True) + "\n"
+        for i in range(transcript.num_copies)
+    ]
+    assert "".join(lines) == "".join(reference)
+    for i in (0, CHUNK_SIZE - 1, CHUNK_SIZE, transcript.num_copies - 1):
+        assert transcript.record(i) == _record_per_copy(transcript, i)
+    for i in (-1, transcript.num_copies):
+        with pytest.raises(IndexError):
+            transcript.record(i)
+
+
 # ---------------------------------------------------------------------------
 # estimator statistics
 
@@ -304,3 +351,4 @@ def test_sample_bitstrings_shape(setup_2x2):
     strings = report.sample_bitstrings()
     assert len(strings) == report.samples.size
     assert all(len(s) == 4 and set(s) <= {"0", "1"} for s in strings)
+    assert strings == [_old_bitstring(x, 4) for x in report.samples.tolist()]
