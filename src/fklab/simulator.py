@@ -60,7 +60,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"expected {1 << self.num_qubits} amplitudes, got {self.amplitudes.shape}"
             )
-        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {NORM_ATOL}")
 
@@ -83,16 +83,23 @@ def product_state(spec: InputSpec) -> PureState:
 
 @lru_cache(maxsize=8)
 def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
-    """sum_{edges} z_i z_j for every basis string, as a read-only int16 array."""
+    """sum_{edges} z_i z_j for every basis string, as a read-only int16 array.
+
+    z_i z_j is 1 - 2 (b_i XOR b_j), so the sum starts at the edge count and
+    drops by 2 per anti-aligned edge. Each qubit's bit is held as 0 or 2 in
+    int8, so one XOR gives the drop.
+    """
     n = lattice.num_qubits
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
-    idx = np.arange(1 << n, dtype=np.int64)
-    energy = np.zeros(1 << n, dtype=np.int16)
+    doubled = np.arange(1 << n, dtype=np.uint32) << 1
+    twice_bits = [((doubled >> k) & 2).astype(np.int8) for k in range(n)]
+    del doubled
+    energy = np.full(1 << n, len(lattice.edges), dtype=np.int16)
+    drop = np.empty(1 << n, dtype=np.int8)
     for i, j in lattice.edges:
-        s_i = 1 - 2 * ((idx >> i) & 1)
-        s_j = 1 - 2 * ((idx >> j) & 1)
-        energy += (s_i * s_j).astype(np.int16)
+        np.bitwise_xor(twice_bits[i], twice_bits[j], out=drop)
+        energy -= drop
     energy.flags.writeable = False
     return energy
 
@@ -125,7 +132,11 @@ def walsh_hadamard(state: PureState) -> PureState:
 
 
 def apply_single_qubit(state: PureState, qubit: int, gate: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to one qubit. Raises ValidationError if non-unitary."""
+    """Apply a 2x2 unitary to one qubit. Raises ValidationError if non-unitary.
+
+    Reads both halves of the input through views and writes each output half
+    once, with one half-size temporary.
+    """
     g = np.asarray(gate, dtype=np.complex128)
     if g.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 gate, got shape {g.shape}")
@@ -133,19 +144,26 @@ def apply_single_qubit(state: PureState, qubit: int, gate: np.ndarray) -> PureSt
         raise ValidationError("gate is not unitary within 1e-10")
     if not 0 <= qubit < state.num_qubits:
         raise DimensionMismatchError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    a = state.amplitudes.copy().reshape(-1, 2, 1 << qubit)
-    s0 = a[:, 0, :].copy()
-    s1 = a[:, 1, :].copy()
-    a[:, 0, :] = g[0, 0] * s0 + g[0, 1] * s1
-    a[:, 1, :] = g[1, 0] * s0 + g[1, 1] * s1
-    return PureState(state.num_qubits, a.reshape(-1))
+    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    s0 = a[:, 0, :]
+    s1 = a[:, 1, :]
+    out = np.empty_like(a)
+    term = np.empty_like(s0)
+    for r in range(2):
+        half = out[:, r, :]
+        np.multiply(g[r, 0], s0, out=half)
+        np.multiply(g[r, 1], s1, out=term)
+        half += term
+    return PureState(state.num_qubits, out.reshape(-1))
 
 
 def apply_global_cz(state: PureState, control: int, targets) -> PureState:
     """Controlled Z on every target qubit, controlled by one qubit.
 
     A basis amplitude flips sign iff the control bit is 1 and an odd number
-    of target bits are 1.
+    of target bits are 1. The target parity over the other n-1 qubits is
+    built by doubling an int8 pattern one qubit at a time, and only the
+    control-1 half is touched.
     """
     targets = tuple(targets)
     if control in targets:
@@ -153,14 +171,16 @@ def apply_global_cz(state: PureState, control: int, targets) -> PureState:
     for q in (control, *targets):
         if not 0 <= q < state.num_qubits:
             raise DimensionMismatchError(f"qubit {q} out of range for {state.num_qubits} qubits")
-    idx = np.arange(state.amplitudes.size, dtype=np.int64)
-    parity = np.zeros(idx.size, dtype=np.int64)
-    for t in targets:
-        parity ^= (idx >> t) & 1
-    flip = (((idx >> control) & 1) & parity).astype(bool)
-    a = state.amplitudes.copy()
-    a[flip] *= -1
-    return PureState(state.num_qubits, a)
+    parity = np.zeros(1, dtype=np.int8)
+    for q in range(state.num_qubits):
+        if q != control:
+            parity = np.concatenate((parity, parity ^ 1 if q in targets else parity))
+    out = state.amplitudes.copy()
+    on = out.reshape(-1, 2, 1 << control)[:, 1, :]
+    # Multiplying by -1 rather than negating keeps every bit, signed zeros
+    # included, equal to the int64-mask reference in tests/conftest.py.
+    np.multiply(on, -1, out=on, where=parity.view(np.bool_).reshape(on.shape))
+    return PureState(state.num_qubits, out)
 
 
 def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -122,6 +122,75 @@ def random_state_vector(n, rng):
     return v / np.linalg.norm(v)
 
 
+def random_unitary(rng):
+    """2x2 unitary from the QR decomposition of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# Reference gate kernels: the package's earlier formulas, kept verbatim so the
+# copy-free kernels can be checked bit for bit (np.array_equal), not to a
+# tolerance.
+
+
+def reference_apply_single_qubit(amplitudes, qubit, gate):
+    """Copy the state, copy both halves, then overwrite each half."""
+    g = np.asarray(gate, dtype=np.complex128)
+    a = np.asarray(amplitudes, dtype=np.complex128).copy().reshape(-1, 2, 1 << qubit)
+    s0 = a[:, 0, :].copy()
+    s1 = a[:, 1, :].copy()
+    a[:, 0, :] = g[0, 0] * s0 + g[0, 1] * s1
+    a[:, 1, :] = g[1, 0] * s0 + g[1, 1] * s1
+    return a.reshape(-1)
+
+
+def reference_apply_global_cz(amplitudes, control, targets):
+    """Negate every amplitude whose int64 index has the control bit set and
+    an odd number of target bits set."""
+    idx = np.arange(amplitudes.size, dtype=np.int64)
+    parity = np.zeros(idx.size, dtype=np.int64)
+    for t in targets:
+        parity ^= (idx >> t) & 1
+    flip = (((idx >> control) & 1) & parity).astype(bool)
+    a = amplitudes.copy()
+    a[flip] *= -1
+    return a
+
+
+def reference_interaction_energies(lattice):
+    """sum_{edges} z_i z_j per basis string, from int64 spins."""
+    idx = np.arange(1 << lattice.num_qubits, dtype=np.int64)
+    energy = np.zeros(idx.size, dtype=np.int16)
+    for i, j in lattice.edges:
+        energy += ((1 - 2 * ((idx >> i) & 1)) * (1 - 2 * ((idx >> j) & 1))).astype(np.int16)
+    return energy
+
+
+def reference_echo_amplitudes(lattice, input_amplitudes):
+    """The echo circuit of prover.echo_prepare, composed from the reference
+    kernels above on |+> (x) the given input amplitudes."""
+    n = lattice.num_qubits
+    clock = n
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
+    energies = reference_interaction_energies(lattice)
+    half = np.tile(np.exp((-1j * 0.5 * np.pi / 4) * energies), 2)
+
+    def controlled_flip_b(a):
+        for q in sorted(lattice.partition_b):
+            a = reference_apply_single_qubit(a, q, h)
+        a = reference_apply_global_cz(a, clock, range(n))
+        for q in sorted(lattice.partition_b):
+            a = reference_apply_single_qubit(a, q, h)
+        return a
+
+    a = controlled_flip_b(np.kron(plus, input_amplitudes))
+    a = controlled_flip_b(a * half)
+    a = reference_apply_single_qubit(a, clock, x)
+    return a * half
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

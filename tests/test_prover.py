@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fklab.analysis import DensityMatrix, exact_parameters
+from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import (
@@ -23,7 +24,7 @@ from fklab.prover import (
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import rotated_basis, state_fidelity, u_value
+from fklab.simulator import product_state, rotated_basis, state_fidelity, u_value
 from fklab.verifier import BASIS_X, BASIS_Y, ProtocolConfig, run_protocol
 
 from conftest import (
@@ -32,6 +33,7 @@ from conftest import (
     dense_history_vector,
     depolarized_mixture_density,
     kron_chain,
+    reference_echo_amplitudes,
     small_lattices,
     spectral_expm,
 )
@@ -243,6 +245,16 @@ def test_echo_sweep_random_inputs(rows, cols):
         spec = random_input(lat.num_qubits, rng)
         fid = state_fidelity(echo_prepare(lat, spec), ideal_history_state(lat, spec))
         assert fid >= 1 - 1e-10
+
+
+def test_echo_4x4_fidelity_and_reference_amplitudes():
+    # n = 16: the largest echo in the suite, composed gate by gate.
+    lat = build_lattice(4, 4)
+    spec = random_input(lat.num_qubits, np.random.default_rng(44))
+    prepared = echo_prepare(lat, spec)
+    assert state_fidelity(prepared, ideal_history_state(lat, spec)) >= ECHO_FIDELITY_FLOOR
+    expected = reference_echo_amplitudes(lat, product_state(spec).amplitudes)
+    assert np.array_equal(prepared.amplitudes, expected)
 
 
 def test_echo_clock_balance(lattice, spec):

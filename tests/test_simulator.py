@@ -17,9 +17,11 @@ from fklab.simulator import (
     apply_zz_evolution,
     bitstrings,
     ideal_output_distribution,
+    interaction_energies,
     product_state,
     u_value,
     walsh_hadamard,
+    zz_phases,
 )
 
 from conftest import (
@@ -29,6 +31,9 @@ from conftest import (
     dense_pauli_on,
     PAULI,
     random_state_vector,
+    random_unitary,
+    reference_apply_global_cz,
+    reference_apply_single_qubit,
     small_lattices,
     spectral_expm,
 )
@@ -167,6 +172,25 @@ def test_gates_preserve_norm(qubit, rng):
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_single_qubit_bit_identical_to_reference(n, rng):
+    state = PureState(n, random_state_vector(n, rng))
+    before = state.amplitudes.copy()
+    for qubit in range(n):
+        for gate in (np.array([[1, 1], [1, -1]]) / np.sqrt(2), PAULI["X"], random_unitary(rng)):
+            out = apply_single_qubit(state, qubit, gate)
+            assert np.array_equal(out.amplitudes, reference_apply_single_qubit(before, qubit, gate))
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_single_qubit_range_checked(rng):
+    state = PureState(3, random_state_vector(3, rng))
+    for qubit in (-1, 3):
+        with pytest.raises(DimensionMismatchError):
+            apply_single_qubit(state, qubit, PAULI["X"])
+
+
 # ---------------------------------------------------------------------------
 # apply_global_cz
 
@@ -202,6 +226,56 @@ def test_global_cz_overlap_rejected(rng):
     state = PureState(3, random_state_vector(3, rng))
     with pytest.raises(ValidationError):
         apply_global_cz(state, 1, [0, 1])
+
+
+def test_global_cz_range_checked(rng):
+    state = PureState(3, random_state_vector(3, rng))
+    with pytest.raises(DimensionMismatchError):
+        apply_global_cz(state, 3, [0])
+    with pytest.raises(DimensionMismatchError):
+        apply_global_cz(state, 0, [1, 3])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_global_cz_bit_identical_to_reference(n, rng):
+    # The control takes every position, so it sits below some targets too.
+    state = PureState(n, random_state_vector(n, rng))
+    before = state.amplitudes.copy()
+    for control in range(n):
+        others = [q for q in range(n) if q != control]
+        target_sets = [[], others]
+        for _ in range(4):
+            size = rng.integers(len(others) + 1)
+            target_sets.append(sorted(rng.choice(others, size=size, replace=False)))
+        for targets in target_sets:
+            out = apply_global_cz(state, control, targets)
+            expected = reference_apply_global_cz(before, control, targets)
+            assert np.array_equal(out.amplitudes, expected)
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert np.array_equal(state.amplitudes, before)
+
+
+# ---------------------------------------------------------------------------
+# interaction_energies
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+def test_interaction_energies_match_per_edge_sum(rows, cols):
+    lattice = build_lattice(rows, cols)
+    n = lattice.num_qubits
+    expected = []
+    for index in range(1 << n):
+        z = [1 - 2 * ((index >> k) & 1) for k in range(n)]
+        expected.append(sum(z[i] * z[j] for i, j in lattice.edges))
+    energies = interaction_energies(lattice)
+    assert energies.dtype == np.int16
+    assert not energies.flags.writeable
+    assert energies.tolist() == expected
+    for time in (0.5, 1.0):
+        assert np.array_equal(
+            zz_phases(lattice, time),
+            np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16)),
+        )
 
 
 # ---------------------------------------------------------------------------
