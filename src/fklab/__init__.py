@@ -16,10 +16,7 @@ from .simulator import (
     PureState,
     apply_global_cz,
     apply_single_qubit,
-    apply_zz_evolution,
-    ideal_output_distribution,
     product_state,
-    u_value,
     walsh_hadamard,
 )
 from .verifier import (
@@ -47,18 +44,15 @@ __all__ = [
     "PureState",
     "apply_global_cz",
     "apply_single_qubit",
-    "apply_zz_evolution",
     "build_lattice",
     "decide",
     "echo_prepare",
     "exact_model_parameters",
     "ideal_history_state",
-    "ideal_output_distribution",
     "make_degraded_model",
     "make_honest_model",
     "product_state",
     "random_input",
     "run_protocol",
-    "u_value",
     "walsh_hadamard",
 ]

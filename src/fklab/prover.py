@@ -34,6 +34,7 @@ from .simulator import (
     interaction_energies,
     product_state,
     rotated_basis,
+    shared_alias_tables,
     walsh_hadamard,
     zz_phases,
 )
@@ -41,9 +42,9 @@ from .simulator import (
 MAX_ECHO_SYSTEM_QUBITS = 20
 MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
 # Peak set-up memory per outcome-table entry: the honest model, its four mode
-# tables and their alias tables, as peak RSS above the post-import baseline
-# divided by the table entries. Measured 67.9 B at n = 18, 64.2 B at n = 20
-# and 60.5 B at n = 22 (Python 3.11, numpy 2.4, x86-64).
+# tables and their shared alias buffer, as peak RSS above the post-import
+# baseline divided by the table entries. Measured 63.4 B at n = 18, 59.5 B at
+# n = 20 and 58.1 B at n = 22 (Python 3.11, numpy 2.4, x86-64).
 SETUP_BYTES_PER_TABLE_ENTRY = 64
 # Half of an 8 GB host, which leaves room for the copy columns (at most
 # 1 GiB) and the outputs. It admits n <= 23; n = 24 would need 6 GiB.
@@ -374,13 +375,19 @@ def setup_bytes(num_system: int) -> int:
     return SETUP_BYTES_PER_TABLE_ENTRY * (6 << num_system)
 
 
+# The order of the four outcome tables in ModeDistributions' shared alias buffer.
+MODE_ORDER = ("sample_given_minus", "input_given_plus", "prop_x", "prop_y")
+
+
 @dataclass
 class ModeDistributions:
     """Per-instruction-mode outcome distributions of one model.
 
     Precomputed once per model so copies sample in O(1). Joint propagation
     outcomes are indexed j = b_bit * 2^n + z with b_bit 0 meaning clock
-    outcome +1.
+    outcome +1. The four alias tables are slices of one (alias, accept)
+    buffer in MODE_ORDER; table_size (as float64) and table_offset give each
+    slice's size and start in that order.
     """
 
     num_system: int
@@ -390,6 +397,10 @@ class ModeDistributions:
     prop_x: Distribution
     prop_y: Distribution
     u_table: np.ndarray
+    alias: np.ndarray
+    accept: np.ndarray
+    table_size: np.ndarray
+    table_offset: np.ndarray
 
 
 _DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" = (
@@ -397,11 +408,8 @@ _DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" =
 )
 
 
-def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
-    """Build (and memoize) the four measurement distributions of a model."""
-    cached = _DIST_CACHE.get(model)
-    if cached is not None:
-        return cached
+def _mode_tables(model: HistoryStateModel) -> tuple[Distribution, ...]:
+    """The four measurement distributions of a model, in MODE_ORDER."""
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
@@ -433,14 +441,36 @@ def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
         rotated = apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
     input_probs = np.abs(rotated.amplitudes) ** 2
 
+    return (
+        Distribution(n, samp / samp.sum()),
+        Distribution(n, input_probs / input_probs.sum()),
+        Distribution(n + 1, prop_x / prop_x.sum()),
+        Distribution(n + 1, prop_y / prop_y.sum()),
+    )
+
+
+def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
+    """Build (and memoize) the four measurement distributions of a model and
+    their alias tables.
+
+    The alias tables are built here, once, so that the threads of a run
+    only read them.
+    """
+    cached = _DIST_CACHE.get(model)
+    if cached is not None:
+        return cached
+    # The dense tables' temporaries are freed before the alias build starts.
+    tables = _mode_tables(model)
+    alias, accept, offsets = shared_alias_tables(tables)
     dists = ModeDistributions(
-        num_system=n,
+        num_system=model.num_system_qubits,
         p_clock_minus=0.5,
-        sample_given_minus=Distribution(n, samp / samp.sum()),
-        input_given_plus=Distribution(n, input_probs / input_probs.sum()),
-        prop_x=Distribution(n + 1, prop_x / prop_x.sum()),
-        prop_y=Distribution(n + 1, prop_y / prop_y.sum()),
+        **dict(zip(MODE_ORDER, tables)),
         u_table=np.exp((-1j * np.pi / 4) * interaction_energies(model.lattice)),
+        alias=alias,
+        accept=accept,
+        table_size=np.array([t.probabilities.size for t in tables], dtype=np.float64),
+        table_offset=offsets,
     )
     _DIST_CACHE[model] = dists
     return dists

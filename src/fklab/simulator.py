@@ -64,9 +64,6 @@ class PureState:
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {NORM_ATOL}")
 
-    def copy(self) -> "PureState":
-        return PureState(self.num_qubits, self.amplitudes.copy())
-
 
 def rotated_basis(kind: InputType) -> np.ndarray:
     """2x2 unitary whose columns are the rotated measurement basis for `kind`."""
@@ -107,15 +104,6 @@ def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
     """Diagonal of the time-t coupling evolution over the lattice register."""
     return np.exp((-1j * time * np.pi / 4) * interaction_energies(lattice))
-
-
-def apply_zz_evolution(state: PureState, lattice: LatticeGeometry, time: float) -> PureState:
-    """Multiply each basis amplitude by its diagonal coupling phase."""
-    if state.num_qubits != lattice.num_qubits:
-        raise DimensionMismatchError(
-            f"state has {state.num_qubits} qubits, lattice has {lattice.num_qubits}"
-        )
-    return PureState(state.num_qubits, state.amplitudes * zz_phases(lattice, time))
 
 
 def walsh_hadamard(state: PureState) -> PureState:
@@ -195,8 +183,13 @@ def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(whole.astype(np.int64)), np.cumsum(rest.astype(np.int64))
 
 
-def _build_alias(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _build_alias(
+    probabilities: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias table (alias index J, acceptance threshold q) in closed form.
+
+    The table is written into `out`, an (int64, float64) pair of arrays of the
+    table's size, when one is given, and into new arrays otherwise.
 
     This is the sweep construction (Vose 1991): the smalls (scaled < 1) and
     the larges (scaled >= 1) are each taken in index order. With D_k the
@@ -216,8 +209,11 @@ def _build_alias(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(probabilities, dtype=np.float64)
     size = p.size
     scaled = p * size
-    alias = np.arange(size, dtype=np.int64)
-    accept = np.ones(size, dtype=np.float64)
+    if out is None:
+        out = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.float64))
+    alias, accept = out
+    alias[...] = np.arange(size)
+    accept[...] = 1.0
     is_small = scaled < 1.0
     small = np.flatnonzero(is_small)
     large = np.flatnonzero(~is_small)
@@ -286,6 +282,26 @@ class Distribution:
         return np.where(u_coin < accept[bins], bins, alias[bins])
 
 
+def shared_alias_tables(tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build the alias tables of several distributions into one buffer.
+
+    The tables are built in place, in order, into consecutive slices of one
+    (alias, accept) pair of arrays, and each distribution's own table
+    becomes a view of its slice. Alias indices stay local to each table, so
+    a distribution's pick draws exactly as a standalone build would, and
+    local bin l of table t is entry offsets[t] + l of the pair. Returns
+    (alias, accept, offsets).
+    """
+    sizes = [table.probabilities.size for table in tables]
+    offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    alias = np.empty(sum(sizes), dtype=np.int64)
+    accept = np.empty(sum(sizes), dtype=np.float64)
+    for table, start, size in zip(tables, offsets.tolist(), sizes):
+        rows = slice(start, start + size)
+        table._alias = _build_alias(table.probabilities, (alias[rows], accept[rows]))
+    return alias, accept, offsets
+
+
 # Indices are formatted in blocks of this many, so the temporaries stay near
 # 1 MiB whatever the input size.
 FORMAT_BLOCK = 1 << 16
@@ -307,40 +323,6 @@ def bitstrings(indices, num_bits: int) -> list[str]:
         chars[:, num_bits] = ord("\n")
         out.extend(chars.tobytes().decode("ascii").split("\n")[:-1])
     return out
-
-
-def ideal_output_distribution(lattice: LatticeGeometry, spec: InputSpec) -> Distribution:
-    """X-basis outcome distribution of the time-1 evolved input state."""
-    n = lattice.num_qubits
-    if spec.num_qubits != n:
-        raise DimensionMismatchError(
-            f"input has {spec.num_qubits} qubits, lattice has {n}"
-        )
-    if n > MAX_STATE_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
-    state = walsh_hadamard(apply_zz_evolution(product_state(spec), lattice, 1.0))
-    return Distribution(n, np.abs(state.amplitudes) ** 2)
-
-
-def u_value(z_outcomes, lattice: LatticeGeometry) -> complex:
-    """De facto evolution outcome from single-shot Z results.
-
-    Returns the product over edges of cos(pi/4) - i sin(pi/4) z_i z_j, which
-    equals the diagonal entry <z|U|z> of the time-1 evolution.
-    """
-    z = np.asarray(z_outcomes, dtype=np.int64)
-    if z.shape != (lattice.num_qubits,):
-        raise DimensionMismatchError(
-            f"expected {lattice.num_qubits} outcomes, got shape {z.shape}"
-        )
-    if not np.all(np.abs(z) == 1):
-        raise ValidationError("outcomes must be +1 or -1")
-    c = math.cos(math.pi / 4)
-    s = math.sin(math.pi / 4)
-    u = complex(1.0, 0.0)
-    for i, j in lattice.edges:
-        u *= complex(c, -s * int(z[i]) * int(z[j]))
-    return u
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

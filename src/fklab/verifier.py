@@ -7,6 +7,22 @@ sequential merge in chunk order, so results are byte-identical for any thread
 count. The transcript is the one record a run produces: its columns are
 allocated once, each chunk writes its own rows, and the report's counters and
 samples are ProtocolTranscript.recompute_counters() of it.
+
+Draw layout of a chunk of `count` copies: first u = random((6, count)), then,
+only with a measurement flip rate eps > 0, flips = random((count, n + 1)).
+Copy i reads uk = u[k, i]:
+  u0 < 0.5   b_sampling = 1 (the sampling branch);
+  u1 < 0.5   b_testtype = 1 (the propagation test; 0 is the input test),
+             read only when b_sampling = 0;
+  u2 < 0.5   basis X, else Y, read only by a propagation copy;
+  u3 < p_clock_minus (1/2)  the clock reads -1, for sampling and input-test
+             copies; a propagation copy's clock is bit n of its outcome;
+  u4, u5     the alias pick from the copy's table: bin int(u4 * size), kept
+             when u5 < accept[bin], else alias[bin]. A sampling copy is
+             measured on clock -1, an input-test copy on clock +1, and a
+             propagation copy always; the others keep sys_idx -1.
+With eps > 0, flips[i, n] < eps negates the reported clock and flips[i, k] <
+eps flips outcome bit k of a measured copy.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
-from .prover import HistoryStateModel, NoiseModel, mode_distributions
+from .prover import MODE_ORDER, HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
 from .simulator import bitstrings
 
@@ -202,35 +218,55 @@ class ProtocolTranscript:
 def _chunk_counters(
     b_sampling, b_testtype, basis, clock, sys_idx, u_table
 ) -> tuple[Counters, np.ndarray]:
-    """Counters and published samples of one chunk of transcript columns."""
-    samp = b_sampling.astype(bool)
-    input_test = (~samp) & (~b_testtype.astype(bool))
+    """Counters and published samples of one chunk of transcript columns.
+
+    Rows are selected through index arrays rather than boolean masks: the
+    gathered values, and so every sum, are the same, and an index gather is
+    faster than a masked one on a random mask.
+    """
+    samp = b_sampling.view(np.bool_)
+    input_test = ~(samp | b_testtype.view(np.bool_))
     has_sys = sys_idx >= 0
 
     stored = samp & (clock == -1) & has_sys
-    samples = sys_idx[stored].astype(np.uint32)
+    samples = sys_idx[np.flatnonzero(stored)].astype(np.uint32)
 
     in_plus = input_test & (clock == 1)
     counters = Counters(
-        n_total_sampling=int(samp.sum()),
-        n_clock_minus=int((input_test & (clock == -1)).sum()),
-        n_in_plus=int(in_plus.sum()),
-        n_in_plus_0=int((in_plus & has_sys & (sys_idx == 0)).sum()),
+        n_total_sampling=int(np.count_nonzero(samp)),
+        n_clock_minus=int(np.count_nonzero(input_test & (clock == -1))),
+        n_in_plus=int(np.count_nonzero(in_plus)),
+        n_in_plus_0=int(np.count_nonzero(in_plus & has_sys & (sys_idx == 0))),
     )
     for basis_code in (BASIS_X, BASIS_Y):
-        sel = basis == basis_code
+        sel = np.flatnonzero(basis == basis_code)
         contrib = complex(np.sum(clock[sel].astype(np.float64) * u_table[sys_idx[sel]]))
         if basis_code == BASIS_X:
             counters.s_xu = contrib
-            counters.n_x = int(sel.sum())
+            counters.n_x = sel.size
         else:
             counters.s_yu = contrib
-            counters.n_y = int(sel.sum())
+            counters.n_y = sel.size
     return counters, samples
 
 
+# Each copy's code is 4 * b_sampling + 2 * b_testtype + (u2 >= 0.5). These
+# map a code to its outcome table (an index into MODE_ORDER) and its basis.
+_TABLE_OF_CODE = np.array(
+    [MODE_ORDER.index(name) for name in ("input_given_plus",) * 2 + ("prop_x", "prop_y")]
+    + [MODE_ORDER.index("sample_given_minus")] * 4
+)
+_BASIS_OF_CODE = np.array([BASIS_NONE] * 2 + [BASIS_X, BASIS_Y] + [BASIS_NONE] * 4, dtype=np.int8)
+_CLOCK_OF_MINUS = np.array([1, -1], dtype=np.int8)
+
+
 def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) -> None:
-    """Measure one chunk of copies, writing every entry of its column views."""
+    """Measure one chunk of copies, writing every entry of its column views.
+
+    Every copy draws from its own table in one pass over the chunk: its code
+    selects the table's size and offset in the shared alias buffer, and the
+    pick is Distribution.pick's arithmetic on local bins.
+    """
     b_sampling, b_testtype, basis, clock, sys_idx = rows
     count = b_sampling.size
     n = dists.num_system
@@ -238,36 +274,30 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
     u_rand = rng.random((6, count))
     flips = rng.random((count, n + 1)) if eps > 0.0 else None
 
-    b_sampling[:] = u_rand[0] < 0.5
-    b_testtype[:] = u_rand[1] < 0.5
-    samp = b_sampling.astype(bool)
-    prop = (~samp) & b_testtype.astype(bool)
-    input_test = (~samp) & (~b_testtype.astype(bool))
-    basis[:] = BASIS_NONE
-    basis[prop] = np.where(u_rand[2][prop] < 0.5, BASIS_X, BASIS_Y)
+    samp = np.less(u_rand[0], 0.5, out=b_sampling.view(np.bool_))
+    testtype = np.less(u_rand[1], 0.5, out=b_testtype.view(np.bool_))
+    code = (samp.view(np.uint8) << 2) | (testtype.view(np.uint8) << 1) | (u_rand[2] >= 0.5)
+    np.take(_BASIS_OF_CODE, code, out=basis)
+    prop = basis != BASIS_NONE
 
-    sys_idx[:] = -1
+    # Every table size is a power of two, so u4 * size is exact and below
+    # size: Distribution.pick's clamp to size - 1 never binds here.
+    local = (u_rand[4] * np.take(dists.table_size[_TABLE_OF_CODE], code)).astype(np.int64)
+    entry = local + np.take(dists.table_offset[_TABLE_OF_CODE], code)
+    j = np.where(u_rand[5] < np.take(dists.accept, entry), local, np.take(dists.alias, entry))
 
-    z_branch = samp | input_test
-    true_minus = z_branch & (u_rand[3] < dists.p_clock_minus)
-    clock[z_branch] = np.where(true_minus[z_branch], -1, 1)
-
-    samp_measured = samp & true_minus
-    if samp_measured.any():
-        sys_idx[samp_measured] = dists.sample_given_minus.pick(
-            u_rand[4][samp_measured], u_rand[5][samp_measured]
-        )
-    input_measured = input_test & ~true_minus
-    if input_measured.any():
-        sys_idx[input_measured] = dists.input_given_plus.pick(
-            u_rand[4][input_measured], u_rand[5][input_measured]
-        )
-    for basis_code, joint in ((BASIS_X, dists.prop_x), (BASIS_Y, dists.prop_y)):
-        sel = basis == basis_code
-        if sel.any():
-            j = joint.pick(u_rand[4][sel], u_rand[5][sel])
-            clock[sel] = np.where(j >> n, -1, 1)
-            sys_idx[sel] = j & ((1 << n) - 1)
+    # A propagation outcome carries its clock bit at bit n; a sampling or
+    # input-test outcome is below 2^n, and its clock is read from u3.
+    true_minus = u_rand[3] < dists.p_clock_minus
+    minus = j >> n
+    minus |= true_minus & ~prop
+    np.take(_CLOCK_OF_MINUS, minus, out=clock)
+    # A sampling copy is measured on clock -1, an input-test copy on +1. An
+    # unmeasured copy's outcome is ORed with measured - 1 = -1, which leaves
+    # -1: cheaper than np.where on a random condition.
+    measured = prop | (true_minus == samp)
+    np.bitwise_and(j, (1 << n) - 1, out=sys_idx, casting="unsafe")
+    sys_idx |= measured.view(np.int8) - 1
 
     if flips is not None:
         clock[flips[:, n] < eps] *= -1

@@ -5,10 +5,23 @@ products, spectral exponentials) so they share no code with the package's
 fast diagonal-phase kernels.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
 from fklab.lattice import InputSpec, InputType, build_lattice
+from fklab.rng import TAG_COPIES, substream
+from fklab.simulator import (
+    MAX_STATE_QUBITS,
+    Distribution,
+    PureState,
+    product_state,
+    walsh_hadamard,
+    zz_phases,
+)
+from fklab.verifier import BASIS_NONE, BASIS_X, BASIS_Y, Counters
 
 
 def brute_force_edges(rows, cols):
@@ -128,6 +141,50 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# Scalar and whole-state oracles the protocol itself does not use.
+
+
+def apply_zz_evolution(state, lattice, time):
+    """Multiply each basis amplitude by its diagonal coupling phase."""
+    if state.num_qubits != lattice.num_qubits:
+        raise DimensionMismatchError(
+            f"state has {state.num_qubits} qubits, lattice has {lattice.num_qubits}"
+        )
+    return PureState(state.num_qubits, state.amplitudes * zz_phases(lattice, time))
+
+
+def ideal_output_distribution(lattice, spec):
+    """X-basis outcome distribution of the time-1 evolved input state."""
+    n = lattice.num_qubits
+    if spec.num_qubits != n:
+        raise DimensionMismatchError(f"input has {spec.num_qubits} qubits, lattice has {n}")
+    if n > MAX_STATE_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
+    state = walsh_hadamard(apply_zz_evolution(product_state(spec), lattice, 1.0))
+    return Distribution(n, np.abs(state.amplitudes) ** 2)
+
+
+def u_value(z_outcomes, lattice):
+    """De facto evolution outcome from single-shot Z results.
+
+    Returns the product over edges of cos(pi/4) - i sin(pi/4) z_i z_j, which
+    equals the diagonal entry <z|U|z> of the time-1 evolution.
+    """
+    z = np.asarray(z_outcomes, dtype=np.int64)
+    if z.shape != (lattice.num_qubits,):
+        raise DimensionMismatchError(
+            f"expected {lattice.num_qubits} outcomes, got shape {z.shape}"
+        )
+    if not np.all(np.abs(z) == 1):
+        raise ValidationError("outcomes must be +1 or -1")
+    c = math.cos(math.pi / 4)
+    s = math.sin(math.pi / 4)
+    u = complex(1.0, 0.0)
+    for i, j in lattice.edges:
+        u *= complex(c, -s * int(z[i]) * int(z[j]))
+    return u
+
+
 # Reference gate kernels: the package's earlier formulas, kept verbatim so the
 # copy-free kernels can be checked bit for bit (np.array_equal), not to a
 # tolerance.
@@ -189,6 +246,88 @@ def reference_echo_amplitudes(lattice, input_amplitudes):
     a = controlled_flip_b(a * half)
     a = reference_apply_single_qubit(a, clock, x)
     return a * half
+
+
+# Reference chunk kernel and counters: the verifier's earlier masked
+# formulation, kept verbatim so the mask-free kernel and the index-gather
+# counters can be checked column for column with np.array_equal and counter
+# for counter with ==. Each branch gathers its copies' uniforms under a
+# boolean mask and picks from its own Distribution.
+
+
+def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):
+    """Measure one chunk of copies with per-branch masked picks."""
+    b_sampling, b_testtype, basis, clock, sys_idx = rows
+    count = b_sampling.size
+    n = dists.num_system
+    rng = substream(master_seed, TAG_COPIES, chunk_index)
+    u_rand = rng.random((6, count))
+    flips = rng.random((count, n + 1)) if eps > 0.0 else None
+
+    b_sampling[:] = u_rand[0] < 0.5
+    b_testtype[:] = u_rand[1] < 0.5
+    samp = b_sampling.astype(bool)
+    prop = (~samp) & b_testtype.astype(bool)
+    input_test = (~samp) & (~b_testtype.astype(bool))
+    basis[:] = BASIS_NONE
+    basis[prop] = np.where(u_rand[2][prop] < 0.5, BASIS_X, BASIS_Y)
+
+    sys_idx[:] = -1
+
+    z_branch = samp | input_test
+    true_minus = z_branch & (u_rand[3] < dists.p_clock_minus)
+    clock[z_branch] = np.where(true_minus[z_branch], -1, 1)
+
+    samp_measured = samp & true_minus
+    if samp_measured.any():
+        sys_idx[samp_measured] = dists.sample_given_minus.pick(
+            u_rand[4][samp_measured], u_rand[5][samp_measured]
+        )
+    input_measured = input_test & ~true_minus
+    if input_measured.any():
+        sys_idx[input_measured] = dists.input_given_plus.pick(
+            u_rand[4][input_measured], u_rand[5][input_measured]
+        )
+    for basis_code, joint in ((BASIS_X, dists.prop_x), (BASIS_Y, dists.prop_y)):
+        sel = basis == basis_code
+        if sel.any():
+            j = joint.pick(u_rand[4][sel], u_rand[5][sel])
+            clock[sel] = np.where(j >> n, -1, 1)
+            sys_idx[sel] = j & ((1 << n) - 1)
+
+    if flips is not None:
+        clock[flips[:, n] < eps] *= -1
+        flip_bits = ((flips[:, :n] < eps) << np.arange(n)).sum(axis=1)
+        measured = sys_idx >= 0
+        sys_idx[measured] ^= flip_bits[measured]
+
+
+def reference_chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_table):
+    """Counters and published samples of one chunk, from boolean masks."""
+    samp = b_sampling.astype(bool)
+    input_test = (~samp) & (~b_testtype.astype(bool))
+    has_sys = sys_idx >= 0
+
+    stored = samp & (clock == -1) & has_sys
+    samples = sys_idx[stored].astype(np.uint32)
+
+    in_plus = input_test & (clock == 1)
+    counters = Counters(
+        n_total_sampling=int(samp.sum()),
+        n_clock_minus=int((input_test & (clock == -1)).sum()),
+        n_in_plus=int(in_plus.sum()),
+        n_in_plus_0=int((in_plus & has_sys & (sys_idx == 0)).sum()),
+    )
+    for basis_code in (BASIS_X, BASIS_Y):
+        sel = basis == basis_code
+        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_table[sys_idx[sel]]))
+        if basis_code == BASIS_X:
+            counters.s_xu = contrib
+            counters.n_x = int(sel.sum())
+        else:
+            counters.s_yu = contrib
+            counters.n_y = int(sel.sum())
+    return counters, samples
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from fklab.prover import (
     make_honest_model,
 )
 from fklab.rng import TAG_INPUT, TAG_REPETITION, child_seed, substream
-from fklab.simulator import PureState, product_state, state_fidelity, u_value
+from fklab.simulator import PureState, product_state, state_fidelity
 from fklab.verifier import CHUNK_SIZE, ProtocolConfig, run_protocol
 
 from conftest import (
@@ -43,6 +43,7 @@ from conftest import (
     dense_history_vector,
     small_lattices,
     spectral_expm,
+    u_value,
 )
 
 MASTER_SEED = 20240801

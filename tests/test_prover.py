@@ -14,6 +14,7 @@ from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import (
+    MODE_ORDER,
     HistoryStateModel,
     NoiseModel,
     echo_prepare,
@@ -24,7 +25,7 @@ from fklab.prover import (
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import product_state, rotated_basis, state_fidelity, u_value
+from fklab.simulator import Distribution, product_state, rotated_basis, state_fidelity
 from fklab.verifier import BASIS_X, BASIS_Y, ProtocolConfig, run_protocol
 
 from conftest import (
@@ -32,10 +33,12 @@ from conftest import (
     dense_hadamard_all,
     dense_history_vector,
     depolarized_mixture_density,
+    ideal_output_distribution,
     kron_chain,
     reference_echo_amplitudes,
     small_lattices,
     spectral_expm,
+    u_value,
 )
 
 
@@ -420,6 +423,33 @@ def test_mode_distributions_match_dense_joints(rows, cols, rate):
         assert np.max(np.abs(table.probabilities - joint / joint.sum())) < 1e-12
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_alias_tables_share_one_buffer(rate):
+    lat = build_lattice(3, 3)
+    spec = random_input(9, np.random.default_rng(33))
+    dists = mode_distributions(_depolarized_model(lat, spec, rate))
+    n = lat.num_qubits
+    assert dists.alias.shape == dists.accept.shape == (6 << n,)
+    u = np.random.default_rng(5).random((2, 100_000))
+    start = 0
+    for t, name in enumerate(MODE_ORDER):
+        table = getattr(dists, name)
+        size = table.probabilities.size
+        assert dists.table_size[t] == float(size)
+        assert dists.table_offset[t] == start
+        alias, accept = table._alias
+        # Each table's alias arrays are its slice of the buffer: nothing is
+        # stored twice.
+        assert np.shares_memory(alias, dists.alias) and np.shares_memory(accept, dists.accept)
+        assert alias.size == accept.size == size
+        assert np.array_equal(alias, dists.alias[start : start + size])
+        assert np.array_equal(accept, dists.accept[start : start + size])
+        standalone = Distribution(table.num_bits, table.probabilities)
+        assert np.array_equal(table.pick(u[0], u[1]), standalone.pick(u[0], u[1]))
+        start += size
+    assert start == 6 << n
+
+
 def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
     # <X (x) U> oracle: psi_top^dag U psi_bot + psi_bot^dag U psi_top for the
     # dense time-1 evolution.
@@ -439,7 +469,6 @@ def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
 
 def test_sample_histogram_matches_ideal_distribution(lattice, spec):
     from fklab.analysis import tvd
-    from fklab.simulator import ideal_output_distribution
 
     model = honest(lattice, spec)
     _, report = _run(model, lattice, spec, 2_000_000, seed=99)

@@ -14,21 +14,20 @@ from fklab.simulator import (
     apply_single_qubit,
     FORMAT_BLOCK,
     _build_alias,
-    apply_zz_evolution,
     bitstrings,
-    ideal_output_distribution,
     interaction_energies,
     product_state,
-    u_value,
     walsh_hadamard,
     zz_phases,
 )
 
 from conftest import (
+    apply_zz_evolution,
     dense_coupling_hamiltonian,
     dense_hadamard_all,
     dense_input_vector,
     dense_pauli_on,
+    ideal_output_distribution,
     PAULI,
     random_state_vector,
     random_unitary,
@@ -36,6 +35,7 @@ from conftest import (
     reference_apply_single_qubit,
     small_lattices,
     spectral_expm,
+    u_value,
 )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,16 @@ import pytest
 from fklab.analysis import hoeffding_bound
 from fklab.errors import CapacityError
 from fklab.lattice import build_lattice, random_input
-from fklab.prover import NoiseModel, exact_model_parameters, make_degraded_model, make_honest_model
-from fklab.verifier import CHUNK_SIZE, MAX_COPIES, ProtocolConfig, decide, run_protocol
+from fklab.prover import (
+    NoiseModel,
+    exact_model_parameters,
+    make_degraded_model,
+    make_honest_model,
+    mode_distributions,
+)
+from fklab.verifier import CHUNK_SIZE, MAX_COPIES, Counters, ProtocolConfig, decide, run_protocol
+
+from conftest import reference_chunk_counters, reference_process_chunk, u_value
 
 FULL_BUDGET = 3_500_000
 
@@ -109,8 +118,6 @@ def test_transcript_records_well_formed(setup_2x2):
 
 
 def test_u_column_matches_u_value(setup_2x2):
-    from fklab.simulator import u_value
-
     lattice, spec, model = setup_2x2
     transcript, _ = run(model, lattice, spec, 2_000, seed=13)
     prop = transcript.basis != -1
@@ -164,6 +171,74 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
     for i in (-1, transcript.num_copies):
         with pytest.raises(IndexError):
             transcript.record(i)
+
+
+# ---------------------------------------------------------------------------
+# the chunk kernel against the masked reference
+
+
+def _kernel_model(kind, rows, cols):
+    """A model and its measurement noise. A 1x1 lattice has no edge, so its
+    propagation overlap is 1 at any evolution time: its degraded model keeps
+    the O10 target at 1."""
+    lattice = build_lattice(rows, cols)
+    spec = random_input(lattice.num_qubits, np.random.default_rng(rows * 10 + cols))
+    if kind == "honest":
+        return make_honest_model(lattice, spec, NoiseModel()), None
+    if kind == "noisy":
+        noise = NoiseModel(clock_phase_theta=0.3, evolution_scale=0.02, input_tilt=0.05)
+        return make_honest_model(lattice, spec, noise), noise
+    if kind == "depolarizing":
+        noise = NoiseModel(depolarizing_rate=0.3)
+        return make_honest_model(lattice, spec, noise), noise
+    target_o10 = 0.97 if lattice.edges else 1.0
+    model = make_degraded_model(lattice, spec, target_o10, 0.99)
+    return model, NoiseModel(measurement_flip_rate=0.02)
+
+
+def _reference_run(model, num_copies, master_seed, eps):
+    """Columns, counters and samples from the masked reference kernel."""
+    dists = mode_distributions(model)
+    columns = (
+        np.empty(num_copies, dtype=np.uint8),
+        np.empty(num_copies, dtype=np.uint8),
+        np.empty(num_copies, dtype=np.int8),
+        np.empty(num_copies, dtype=np.int8),
+        np.empty(num_copies, dtype=np.int32),
+    )
+    total = Counters()
+    samples = [np.zeros(0, dtype=np.uint32)]
+    for start in range(0, num_copies, CHUNK_SIZE):
+        rows = tuple(column[start : start + CHUNK_SIZE] for column in columns)
+        reference_process_chunk(dists, master_seed, start // CHUNK_SIZE, eps, rows)
+        counters, chunk_samples = reference_chunk_counters(*rows, dists.u_table)
+        for f in fields(Counters):
+            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+        samples.append(chunk_samples)
+    return columns, total, np.concatenate(samples)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("kind", ["honest", "noisy", "depolarizing", "degraded_flip"])
+def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
+    model, noise = _kernel_model(kind, rows, cols)
+    eps = noise.measurement_flip_rate if noise is not None else 0.0
+    names = ("b_sampling", "b_testtype", "basis", "clock", "sys_idx")
+    for num in (0, 1, CHUNK_SIZE, 3 * CHUNK_SIZE + 777):
+        columns, counters, samples = _reference_run(model, num, 4242, eps)
+        config = ProtocolConfig(num_copies=num, master_seed=4242)
+        for threads in (1, 2):
+            transcript, report = run_protocol(
+                model, model.lattice, model.input_spec, config, noise=noise, threads=threads
+            )
+            for name, column in zip(names, columns):
+                got = getattr(transcript, name)
+                assert got.dtype == column.dtype
+                assert np.array_equal(got, column), (name, num, threads)
+            assert report.counters == counters
+            assert json.dumps(report.counters.to_json_dict()) == json.dumps(counters.to_json_dict())
+            assert report.samples.dtype == samples.dtype
+            assert np.array_equal(report.samples, samples)
 
 
 # ---------------------------------------------------------------------------
