@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .simulator import (
     PureState,
     apply_global_cz,
     apply_single_qubit,
+    hamming_weights,
     interaction_energies,
     product_state,
-    rotated_basis,
     shared_alias_tables,
     walsh_hadamard,
     zz_phases,
@@ -43,8 +44,8 @@ MAX_ECHO_SYSTEM_QUBITS = 20
 MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
 # Peak set-up memory per outcome-table entry: the honest model, its four mode
 # tables and their shared alias buffer, as peak RSS above the post-import
-# baseline divided by the table entries. Measured 63.4 B at n = 18, 59.5 B at
-# n = 20 and 58.1 B at n = 22 (Python 3.11, numpy 2.4, x86-64).
+# baseline divided by the table entries. Measured 56.7 B at n = 18, 54.6 B at
+# n = 20 and 54.7 B at n = 22 (Python 3.11, numpy 2.4, x86-64).
 SETUP_BYTES_PER_TABLE_ENTRY = 64
 # Half of an 8 GB host, which leaves room for the copy columns (at most
 # 1 GiB) and the outputs. It admits n <= 23; n = 24 would need 6 GiB.
@@ -112,22 +113,24 @@ class HistoryStateModel:
 
         (1-p)|psi><psi| + (p/2)|0><0|(x)|a><a| + (p/2^(n+1))|1><1|(x)I.
 
+    The model is its scalars: a is the input with an R_z(input_tilt) error
+    per qubit, and b evolves the ideal input (a if tilted_output) for time
+    1 + evolution_scale. Both are built on first use.
+
     Frozen, because mode_distributions memoizes its tables by model identity.
     """
 
     lattice: LatticeGeometry
     input_spec: InputSpec
     clock_phase: float
-    input_component: PureState
-    output_component: PureState
+    evolution_scale: float = 0.0
+    input_tilt: float = 0.0
+    tilted_output: bool = False
     depolarizing_rate: float = 0.0
 
     def __post_init__(self):
-        n = self.lattice.num_qubits
-        if self.input_spec.num_qubits != n:
+        if self.input_spec.num_qubits != self.lattice.num_qubits:
             raise DimensionMismatchError("input spec size does not match lattice")
-        if self.input_component.num_qubits != n or self.output_component.num_qubits != n:
-            raise DimensionMismatchError("component size does not match lattice")
         if not 0.0 <= self.depolarizing_rate <= 1.0:
             raise ValidationError(
                 f"depolarizing_rate must be in [0, 1], got {self.depolarizing_rate}"
@@ -136,6 +139,18 @@ class HistoryStateModel:
     @property
     def num_system_qubits(self) -> int:
         return self.lattice.num_qubits
+
+    @cached_property
+    def input_component(self) -> PureState:
+        return _tilted_input(self.input_spec, self.input_tilt)
+
+    @cached_property
+    def output_component(self) -> PureState:
+        evolved = self.input_component if self.tilted_output else product_state(self.input_spec)
+        # One expression: from 256 KiB numpy reuses the phase temporary, rounding
+        # phases * amplitudes (not bitwise commutative); samples are pinned to it.
+        phased = evolved.amplitudes * zz_phases(self.lattice, 1.0 + self.evolution_scale)
+        return PureState(self.num_system_qubits, phased)
 
     def components(self) -> list[tuple[float, PureState]]:
         """The coherent output component and its weight 1-p."""
@@ -185,12 +200,8 @@ def _tilted_input(spec: InputSpec, tilt: float) -> PureState:
     if tilt == 0.0:
         return state
     n = spec.num_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        ones += (idx >> k) & 1
     # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
-    phases = np.exp(1j * (tilt / 2.0) * (2 * ones - n))
+    phases = np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
     return PureState(n, state.amplitudes * phases)
 
 
@@ -203,18 +214,12 @@ def make_honest_model(
     the (1+eta)-time evolution of the ideal input; the clock carries theta.
     With depolarizing_rate p the output becomes (1-p)|phi'><phi'| + p I/2^n.
     """
-    ideal = product_state(input_spec)
-    input_component = _tilted_input(input_spec, noise.input_tilt)
-    output_component = PureState(
-        ideal.num_qubits,
-        ideal.amplitudes * zz_phases(lattice, 1.0 + noise.evolution_scale),
-    )
     return HistoryStateModel(
         lattice=lattice,
         input_spec=input_spec,
         clock_phase=noise.clock_phase_theta,
-        input_component=input_component,
-        output_component=output_component,
+        evolution_scale=noise.evolution_scale,
+        input_tilt=noise.input_tilt,
         depolarizing_rate=noise.depolarizing_rate,
     )
 
@@ -240,26 +245,25 @@ def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
     return ModelParameters(f_in=f_in, p_samp=0.5, tr_rho_o10=complex(tr), f_out=f_out)
 
 
-def _overlap_sq_at_eta(lattice: LatticeGeometry, weights: np.ndarray, eta: float) -> float:
-    """|<U^{1+eta} A | U A>|^2 as a function of eta, for |A_z|^2 = weights."""
-    energy = interaction_energies(lattice)
-    chi = np.sum(weights * np.exp(1j * eta * (np.pi / 4) * energy))
+def _overlap_sq_at_eta(counts: np.ndarray, eta: float) -> float:
+    """|<U^{1+eta} phi | U phi>|^2: every |phi_z|^2 is 2^-n, so it is a sum over
+    the energy levels 2k - edges, with counts[k] strings at level k."""
+    levels = 2 * np.arange(counts.size) - (counts.size - 1)
+    chi = np.sum(counts * np.exp(1j * eta * (np.pi / 4) * levels)) / counts.sum()
     return float(np.abs(chi) ** 2)
 
 
-def tune_evolution_scale(
-    lattice: LatticeGeometry, input_spec: InputSpec, target_overlap_sq: float
-) -> float:
+def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> float:
     """Find eta >= 0 with |<U^{1+eta} phi | U phi>|^2 = target within 1e-6."""
     if not 0.0 <= target_overlap_sq <= 1.0:
         raise ValidationError(f"target overlap must be in [0, 1], got {target_overlap_sq}")
-    weights = np.abs(product_state(input_spec).amplitudes) ** 2
     if target_overlap_sq == 1.0:
         return 0.0
+    counts = np.bincount((interaction_energies(lattice) + len(lattice.edges)) >> 1)
     hi = 0.0
     for _ in range(400):
         hi += 0.02
-        if _overlap_sq_at_eta(lattice, weights, hi) < target_overlap_sq:
+        if _overlap_sq_at_eta(counts, hi) < target_overlap_sq:
             break
     else:
         raise SearchFailureError(
@@ -268,12 +272,12 @@ def tune_evolution_scale(
     lo = hi - 0.02
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _overlap_sq_at_eta(lattice, weights, mid) > target_overlap_sq:
+        if _overlap_sq_at_eta(counts, mid) > target_overlap_sq:
             lo = mid
         else:
             hi = mid
     eta = 0.5 * (lo + hi)
-    if abs(_overlap_sq_at_eta(lattice, weights, eta) - target_overlap_sq) > TARGET_TOL:
+    if abs(_overlap_sq_at_eta(counts, eta) - target_overlap_sq) > TARGET_TOL:
         raise SearchFailureError("overlap bisection failed to converge")
     return eta
 
@@ -304,16 +308,13 @@ def make_degraded_model(
     """
     if not 0.0 <= target_o10_sq <= 1.0 or not 0.0 <= target_f_in <= 1.0:
         raise ValidationError("targets must lie in [0, 1]")
-    eta = tune_evolution_scale(lattice, input_spec, target_o10_sq)
-    tilt = _tune_input_tilt(input_spec, target_f_in)
-    tilted = _tilted_input(input_spec, tilt)
-    output = PureState(tilted.num_qubits, tilted.amplitudes * zz_phases(lattice, 1.0 + eta))
     model = HistoryStateModel(
         lattice=lattice,
         input_spec=input_spec,
         clock_phase=0.0,
-        input_component=tilted,
-        output_component=output,
+        evolution_scale=tune_evolution_scale(lattice, target_o10_sq),
+        input_tilt=_tune_input_tilt(input_spec, target_f_in),
+        tilted_output=True,
     )
     params = exact_model_parameters(model)
     if abs(4.0 * abs(params.tr_rho_o10) ** 2 - target_o10_sq) > 2 * TARGET_TOL:
@@ -363,10 +364,7 @@ def ideal_history_state(
     lattice: LatticeGeometry, input_spec: InputSpec, theta: float = 0.0
 ) -> PureState:
     """(|0>|phi_in> + e^{i theta}|1>U|phi_in>)/sqrt(2), clock at the top bit."""
-    phi = product_state(input_spec)
-    out = phi.amplitudes * zz_phases(lattice, 1.0)
-    amps = np.concatenate([phi.amplitudes, np.exp(1j * theta) * out]) / math.sqrt(2)
-    return PureState(lattice.num_qubits + 1, amps)
+    return HistoryStateModel(lattice, input_spec, clock_phase=theta).to_statevector()
 
 
 def setup_bytes(num_system: int) -> int:
@@ -409,43 +407,37 @@ _DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" =
 
 
 def _mode_tables(model: HistoryStateModel) -> tuple[Distribution, ...]:
-    """The four measurement distributions of a model, in MODE_ORDER."""
+    """The four measurement distributions of a model, in MODE_ORDER.
+
+    All of a and b have modulus 2^(-n/2), so e^{i theta} b_z / a_z = e^{i phi}
+    with phi = theta + (t_out - t_in)(w - n/2) - (pi/4)(1+eta)E for z of weight
+    w and energy E. A depolarized propagation half is 2^-n/2 (1 +- (1-p) cos phi)
+    in X and the same with sin phi in Y. The input test reads back each qubit's
+    input state with c = cos^2(t_in/2), so z has c^(n-w) s^w, s = sin^2(t_in/2).
+    """
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
-    a = model.input_component.amplitudes
-    b = np.exp(1j * model.clock_phase) * model.output_component.amplitudes
+    weight = hamming_weights(n)
+    samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
 
-    # A maximally mixed output reads uniform in any basis and, in each half
-    # of a propagation test, (1/4)(|a_z|^2 + 2^-n).
-    def depolarize(clean, mixed):
-        return (1.0 - p) * clean + p * mixed
+    t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
+    phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
+    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
+    half = 0.5 / dim
+    cos, sin = (1.0 - p) * half * np.cos(phi), (1.0 - p) * half * np.sin(phi)
+    prop_x = np.concatenate([half + cos, half - cos])
+    prop_y = np.concatenate([half + sin, half - sin])
 
-    samp = depolarize(np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2, 1.0 / dim)
-    mixed_half = 0.25 * (np.abs(a) ** 2 + 1.0 / dim)
-    prop_x = np.concatenate(
-        [
-            depolarize(0.25 * np.abs(a + b) ** 2, mixed_half),
-            depolarize(0.25 * np.abs(a - b) ** 2, mixed_half),
-        ]
-    )
-    prop_y = np.concatenate(
-        [
-            depolarize(0.25 * np.abs(a - 1j * b) ** 2, mixed_half),
-            depolarize(0.25 * np.abs(a + 1j * b) ** 2, mixed_half),
-        ]
-    )
-
-    rotated = model.input_component
-    for k, kind in enumerate(model.input_spec.choices):
-        rotated = apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
-    input_probs = np.abs(rotated.amplitudes) ** 2
+    c, s = math.cos(t_in / 2) ** 2, math.sin(t_in / 2) ** 2
+    w = np.arange(n + 1)
+    input_probs = (c ** (n - w) * s**w)[weight]
 
     return (
         Distribution(n, samp / samp.sum()),
-        Distribution(n, input_probs / input_probs.sum()),
-        Distribution(n + 1, prop_x / prop_x.sum()),
-        Distribution(n + 1, prop_y / prop_y.sum()),
+        Distribution(n, input_probs),
+        Distribution(n + 1, prop_x),
+        Distribution(n + 1, prop_y),
     )
 
 
@@ -466,7 +458,7 @@ def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
         num_system=model.num_system_qubits,
         p_clock_minus=0.5,
         **dict(zip(MODE_ORDER, tables)),
-        u_table=np.exp((-1j * np.pi / 4) * interaction_energies(model.lattice)),
+        u_table=zz_phases(model.lattice, 1.0),
         alias=alias,
         accept=accept,
         table_size=np.array([t.probabilities.size for t in tables], dtype=np.float64),

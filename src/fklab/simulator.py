@@ -29,19 +29,11 @@ MAX_DENSE_QUBITS = 6
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 
-# Single-qubit input states (Z evolution absorbed) and their orthogonal
-# complements. The complements fix the rotated measurement bases; only the
-# projectors onto the first column are observable.
+# Single-qubit input states (Z evolution absorbed), amplitudes of modulus 1/sqrt(2).
 X_STATE = np.array([0.5 * (1 + 1j), 0.5 * (1 - 1j)], dtype=np.complex128)
 Y_STATE = np.array([0.5 * (1 + 1j), np.exp(-1j * np.pi / 4) * 0.5 * (1 - 1j)], dtype=np.complex128)
-X_PERP = np.array([0.5 * (1 + 1j), -0.5 * (1 - 1j)], dtype=np.complex128)
-Y_PERP = np.array([0.5 * (1 + 1j), -np.exp(-1j * np.pi / 4) * 0.5 * (1 - 1j)], dtype=np.complex128)
 
 _SINGLE_QUBIT_STATES = {InputType.X_TYPE: X_STATE, InputType.Y_TYPE: Y_STATE}
-_ROTATED_BASES = {
-    InputType.X_TYPE: np.column_stack([X_STATE, X_PERP]),
-    InputType.Y_TYPE: np.column_stack([Y_STATE, Y_PERP]),
-}
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -63,11 +55,6 @@ class PureState:
         norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {NORM_ATOL}")
-
-
-def rotated_basis(kind: InputType) -> np.ndarray:
-    """2x2 unitary whose columns are the rotated measurement basis for `kind`."""
-    return _ROTATED_BASES[kind].copy()
 
 
 def product_state(spec: InputSpec) -> PureState:
@@ -99,6 +86,18 @@ def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
         energy -= drop
     energy.flags.writeable = False
     return energy
+
+
+@lru_cache(maxsize=8)
+def hamming_weights(num_qubits: int) -> np.ndarray:
+    """Set bits of every basis index, as a read-only int8 array built by doubling."""
+    if num_qubits > MAX_STATE_QUBITS:
+        raise CapacityError(f"{num_qubits} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
+    weight = np.zeros(1 << num_qubits, dtype=np.int8)
+    for k in range(num_qubits):
+        np.add(weight[: 1 << k], 1, out=weight[1 << k : 2 << k])
+    weight.flags.writeable = False
+    return weight
 
 
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
@@ -326,7 +325,12 @@ def bitstrings(indices, num_bits: int) -> list[str]:
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, global-phase invariant."""
+    """|<a|b>|^2, global-phase invariant, summed in a fixed order in blocks of
+    2^16 amplitudes (1 MiB temporaries): np.vdot's order follows BLAS threads."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatchError("states have different sizes")
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    overlap = 0j
+    for start in range(0, a.amplitudes.size, 1 << 16):
+        block = slice(start, start + (1 << 16))
+        overlap += np.sum(np.conjugate(a.amplitudes[block]) * b.amplitudes[block])
+    return float(abs(overlap) ** 2)

@@ -301,7 +301,9 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
 
     if flips is not None:
         clock[flips[:, n] < eps] *= -1
-        flip_bits = ((flips[:, :n] < eps) << np.arange(n)).sum(axis=1)
+        flip_bits = np.zeros(count, dtype=np.int32)
+        for k, flipped in enumerate((flips[:, :n] < eps).T):
+            flip_bits |= flipped.astype(np.int32) << k
         measured = sys_idx >= 0
         sys_idx[measured] ^= flip_bits[measured]
 

@@ -15,8 +15,11 @@ from fklab.lattice import InputSpec, InputType, build_lattice
 from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import (
     MAX_STATE_QUBITS,
+    X_STATE,
+    Y_STATE,
     Distribution,
     PureState,
+    apply_single_qubit,
     product_state,
     walsh_hadamard,
     zz_phases,
@@ -246,6 +249,64 @@ def reference_echo_amplitudes(lattice, input_amplitudes):
     a = controlled_flip_b(a * half)
     a = reference_apply_single_qubit(a, clock, x)
     return a * half
+
+
+# Reference mode tables: the prover's earlier amplitude formulas, kept
+# verbatim (input-test table by one full-state gate per qubit) so the
+# closed-form tables can be checked against them.
+
+# The orthogonal complements of the two input states; with the states they
+# form the rotated measurement bases of the input test.
+X_PERP = np.array([0.5 * (1 + 1j), -0.5 * (1 - 1j)], dtype=np.complex128)
+Y_PERP = np.array([0.5 * (1 + 1j), -np.exp(-1j * np.pi / 4) * 0.5 * (1 - 1j)], dtype=np.complex128)
+
+
+def rotated_basis(kind):
+    """2x2 unitary whose columns are the rotated measurement basis for `kind`."""
+    if kind is InputType.X_TYPE:
+        return np.column_stack([X_STATE, X_PERP])
+    return np.column_stack([Y_STATE, Y_PERP])
+
+
+def reference_mode_tables(model):
+    """The four measurement distributions of a model, in MODE_ORDER."""
+    n = model.num_system_qubits
+    dim = 1 << n
+    p = model.depolarizing_rate
+    a = model.input_component.amplitudes
+    b = np.exp(1j * model.clock_phase) * model.output_component.amplitudes
+
+    # A maximally mixed output reads uniform in any basis and, in each half
+    # of a propagation test, (1/4)(|a_z|^2 + 2^-n).
+    def depolarize(clean, mixed):
+        return (1.0 - p) * clean + p * mixed
+
+    samp = depolarize(np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2, 1.0 / dim)
+    mixed_half = 0.25 * (np.abs(a) ** 2 + 1.0 / dim)
+    prop_x = np.concatenate(
+        [
+            depolarize(0.25 * np.abs(a + b) ** 2, mixed_half),
+            depolarize(0.25 * np.abs(a - b) ** 2, mixed_half),
+        ]
+    )
+    prop_y = np.concatenate(
+        [
+            depolarize(0.25 * np.abs(a - 1j * b) ** 2, mixed_half),
+            depolarize(0.25 * np.abs(a + 1j * b) ** 2, mixed_half),
+        ]
+    )
+
+    rotated = model.input_component
+    for k, kind in enumerate(model.input_spec.choices):
+        rotated = apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
+    input_probs = np.abs(rotated.amplitudes) ** 2
+
+    return (
+        Distribution(n, samp / samp.sum()),
+        Distribution(n, input_probs / input_probs.sum()),
+        Distribution(n + 1, prop_x / prop_x.sum()),
+        Distribution(n + 1, prop_y / prop_y.sum()),
+    )
 
 
 # Reference chunk kernel and counters: the verifier's earlier masked

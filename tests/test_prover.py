@@ -5,6 +5,7 @@ measurement tests read its output through run_protocol's transcript columns.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from fklab.analysis import DensityMatrix, exact_parameters
 from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
+from fklab import prover
 from fklab.prover import (
     MODE_ORDER,
     HistoryStateModel,
     NoiseModel,
+    _overlap_sq_at_eta,
     echo_prepare,
     exact_model_parameters,
     ideal_history_state,
@@ -25,7 +28,7 @@ from fklab.prover import (
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import Distribution, product_state, rotated_basis, state_fidelity
+from fklab.simulator import Distribution, product_state, state_fidelity, zz_phases
 from fklab.verifier import BASIS_X, BASIS_Y, ProtocolConfig, run_protocol
 
 from conftest import (
@@ -36,6 +39,9 @@ from conftest import (
     ideal_output_distribution,
     kron_chain,
     reference_echo_amplitudes,
+    reference_interaction_energies,
+    reference_mode_tables,
+    rotated_basis,
     small_lattices,
     spectral_expm,
     u_value,
@@ -79,7 +85,7 @@ def test_clock_phase_invariance(lattice, spec, theta):
 
 
 def test_evolution_scale_hits_target_overlap(lattice, spec):
-    eta = tune_evolution_scale(lattice, spec, 0.999)
+    eta = tune_evolution_scale(lattice, 0.999)
     params = exact_model_parameters(honest(lattice, spec, evolution_scale=eta))
     assert abs(4.0 * abs(params.tr_rho_o10) ** 2 - 0.999) < 1e-6
     assert abs(params.f_in - 1.0) < 1e-12
@@ -423,6 +429,74 @@ def test_mode_distributions_match_dense_joints(rows, cols, rate):
         assert np.max(np.abs(table.probabilities - joint / joint.sum())) < 1e-12
 
 
+REFERENCE_MODELS = {
+    "honest": lambda lat, spec: honest(lat, spec),
+    "noisy": lambda lat, spec: honest(
+        lat, spec, clock_phase_theta=0.3, evolution_scale=0.02, input_tilt=0.05
+    ),
+    "depolarized_0.1": lambda lat, spec: honest(lat, spec, depolarizing_rate=0.1),
+    "depolarized_1.0": lambda lat, spec: honest(lat, spec, depolarizing_rate=1.0),
+    "degraded": lambda lat, spec: make_degraded_model(lat, spec, 0.97, 0.95),
+}
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
+def test_mode_tables_match_amplitude_reference(kind, rows, cols):
+    # The closed-form input and propagation tables against the amplitude
+    # formulas (and the gate loop) they replace; the sampling table is the
+    # same expression, so it must match bit for bit.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = REFERENCE_MODELS[kind](lat, spec)
+    dists = mode_distributions(model)
+    reference = reference_mode_tables(model)
+    assert np.array_equal(dists.sample_given_minus.probabilities, reference[0].probabilities)
+    for name, table in zip(MODE_ORDER[1:], reference[1:]):
+        assert np.max(np.abs(getattr(dists, name).probabilities - table.probabilities)) < 1e-14
+
+
+def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice, spec):
+    assert [f.name for f in dataclasses.fields(HistoryStateModel)] == [
+        "lattice", "input_spec", "clock_phase", "evolution_scale", "input_tilt",
+        "tilted_output", "depolarizing_rate",
+    ]
+
+    def gate_kernel(*args):
+        raise AssertionError("a gate kernel ran during set-up")
+
+    monkeypatch.setattr(prover, "apply_single_qubit", gate_kernel)
+    monkeypatch.setattr(prover, "apply_global_cz", gate_kernel)
+    mode_distributions(make_degraded_model(lattice, spec, 0.97, 0.95))
+    mode_distributions(honest(lattice, spec, input_tilt=0.05, depolarizing_rate=0.1))
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+def test_energy_histogram_overlap_matches_dense_sum(rows, cols):
+    # chi(eta) = sum_z |phi_z|^2 e^{i eta (pi/4) E(z)}, summed over all 2^n
+    # strings with the input's own weights and per-edge energies.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    weights = np.abs(product_state(spec).amplitudes) ** 2
+    energy = reference_interaction_energies(lat)
+    counts = np.bincount((energy.astype(np.int64) + len(lat.edges)) // 2)
+    assert counts.size == len(lat.edges) + 1
+    for eta in (0.0, 0.013, 0.1, 0.7, 2.5):
+        dense = abs(np.sum(weights * np.exp(1j * eta * (np.pi / 4) * energy))) ** 2
+        assert abs(_overlap_sq_at_eta(counts, eta) - dense) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2), (2, 3), (3, 3), (4, 4)])
+def test_ideal_history_state_bit_identical_to_amplitude_formula(rows, cols):
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    phi = product_state(spec).amplitudes
+    for theta in (0.0, 0.7, -1.3):
+        out = phi * zz_phases(lat, 1.0)
+        expected = np.concatenate([phi, np.exp(1j * theta) * out]) / math.sqrt(2)
+        assert np.array_equal(ideal_history_state(lat, spec, theta).amplitudes, expected)
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_alias_tables_share_one_buffer(rate):
     lat = build_lattice(3, 3)
@@ -485,15 +559,12 @@ def test_mode_distributions_cached(lattice, spec):
 
 
 def test_history_model_rejects_bad_mixture(lattice, spec):
-    base = honest(lattice, spec)
     for rate in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValidationError):
             HistoryStateModel(
                 lattice=lattice,
                 input_spec=spec,
                 clock_phase=0.0,
-                input_component=base.input_component,
-                output_component=base.output_component,
                 depolarizing_rate=rate,
             )
 

@@ -1,6 +1,9 @@
 """Statevector kernel tests against dense-matrix oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +18,10 @@ from fklab.simulator import (
     FORMAT_BLOCK,
     _build_alias,
     bitstrings,
+    hamming_weights,
     interaction_energies,
     product_state,
+    state_fidelity,
     walsh_hadamard,
     zz_phases,
 )
@@ -276,6 +281,62 @@ def test_interaction_energies_match_per_edge_sum(rows, cols):
             zz_phases(lattice, time),
             np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16)),
         )
+    # The verifier's u table is the unit-time phase, bit for bit as it was
+    # once computed on its own.
+    assert np.array_equal(zz_phases(lattice, 1.0), np.exp((-1j * np.pi / 4) * energies))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_hamming_weights_match_per_bit_count(n):
+    weights = hamming_weights(n)
+    assert weights.dtype == np.int8
+    assert not weights.flags.writeable
+    assert weights.tolist() == [bin(index).count("1") for index in range(1 << n)]
+
+
+# ---------------------------------------------------------------------------
+# state_fidelity
+
+
+def test_state_fidelity_matches_exact_sum(rng):
+    n = 17
+    a = PureState(n, random_state_vector(n, rng))
+    b = PureState(n, random_state_vector(n, rng))
+    terms = np.conjugate(a.amplitudes) * b.amplitudes
+    exact = math.fsum(terms.real) ** 2 + math.fsum(terms.imag) ** 2
+    assert abs(state_fidelity(a, b) - exact) < 1e-15
+    assert abs(state_fidelity(a, a) - 1.0) < 1e-14
+    with pytest.raises(DimensionMismatchError):
+        state_fidelity(a, PureState(1, [1.0, 0.0]))
+
+
+_FIDELITY_SCRIPT = """
+import numpy as np
+from fklab.simulator import PureState, state_fidelity
+n = 17
+def unit(v):  # np.linalg.norm would itself use BLAS
+    return v / np.sqrt(np.sum(np.abs(v) ** 2))
+v = np.random.default_rng(7).normal(size=(4, 1 << n))
+a = unit(v[0] + 1j * v[1])
+b = unit(a + 1e-3 * unit(v[2] + 1j * v[3]))
+print(repr(state_fidelity(PureState(n, a), PureState(n, b))))
+"""
+
+
+def test_state_fidelity_independent_of_blas_threads():
+    # np.vdot's threaded BLAS sum changes order with the thread count; the
+    # printed fidelity of a pair of 2^17 amplitudes must not.
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _FIDELITY_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
