@@ -44,23 +44,6 @@ class LatticeGeometry:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "edges": [list(e) for e in self.edges],
-            "partition_b": sorted(self.partition_b),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LatticeGeometry":
-        return cls(
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            edges=tuple((int(i), int(j)) for i, j in data["edges"]),
-            partition_b=frozenset(int(i) for i in data["partition_b"]),
-        )
-
 
 def build_lattice(rows: int, cols: int) -> LatticeGeometry:
     """Construct the rows x cols nearest-neighbor geometry.
@@ -92,13 +75,6 @@ class InputSpec:
     @property
     def num_qubits(self) -> int:
         return len(self.choices)
-
-    def to_json_dict(self) -> dict:
-        return {"choices": [c.value for c in self.choices]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "InputSpec":
-        return cls(choices=tuple(InputType(v) for v in data["choices"]))
 
 
 def random_input(n: int, rng: np.random.Generator) -> InputSpec:

@@ -30,25 +30,25 @@ from .simulator import (
     MAX_DENSE_QUBITS,
     PAULI_X,
     PureState,
+    _build_alias,
     apply_global_cz,
     apply_single_qubit,
     hamming_weights,
     interaction_energies,
     product_state,
-    shared_alias_tables,
     walsh_hadamard,
     zz_phases,
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
 MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
-# Peak set-up memory per outcome-table entry: the honest model, its four mode
-# tables and their shared alias buffer, as peak RSS above the post-import
-# baseline divided by the table entries. Measured 56.7 B at n = 18, 54.6 B at
-# n = 20 and 54.7 B at n = 22 (Python 3.11, numpy 2.4, x86-64).
-SETUP_BYTES_PER_TABLE_ENTRY = 64
+# Peak set-up memory per basis state: the model, its four mode tables and
+# their (4, 2^n) alias buffer, as peak RSS above the baseline after lattice
+# and input, divided by 2^n. Measured at n = 18/20/22: honest 168.3/160.6/
+# 158.7 B, degraded 198.3/176.6/177.2 B (Python 3.11, numpy 2.4, x86-64).
+SETUP_BYTES_PER_BASIS_STATE = 224
 # Half of an 8 GB host, which leaves room for the copy columns (at most
-# 1 GiB) and the outputs. It admits n <= 23; n = 24 would need 6 GiB.
+# 1 GiB) and the outputs. It admits n <= 24 (3.5 GiB); n = 25 needs 7 GiB.
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
@@ -80,15 +80,6 @@ class NoiseModel:
         for name in ("clock_phase_theta", "evolution_scale", "input_tilt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.clock_phase_theta,
-            "eta": self.evolution_scale,
-            "input_tilt": self.input_tilt,
-            "meas_flip": self.measurement_flip_rate,
-            "depolarizing": self.depolarizing_rate,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NoiseModel":
@@ -147,10 +138,10 @@ class HistoryStateModel:
     @cached_property
     def output_component(self) -> PureState:
         evolved = self.input_component if self.tilted_output else product_state(self.input_spec)
-        # One expression: from 256 KiB numpy reuses the phase temporary, rounding
-        # phases * amplitudes (not bitwise commutative); samples are pinned to it.
-        phased = evolved.amplitudes * zz_phases(self.lattice, 1.0 + self.evolution_scale)
-        return PureState(self.num_system_qubits, phased)
+        # Complex products are not bitwise commutative, so the operand order is
+        # fixed here (phases first) rather than left to numpy's temporary reuse.
+        phases = zz_phases(self.lattice, 1.0 + self.evolution_scale)
+        return PureState(self.num_system_qubits, np.multiply(phases, evolved.amplitudes, out=phases))
 
     def components(self) -> list[tuple[float, PureState]]:
         """The coherent output component and its weight 1-p."""
@@ -368,12 +359,12 @@ def ideal_history_state(
 
 
 def setup_bytes(num_system: int) -> int:
-    """Peak set-up memory of a run on n system qubits. Its mode tables hold
-    2^n + 2^n + 2^(n+1) + 2^(n+1) = 6 * 2^n entries."""
-    return SETUP_BYTES_PER_TABLE_ENTRY * (6 << num_system)
+    """Peak set-up memory of a run on n system qubits."""
+    return SETUP_BYTES_PER_BASIS_STATE << num_system
 
 
-# The order of the four outcome tables in ModeDistributions' shared alias buffer.
+# The order of the four outcome tables, which is the row order of
+# ModeDistributions' alias buffer.
 MODE_ORDER = ("sample_given_minus", "input_given_plus", "prop_x", "prop_y")
 
 
@@ -383,9 +374,8 @@ class ModeDistributions:
 
     Precomputed once per model so copies sample in O(1). Joint propagation
     outcomes are indexed j = b_bit * 2^n + z with b_bit 0 meaning clock
-    outcome +1. The four alias tables are slices of one (alias, accept)
-    buffer in MODE_ORDER; table_size (as float64) and table_offset give each
-    slice's size and start in that order.
+    outcome +1. Every alias table has 2^n bins, and table t's is row t of
+    one (4, 2^n) (alias, accept) pair, in MODE_ORDER.
     """
 
     num_system: int
@@ -394,11 +384,8 @@ class ModeDistributions:
     input_given_plus: Distribution
     prop_x: Distribution
     prop_y: Distribution
-    u_table: np.ndarray
     alias: np.ndarray
     accept: np.ndarray
-    table_size: np.ndarray
-    table_offset: np.ndarray
 
 
 _DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" = (
@@ -406,39 +393,54 @@ _DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" =
 )
 
 
-def _mode_tables(model: HistoryStateModel) -> tuple[Distribution, ...]:
-    """The four measurement distributions of a model, in MODE_ORDER.
+def _mode_tables(
+    model: HistoryStateModel, alias: np.ndarray, accept: np.ndarray
+) -> tuple[Distribution, ...]:
+    """The four measurement distributions of a model, in MODE_ORDER, with their
+    alias tables written into the rows of (alias, accept).
 
     All of a and b have modulus 2^(-n/2), so e^{i theta} b_z / a_z = e^{i phi}
     with phi = theta + (t_out - t_in)(w - n/2) - (pi/4)(1+eta)E for z of weight
     w and energy E. A depolarized propagation half is 2^-n/2 (1 +- (1-p) cos phi)
-    in X and the same with sin phi in Y. The input test reads back each qubit's
-    input state with c = cos^2(t_in/2), so z has c^(n-w) s^w, s = sin^2(t_in/2).
+    in X and the same with sin phi in Y. So a propagation alias table is closed
+    form: bin z keeps z (clock +1) with accept (1 + (1-p) cos phi) / 2 and else
+    aliases z + 2^n (clock -1), and the dense table is read off that row. The
+    input test reads back each qubit's input state with c = cos^2(t_in/2), so
+    z has c^(n-w) s^w, s = sin^2(t_in/2); that product law and the sampling
+    table get a Vose build.
     """
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
     weight = hamming_weights(n)
     samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
+    sample_given_minus = Distribution(n, samp / samp.sum())
+    del samp
 
     t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
-    phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
-    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
-    half = 0.5 / dim
-    cos, sin = (1.0 - p) * half * np.cos(phi), (1.0 - p) * half * np.sin(phi)
-    prop_x = np.concatenate([half + cos, half - cos])
-    prop_y = np.concatenate([half + sin, half - sin])
-
     c, s = math.cos(t_in / 2) ** 2, math.sin(t_in / 2) ** 2
     w = np.arange(n + 1)
-    input_probs = (c ** (n - w) * s**w)[weight]
+    input_given_plus = Distribution(n, (c ** (n - w) * s**w)[weight])
+    for row, table in enumerate((sample_given_minus, input_given_plus)):
+        table._alias = _build_alias(table.probabilities, (alias[row], accept[row]))
 
-    return (
-        Distribution(n, samp / samp.sum()),
-        Distribution(n, input_probs),
-        Distribution(n + 1, prop_x),
-        Distribution(n + 1, prop_y),
+    phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
+    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
+    alias[2:] = np.arange(dim, 2 * dim)
+    np.cos(phi, out=accept[2])
+    np.sin(phi, out=accept[3])
+    del phi
+    accept[2:] *= 0.5 * (1.0 - p)
+    accept[2:] += 0.5
+    prop_x, prop_y = (
+        Distribution(
+            n + 1,
+            np.concatenate([accept[row], 1.0 - accept[row]]) / dim,
+            _alias=(alias[row], accept[row]),
+        )
+        for row in (2, 3)
     )
+    return sample_given_minus, input_given_plus, prop_x, prop_y
 
 
 def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
@@ -451,18 +453,15 @@ def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
     cached = _DIST_CACHE.get(model)
     if cached is not None:
         return cached
-    # The dense tables' temporaries are freed before the alias build starts.
-    tables = _mode_tables(model)
-    alias, accept, offsets = shared_alias_tables(tables)
+    dim = 1 << model.num_system_qubits
+    alias = np.empty((len(MODE_ORDER), dim), dtype=np.int64)
+    accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
     dists = ModeDistributions(
         num_system=model.num_system_qubits,
         p_clock_minus=0.5,
-        **dict(zip(MODE_ORDER, tables)),
-        u_table=zz_phases(model.lattice, 1.0),
+        **dict(zip(MODE_ORDER, _mode_tables(model, alias, accept))),
         alias=alias,
         accept=accept,
-        table_size=np.array([t.probabilities.size for t in tables], dtype=np.float64),
-        table_offset=offsets,
     )
     _DIST_CACHE[model] = dists
     return dists

@@ -13,6 +13,7 @@ All operations return fresh states; inputs are never mutated.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -103,6 +104,13 @@ def hamming_weights(num_qubits: int) -> np.ndarray:
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
     """Diagonal of the time-t coupling evolution over the lattice register."""
     return np.exp((-1j * time * np.pi / 4) * interaction_energies(lattice))
+
+
+def zz_phase_levels(lattice: LatticeGeometry) -> np.ndarray:
+    """zz_phases(lattice, 1.0) by energy: entry E + edges is e^{-i pi E/4}, the
+    phase of every string of interaction energy E, bit for bit."""
+    edges = lattice.num_edges
+    return np.exp((-1j * np.pi / 4) * np.arange(-edges, edges + 1, dtype=np.int16))
 
 
 def walsh_hadamard(state: PureState) -> PureState:
@@ -247,7 +255,9 @@ class Distribution:
     """Discrete distribution over n-bit outcomes with an alias table.
 
     Sampling costs two uniforms per draw regardless of the support size.
-    Outcomes are integer indices; bit k of an index is qubit k's bit.
+    Outcomes are integer indices; bit k of an index is qubit k's bit. The
+    alias table may have fewer bins than there are outcomes, when its aliases
+    reach outcomes that no bin keeps: pick draws its bin among alias.size.
     """
 
     num_bits: int
@@ -281,26 +291,6 @@ class Distribution:
         return np.where(u_coin < accept[bins], bins, alias[bins])
 
 
-def shared_alias_tables(tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build the alias tables of several distributions into one buffer.
-
-    The tables are built in place, in order, into consecutive slices of one
-    (alias, accept) pair of arrays, and each distribution's own table
-    becomes a view of its slice. Alias indices stay local to each table, so
-    a distribution's pick draws exactly as a standalone build would, and
-    local bin l of table t is entry offsets[t] + l of the pair. Returns
-    (alias, accept, offsets).
-    """
-    sizes = [table.probabilities.size for table in tables]
-    offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-    alias = np.empty(sum(sizes), dtype=np.int64)
-    accept = np.empty(sum(sizes), dtype=np.float64)
-    for table, start, size in zip(tables, offsets.tolist(), sizes):
-        rows = slice(start, start + size)
-        table._alias = _build_alias(table.probabilities, (alias[rows], accept[rows]))
-    return alias, accept, offsets
-
-
 # Indices are formatted in blocks of this many, so the temporaries stay near
 # 1 MiB whatever the input size.
 FORMAT_BLOCK = 1 << 16
@@ -308,11 +298,13 @@ FORMAT_BLOCK = 1 << 16
 _BYTE_BITS = (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0")).astype(np.uint8)
 
 
-def bitstrings(indices, num_bits: int) -> list[str]:
-    """Format outcome indices in [0, 2^num_bits) as bit strings, qubit 0 first."""
+def bitstrings(indices, num_bits: int) -> Iterator[str]:
+    """Format outcome indices in [0, 2^num_bits) as bit strings, qubit 0 first.
+
+    The strings are yielded block by block, so only one block's text is held.
+    """
     indices = np.asarray(indices)
     num_bytes = (num_bits + 7) // 8
-    out: list[str] = []
     for start in range(0, indices.size, FORMAT_BLOCK):
         block = indices[start : start + FORMAT_BLOCK].astype("<u8")
         count = block.size
@@ -320,8 +312,7 @@ def bitstrings(indices, num_bits: int) -> list[str]:
         chars = np.empty((count, num_bits + 1), dtype=np.uint8)
         chars[:, :num_bits] = _BYTE_BITS[index_bytes].reshape(count, 8 * num_bytes)[:, :num_bits]
         chars[:, num_bits] = ord("\n")
-        out.extend(chars.tobytes().decode("ascii").split("\n")[:-1])
-    return out
+        yield from chars.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

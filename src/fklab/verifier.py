@@ -17,7 +17,7 @@ Copy i reads uk = u[k, i]:
   u2 < 0.5   basis X, else Y, read only by a propagation copy;
   u3 < p_clock_minus (1/2)  the clock reads -1, for sampling and input-test
              copies; a propagation copy's clock is bit n of its outcome;
-  u4, u5     the alias pick from the copy's table: bin int(u4 * size), kept
+  u4, u5     the alias pick from the copy's table: bin int(u4 * 2^n), kept
              when u5 < accept[bin], else alias[bin]. A sampling copy is
              measured on clock -1, an input-test copy on clock +1, and a
              propagation copy always; the others keep sys_idx -1.
@@ -28,6 +28,7 @@ eps flips outcome bit k of a measured copy.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -37,7 +38,7 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import MODE_ORDER, HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
-from .simulator import bitstrings
+from .simulator import bitstrings, interaction_energies, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
 # 1 GiB of transcript columns at 8 B per copy, the memory the 26-qubit
@@ -130,7 +131,7 @@ class EstimatorReport:
             "counters": self.counters.to_json_dict(),
         }
 
-    def sample_bitstrings(self) -> list[str]:
+    def sample_bitstrings(self) -> Iterator[str]:
         return bitstrings(self.samples, self.num_system)
 
 
@@ -140,8 +141,9 @@ class ProtocolTranscript:
 
     basis is BASIS_X/BASIS_Y for propagation copies, BASIS_NONE otherwise;
     sys_idx is -1 when no system measurement happened; clock holds the
-    reported clock outcome. A propagation copy's u is u_table[sys_idx], looked
-    up when it is read rather than stored.
+    reported clock outcome. A propagation copy's u = e^{-i pi E/4} is read,
+    when it is needed, from u_levels at the outcome's interaction energy E
+    (energies, the cached per-string array), rather than stored.
     """
 
     num_copies: int
@@ -152,7 +154,12 @@ class ProtocolTranscript:
     basis: np.ndarray
     clock: np.ndarray
     sys_idx: np.ndarray
-    u_table: np.ndarray
+    energies: np.ndarray
+    u_levels: np.ndarray
+
+    def u_values(self, outcomes: np.ndarray) -> np.ndarray:
+        """u of each propagation outcome: entry E + edges of u_levels."""
+        return self.u_levels[self.energies[outcomes] + self.u_levels.size // 2]
 
     def record(self, i: int) -> dict:
         if not 0 <= i < self.num_copies:
@@ -168,8 +175,8 @@ class ProtocolTranscript:
         rows = slice(start, stop)
         basis = self.basis[rows]
         sys_idx = self.sys_idx[rows]
-        outcomes = iter(bitstrings(sys_idx[sys_idx >= 0], self.num_system))
-        u = self.u_table[sys_idx[basis != BASIS_NONE]]
+        outcomes = bitstrings(sys_idx[sys_idx >= 0], self.num_system)
+        u = self.u_values(sys_idx[basis != BASIS_NONE])
         u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
         names = {BASIS_X: "X", BASIS_Y: "Y", BASIS_NONE: None}
         for i, b_samp, b_test, b, clock, z in zip(
@@ -206,7 +213,7 @@ class ProtocolTranscript:
         total = Counters()
         samples = []
         for start in range(0, self.num_copies, self.chunk_size):
-            counters, chunk_samples = _chunk_counters(*self._chunk_rows(start), self.u_table)
+            counters, chunk_samples = _chunk_counters(*self._chunk_rows(start), self.u_values)
             for f in fields(Counters):
                 setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
             samples.append(chunk_samples)
@@ -216,7 +223,7 @@ class ProtocolTranscript:
 
 
 def _chunk_counters(
-    b_sampling, b_testtype, basis, clock, sys_idx, u_table
+    b_sampling, b_testtype, basis, clock, sys_idx, u_values
 ) -> tuple[Counters, np.ndarray]:
     """Counters and published samples of one chunk of transcript columns.
 
@@ -240,7 +247,7 @@ def _chunk_counters(
     )
     for basis_code in (BASIS_X, BASIS_Y):
         sel = np.flatnonzero(basis == basis_code)
-        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_table[sys_idx[sel]]))
+        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_values(sys_idx[sel])))
         if basis_code == BASIS_X:
             counters.s_xu = contrib
             counters.n_x = sel.size
@@ -264,8 +271,8 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
     """Measure one chunk of copies, writing every entry of its column views.
 
     Every copy draws from its own table in one pass over the chunk: its code
-    selects the table's size and offset in the shared alias buffer, and the
-    pick is Distribution.pick's arithmetic on local bins.
+    selects the table's row of the (4, 2^n) alias buffer, and the pick is
+    Distribution.pick's arithmetic on that row.
     """
     b_sampling, b_testtype, basis, clock, sys_idx = rows
     count = b_sampling.size
@@ -280,10 +287,10 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
     np.take(_BASIS_OF_CODE, code, out=basis)
     prop = basis != BASIS_NONE
 
-    # Every table size is a power of two, so u4 * size is exact and below
-    # size: Distribution.pick's clamp to size - 1 never binds here.
-    local = (u_rand[4] * np.take(dists.table_size[_TABLE_OF_CODE], code)).astype(np.int64)
-    entry = local + np.take(dists.table_offset[_TABLE_OF_CODE], code)
+    # Every table has 2^n bins, so u4 * 2^n is exact and below 2^n:
+    # Distribution.pick's clamp to 2^n - 1 never binds here.
+    local = (u_rand[4] * float(1 << n)).astype(np.int64)
+    entry = (np.take(_TABLE_OF_CODE, code) << n) | local
     j = np.where(u_rand[5] < np.take(dists.accept, entry), local, np.take(dists.alias, entry))
 
     # A propagation outcome carries its clock bit at bit n; a sampling or
@@ -368,7 +375,8 @@ def run_protocol(
         basis=np.empty(n_m, dtype=np.int8),
         clock=np.empty(n_m, dtype=np.int8),
         sys_idx=np.empty(n_m, dtype=np.int32),
-        u_table=dists.u_table,
+        energies=interaction_energies(lattice),
+        u_levels=zz_phase_levels(lattice),
     )
     n_chunks = (n_m + CHUNK_SIZE - 1) // CHUNK_SIZE
 

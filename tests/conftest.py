@@ -153,7 +153,7 @@ def apply_zz_evolution(state, lattice, time):
         raise DimensionMismatchError(
             f"state has {state.num_qubits} qubits, lattice has {lattice.num_qubits}"
         )
-    return PureState(state.num_qubits, state.amplitudes * zz_phases(lattice, time))
+    return PureState(state.num_qubits, zz_phases(lattice, time) * state.amplitudes)
 
 
 def ideal_output_distribution(lattice, spec):

@@ -289,7 +289,7 @@ class _ModelBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("rows,cols,admitted", [(4, 5, True), (4, 6, False), (5, 5, False)])
+@pytest.mark.parametrize("rows,cols,admitted", [(4, 5, True), (4, 6, True), (5, 5, False)])
 def test_run_setup_memory_guard(tmp_path, monkeypatch, capsys, rows, cols, admitted):
     """The guard acts at config load, before any model is built."""
 

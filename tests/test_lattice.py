@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fklab.errors import InvalidDimensionError
-from fklab.lattice import InputType, LatticeGeometry, build_lattice, random_input
+from fklab.lattice import InputType, build_lattice, random_input
 
 from conftest import brute_force_edges
 
@@ -52,13 +52,6 @@ def test_invalid_dimensions(rows, cols):
         build_lattice(rows, cols)
 
 
-def test_geometry_json_round_trip():
-    lat = build_lattice(3, 4)
-    data = lat.to_json_dict()
-    assert set(data) == {"rows", "cols", "edges", "partition_b"}
-    assert LatticeGeometry.from_json_dict(data) == lat
-
-
 def test_random_input_deterministic():
     a = random_input(4, np.random.default_rng(123))
     b = random_input(4, np.random.default_rng(123))
@@ -82,10 +75,3 @@ def test_random_input_balanced():
 def test_random_input_rejects_zero_length():
     with pytest.raises(InvalidDimensionError):
         random_input(0, np.random.default_rng(0))
-
-
-def test_input_spec_json_round_trip():
-    spec = random_input(6, np.random.default_rng(5))
-    from fklab.lattice import InputSpec
-
-    assert InputSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -15,6 +15,7 @@ from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab import prover
+from fklab.rng import TAG_COPIES, substream
 from fklab.prover import (
     MODE_ORDER,
     HistoryStateModel,
@@ -183,11 +184,15 @@ def test_noise_model_validation():
 
 
 def test_noise_model_json_keys():
-    noise = NoiseModel(clock_phase_theta=0.1, evolution_scale=0.2, input_tilt=0.3,
-                       measurement_flip_rate=0.05, depolarizing_rate=0.01)
-    data = noise.to_json_dict()
-    assert set(data) == {"theta", "eta", "input_tilt", "meas_flip", "depolarizing"}
-    assert NoiseModel.from_json_dict(data) == noise
+    # The keys of a config's prover.noise section, each mapped to its field;
+    # a missing key means no noise of that kind.
+    data = {"theta": 0.1, "eta": 0.2, "input_tilt": 0.3, "meas_flip": 0.05, "depolarizing": 0.01}
+    assert NoiseModel.from_json_dict(data) == NoiseModel(
+        clock_phase_theta=0.1, evolution_scale=0.2, input_tilt=0.3,
+        measurement_flip_rate=0.05, depolarizing_rate=0.01,
+    )
+    assert NoiseModel.from_json_dict({"eta": 0.2}) == NoiseModel(evolution_scale=0.2)
+    assert NoiseModel.from_json_dict({}) == NoiseModel()
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +497,7 @@ def test_ideal_history_state_bit_identical_to_amplitude_formula(rows, cols):
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     phi = product_state(spec).amplitudes
     for theta in (0.0, 0.7, -1.3):
-        out = phi * zz_phases(lat, 1.0)
+        out = zz_phases(lat, 1.0) * phi
         expected = np.concatenate([phi, np.exp(1j * theta) * out]) / math.sqrt(2)
         assert np.array_equal(ideal_history_state(lat, spec, theta).amplitudes, expected)
 
@@ -503,25 +508,50 @@ def test_alias_tables_share_one_buffer(rate):
     spec = random_input(9, np.random.default_rng(33))
     dists = mode_distributions(_depolarized_model(lat, spec, rate))
     n = lat.num_qubits
-    assert dists.alias.shape == dists.accept.shape == (6 << n,)
+    assert dists.alias.shape == dists.accept.shape == (4, 1 << n)
     u = np.random.default_rng(5).random((2, 100_000))
-    start = 0
     for t, name in enumerate(MODE_ORDER):
         table = getattr(dists, name)
-        size = table.probabilities.size
-        assert dists.table_size[t] == float(size)
-        assert dists.table_offset[t] == start
         alias, accept = table._alias
-        # Each table's alias arrays are its slice of the buffer: nothing is
+        # Each table's alias arrays are its row of the buffer: nothing is
         # stored twice.
-        assert np.shares_memory(alias, dists.alias) and np.shares_memory(accept, dists.accept)
-        assert alias.size == accept.size == size
-        assert np.array_equal(alias, dists.alias[start : start + size])
-        assert np.array_equal(accept, dists.accept[start : start + size])
+        assert alias.base is dists.alias and accept.base is dists.accept
+        assert np.array_equal(alias, dists.alias[t]) and np.array_equal(accept, dists.accept[t])
+        if name.startswith("prop"):
+            continue
+        # The sampling and input-test rows are the Vose build of their table.
         standalone = Distribution(table.num_bits, table.probabilities)
         assert np.array_equal(table.pick(u[0], u[1]), standalone.pick(u[0], u[1]))
-        start += size
-    assert start == 6 << n
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
+def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
+    # Bin z of a propagation row keeps z (clock +1) and aliases z + 2^n (clock
+    # -1). The law the row encodes is the reference joint and, bit for bit,
+    # the table's own probabilities, and the chunk kernel draws as pick does.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = REFERENCE_MODELS[kind](lat, spec)
+    dists = mode_distributions(model)
+    reference = reference_mode_tables(model)
+    n, dim = lat.num_qubits, 1 << lat.num_qubits
+    seed, count = 606, 20_000
+    transcript, _ = _run(model, lat, spec, count, seed=seed)
+    u_rand = substream(seed, TAG_COPIES, 0).random((6, count))
+    for row, basis, ref in ((2, BASIS_X, reference[2]), (3, BASIS_Y, reference[3])):
+        table = getattr(dists, MODE_ORDER[row])
+        alias, accept = dists.alias[row], dists.accept[row]
+        assert np.array_equal(alias, np.arange(dim) + dim)
+        law = np.zeros(2 * dim)
+        law[:dim] += accept / dim
+        law[alias] += (1.0 - accept) / dim
+        assert np.array_equal(law, table.probabilities)
+        assert np.max(np.abs(law - ref.probabilities)) < 1e-14
+        sel = transcript.basis == basis
+        joint = table.pick(u_rand[4][sel], u_rand[5][sel])
+        assert np.array_equal(joint & (dim - 1), transcript.sys_idx[sel])
+        assert np.array_equal(np.where(joint >> n, -1, 1), transcript.clock[sel])
 
 
 def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):

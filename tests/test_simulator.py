@@ -23,6 +23,7 @@ from fklab.simulator import (
     product_state,
     state_fidelity,
     walsh_hadamard,
+    zz_phase_levels,
     zz_phases,
 )
 
@@ -282,8 +283,11 @@ def test_interaction_energies_match_per_edge_sum(rows, cols):
             np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16)),
         )
     # The verifier's u table is the unit-time phase, bit for bit as it was
-    # once computed on its own.
-    assert np.array_equal(zz_phases(lattice, 1.0), np.exp((-1j * np.pi / 4) * energies))
+    # once computed on its own, and the verifier reads it by energy level.
+    u_table = zz_phases(lattice, 1.0)
+    assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * energies))
+    by_level = zz_phase_levels(lattice)[energies + len(lattice.edges)]
+    assert np.array_equal(by_level.view(np.uint64), u_table.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -398,10 +402,12 @@ def test_sample_deterministic_given_seed():
 
 def _alias_probabilities(dist):
     """Rebuild the distribution an alias table encodes: bin i keeps
-    accept[i] of its 1/size share and hands the rest to alias[i]."""
+    accept[i] of its 1/size share and hands the rest to alias[i]. The table
+    may have fewer bins than the distribution has outcomes."""
     alias, accept = dist._table()
-    size = alias.size
-    return (accept + np.bincount(alias, weights=1.0 - accept, minlength=size)) / size
+    size, outcomes = alias.size, dist.probabilities.size
+    kept = np.bincount(np.arange(size), weights=accept, minlength=outcomes)
+    return (kept + np.bincount(alias, weights=1.0 - accept, minlength=outcomes)) / size
 
 
 @pytest.fixture(scope="module")
@@ -520,14 +526,16 @@ def _bitstring_per_bit(index, num_bits):
 
 
 def test_bitstring_formatting():
-    assert bitstrings([0b0110, 0b0001, 0], 4) == ["0110", "1000", "0000"]
+    assert list(bitstrings([0b0110, 0b0001, 0], 4)) == ["0110", "1000", "0000"]
     for n in range(1, 11):
-        assert bitstrings(np.arange(1 << n), n) == [_bitstring_per_bit(i, n) for i in range(1 << n)]
+        assert list(bitstrings(np.arange(1 << n), n)) == [
+            _bitstring_per_bit(i, n) for i in range(1 << n)
+        ]
     rng = np.random.default_rng(16)
     for n in (16, 20, 26):
         indices = rng.integers(0, 1 << n, size=2000)
-        assert bitstrings(indices, n) == [_bitstring_per_bit(i, n) for i in indices.tolist()]
-    assert bitstrings(np.zeros(0, dtype=np.uint32), 16) == []
+        assert list(bitstrings(indices, n)) == [_bitstring_per_bit(i, n) for i in indices.tolist()]
+    assert list(bitstrings(np.zeros(0, dtype=np.uint32), 16)) == []
     for count in (FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1):
         indices = rng.integers(0, 1 << 16, size=count).astype(np.uint32)
-        assert bitstrings(indices, 16) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
+        assert list(bitstrings(indices, 16)) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]

@@ -17,6 +17,7 @@ from fklab.prover import (
     make_honest_model,
     mode_distributions,
 )
+from fklab.simulator import zz_phases
 from fklab.verifier import CHUNK_SIZE, MAX_COPIES, Counters, ProtocolConfig, decide, run_protocol
 
 from conftest import reference_chunk_counters, reference_process_chunk, u_value
@@ -130,12 +131,12 @@ def _old_bitstring(index, num_bits):
     return format(index, f"0{num_bits}b")[::-1]
 
 
-def _record_per_copy(transcript, i):
-    """One copy's record built by per-copy numpy indexing, the reference for
-    the columnar iter_records."""
+def _record_per_copy(transcript, i, u_table):
+    """One copy's record built by per-copy numpy indexing into the dense
+    2^n u table, the reference for the columnar iter_records."""
     has_sys = transcript.sys_idx[i] >= 0
     prop = transcript.basis[i] != -1
-    u = transcript.u_table[transcript.sys_idx[i]] if prop else None
+    u = u_table[transcript.sys_idx[i]] if prop else None
     return {
         "copy_index": i,
         "b_sampling": int(transcript.b_sampling[i]),
@@ -161,13 +162,14 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
     config = ProtocolConfig(num_copies=100_000, master_seed=606)
     transcript, _ = run_protocol(model, lattice, spec, config, noise=noise)
     lines = [json.dumps(r, sort_keys=True) + "\n" for r in transcript.iter_records()]
+    u_table = zz_phases(lattice, 1.0)
     reference = [
-        json.dumps(_record_per_copy(transcript, i), sort_keys=True) + "\n"
+        json.dumps(_record_per_copy(transcript, i, u_table), sort_keys=True) + "\n"
         for i in range(transcript.num_copies)
     ]
     assert "".join(lines) == "".join(reference)
     for i in (0, CHUNK_SIZE - 1, CHUNK_SIZE, transcript.num_copies - 1):
-        assert transcript.record(i) == _record_per_copy(transcript, i)
+        assert transcript.record(i) == _record_per_copy(transcript, i, u_table)
     for i in (-1, transcript.num_copies):
         with pytest.raises(IndexError):
             transcript.record(i)
@@ -211,7 +213,7 @@ def _reference_run(model, num_copies, master_seed, eps):
     for start in range(0, num_copies, CHUNK_SIZE):
         rows = tuple(column[start : start + CHUNK_SIZE] for column in columns)
         reference_process_chunk(dists, master_seed, start // CHUNK_SIZE, eps, rows)
-        counters, chunk_samples = reference_chunk_counters(*rows, dists.u_table)
+        counters, chunk_samples = reference_chunk_counters(*rows, zz_phases(model.lattice, 1.0))
         for f in fields(Counters):
             setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
         samples.append(chunk_samples)
@@ -423,7 +425,7 @@ def test_report_json_schema(setup_2x2):
 def test_sample_bitstrings_shape(setup_2x2):
     lattice, spec, model = setup_2x2
     _, report = run(model, lattice, spec, 10_000, seed=5)
-    strings = report.sample_bitstrings()
+    strings = list(report.sample_bitstrings())
     assert len(strings) == report.samples.size
     assert all(len(s) == 4 and set(s) <= {"0", "1"} for s in strings)
     assert strings == [_old_bitstring(x, 4) for x in report.samples.tolist()]
