@@ -8,7 +8,9 @@ are computed spectrally.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +52,19 @@ PAULI_MATRICES = {
 # Dense building blocks
 
 
-def dense_pauli(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string; label[k] acts on qubit k (bit k)."""
-    out = np.array([[1.0 + 0.0j]])
+def _validate_pauli_label(label: str, num_qubits: int | None = None) -> None:
+    if num_qubits is not None and len(label) != num_qubits:
+        raise ValidationError(f"label {label!r} has length {len(label)}, expected {num_qubits}")
     for ch in label:
         if ch not in PAULI_MATRICES:
             raise ValidationError(f"malformed Pauli label character {ch!r}")
+
+
+def dense_pauli(label: str) -> np.ndarray:
+    """Dense matrix of a Pauli string; label[k] acts on qubit k (bit k)."""
+    _validate_pauli_label(label)
+    out = np.array([[1.0 + 0.0j]])
+    for ch in label:
         out = np.kron(PAULI_MATRICES[ch], out)
     return out
 
@@ -65,10 +74,7 @@ def dense_hamiltonian(terms, num_qubits: int) -> np.ndarray:
     dim = 1 << num_qubits
     h = np.zeros((dim, dim), dtype=np.complex128)
     for coeff, label in terms:
-        if len(label) != num_qubits:
-            raise ValidationError(
-                f"term {label!r} has length {len(label)}, expected {num_qubits}"
-            )
+        _validate_pauli_label(label, num_qubits)
         h += complex(coeff) * dense_pauli(label)
     return h
 
@@ -117,7 +123,7 @@ def apply_two_qubit_dense(vec: np.ndarray, num_qubits: int, qi: int, qj: int, ga
 # Exact protocol parameters
 
 
-MAX_DENSITY_QUBITS = MAX_DENSE_QUBITS + 1  # clock included
+MAX_CLOCKED_QUBITS = MAX_DENSE_QUBITS + 1  # density matrices and the dense echo: clock included
 
 
 @dataclass
@@ -128,9 +134,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits > MAX_DENSITY_QUBITS:
+        if self.num_qubits > MAX_CLOCKED_QUBITS:
             raise CapacityError(
-                f"{self.num_qubits} qubits exceeds the {MAX_DENSITY_QUBITS}-qubit density guard"
+                f"{self.num_qubits} qubits exceeds the {MAX_CLOCKED_QUBITS}-qubit density guard"
             )
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         dim = 1 << self.num_qubits
@@ -317,10 +323,14 @@ class CorrelationScheme:
     """Per-trial observable source; subclasses may correlate trials.
 
     step() consumes one uniform per run and returns (conditional mean,
-    outcome) vectors; outcomes must stay within +-outcome_bound.
+    outcome) vectors; outcomes must stay within +-scale.
     """
 
-    outcome_bound: float
+    scale: float
+
+    @property
+    def outcome_bound(self) -> float:
+        return self.scale
 
     def step(self, u: np.ndarray, prev_outcome: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -332,9 +342,6 @@ class IIDScheme(CorrelationScheme):
 
     p_plus: float = 0.5
     scale: float = 1.0
-
-    def __post_init__(self):
-        self.outcome_bound = self.scale
 
     def step(self, u, prev_outcome):
         mean = np.full(u.shape, self.scale * (2.0 * self.p_plus - 1.0))
@@ -349,9 +356,6 @@ class AlternatingScheme(CorrelationScheme):
     p_plus_a: float = 0.9
     p_plus_b: float = 0.1
     scale: float = 1.0
-
-    def __post_init__(self):
-        self.outcome_bound = self.scale
 
     def step(self, u, prev_outcome):
         if prev_outcome is None:
@@ -369,12 +373,9 @@ class MartingaleTailStats:
     trials: int
     beta: float
     runs: int
-    q50: float
-    q90: float
     q99: float
     max_abs: float
     width_limit: float
-    azuma_q99: float
 
 
 def azuma_tail_bound(deviation: float, trials: int, beta: float) -> float:
@@ -397,9 +398,9 @@ def martingale_experiment(
     """Estimate an observable over correlated trials and measure deviations.
 
     Each run averages `trials` outcomes F_j and subtracts the average of the
-    per-trial conditional means Tr(A sigma_j); quantiles of the absolute
-    deviation are returned. Raises ValidationError if the scheme's outcomes
-    can exceed the stated bound beta.
+    per-trial conditional means Tr(A sigma_j); the 99th percentile and the
+    maximum of the absolute deviation are returned. Raises ValidationError
+    if the scheme's outcomes can exceed the stated bound beta.
     """
     if trials < 1 or runs < 1:
         raise ValidationError("need trials >= 1 and runs >= 1")
@@ -417,32 +418,18 @@ def martingale_experiment(
         mean_sum += mu
         prev = outcome
     dev = np.abs(f_sum - mean_sum) / trials
-    q50, q90, q99 = (float(np.quantile(dev, q)) for q in (0.5, 0.9, 0.99))
     return MartingaleTailStats(
         trials=trials,
         beta=beta,
         runs=runs,
-        q50=q50,
-        q90=q90,
-        q99=q99,
+        q99=float(np.quantile(dev, 0.99)),
         max_abs=float(dev.max()),
         width_limit=3.2 * beta / math.sqrt(trials),
-        azuma_q99=azuma_quantile(0.01, trials, beta),
     )
 
 
 # ---------------------------------------------------------------------------
 # Pauli-product sign inversion and the generalized echo
-
-MAX_GENERAL_ECHO_QUBITS = MAX_DENSE_QUBITS + 1  # clock included
-
-
-def _validate_pauli_label(label: str, num_qubits: int | None = None) -> None:
-    if num_qubits is not None and len(label) != num_qubits:
-        raise ValidationError(f"label {label!r} has length {len(label)}, expected {num_qubits}")
-    for ch in label:
-        if ch not in PAULI_MATRICES:
-            raise ValidationError(f"malformed Pauli label character {ch!r}")
 
 
 def php_negation_check(terms, p: str) -> bool:
@@ -472,9 +459,9 @@ def generalized_echo_prepare(terms, p: str, input_state: PureState, time: float)
     highest qubit of the returned state.
     """
     n = input_state.num_qubits
-    if n + 1 > MAX_GENERAL_ECHO_QUBITS:
+    if n + 1 > MAX_CLOCKED_QUBITS:
         raise CapacityError(
-            f"{n + 1} qubits exceeds the {MAX_GENERAL_ECHO_QUBITS}-qubit dense-echo guard"
+            f"{n + 1} qubits exceeds the {MAX_CLOCKED_QUBITS}-qubit dense-echo guard"
         )
     if not php_negation_check(terms, p):
         raise NotInvertibleError("P does not anticommute with every Hamiltonian term")
@@ -558,16 +545,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Bound-verification suites
 
-SUITE_NAMES = (
-    "cauchy_schwarz",
-    "lower_bound",
-    "tvd_chain",
-    "stochastic",
-    "martingale",
-    "php_echo",
-    "noisy_meas",
-)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -583,36 +560,72 @@ class SuiteResult:
     max_margin: float
 
 
-def _suite_lattice_and_input(seed: int) -> tuple[LatticeGeometry, InputSpec]:
-    lattice = build_lattice(2, 2)
-    return lattice, random_input(lattice.num_qubits, substream(seed, TAG_BOUNDS, 997))
-
-
-def suite_cauchy_schwarz(instances: int, seed: int) -> SuiteResult:
-    """|Tr rho O10|^2 <= 1/4 for arbitrary states."""
-    lattice, spec = _suite_lattice_and_input(seed)
-    rng = substream(seed, TAG_BOUNDS, 0)
-    violations = 0
+def _tally(name: str, margins) -> SuiteResult:
+    """Count the checks and the violations (margin > 0) of a stream of
+    margins, and keep the worst margin (-inf when there is none)."""
+    instances = violations = 0
     worst = -math.inf
+    for margin in margins:
+        instances += 1
+        violations += margin > 0
+        worst = max(worst, margin)
+    return SuiteResult(name, instances, violations, worst)
+
+
+# Every suite by name, in definition order: the order SUITE_NAMES and the CLI list them.
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(name: str):
+    """Register a generator of margins, one per check, as the suite `name`;
+    calling the registered suite tallies its margins."""
+
+    def register(margins: Callable[..., Iterator[float]]) -> Callable[..., SuiteResult]:
+        @functools.wraps(margins)
+        def suite(*args, **kwargs) -> SuiteResult:
+            return _tally(name, margins(*args, **kwargs))
+
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
+def _suite_setting(
+    seed: int, stream: int
+) -> tuple[LatticeGeometry, InputSpec, np.ndarray, np.random.Generator]:
+    """The suites' 2x2 lattice, its input, the ideal output U|phi_in> and the
+    suite's own substream."""
+    lattice = build_lattice(2, 2)
+    spec = random_input(lattice.num_qubits, substream(seed, TAG_BOUNDS, 997))
+    ideal_out = product_state(spec).amplitudes * zz_phases(lattice, 1.0)
+    return lattice, spec, ideal_out, substream(seed, TAG_BOUNDS, stream)
+
+
+def _x_basis_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|WHT psi|^2: the outcome law of measuring every qubit in the X basis."""
+    n = amplitudes.size.bit_length() - 1
+    return np.abs(walsh_hadamard(PureState(n, amplitudes)).amplitudes) ** 2
+
+
+@_suite("cauchy_schwarz")
+def suite_cauchy_schwarz(instances: int, seed: int):
+    """|Tr rho O10|^2 <= 1/4 for arbitrary states."""
+    lattice, spec, _, rng = _suite_setting(seed, 0)
     for _ in range(instances):
         rho = random_density_matrix(lattice.num_qubits + 1, rng)
         params = exact_parameters(rho, lattice, spec)
-        margin = abs(params.tr_rho_o10) ** 2 - 0.25 - 1e-10
-        worst = max(worst, margin)
-        violations += margin > 0
-    return SuiteResult("cauchy_schwarz", instances, violations, worst)
+        yield abs(params.tr_rho_o10) ** 2 - 0.25 - 1e-10
 
 
 # Draws suite_lower_bound makes per instance before it gives up on the regime.
 LOWER_BOUND_DRAWS = 10
 
 
-def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3) -> SuiteResult:
+@_suite("lower_bound")
+def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3):
     """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - slack for in-regime states."""
-    lattice, spec = _suite_lattice_and_input(seed)
-    rng = substream(seed, TAG_BOUNDS, 1)
-    violations = 0
-    worst = -math.inf
+    lattice, spec, _, rng = _suite_setting(seed, 1)
     for _ in range(instances):
         # An out-of-regime draw is replaced by the next one from the same stream.
         for _ in range(LOWER_BOUND_DRAWS):
@@ -628,21 +641,15 @@ def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3) -> SuiteRe
                 f"{LOWER_BOUND_DRAWS} generated states in a row left the epsilon <= 0.02 regime"
             )
         bound = fidelity_lower_bound(abs(params.tr_rho_o10) ** 2, params.f_in)
-        margin = (bound - slack) - params.f_out
-        worst = max(worst, margin)
-        violations += margin > 0
-    return SuiteResult("lower_bound", instances, violations, worst)
+        yield (bound - slack) - params.f_out
 
 
-def suite_tvd_chain(instances: int, seed: int) -> SuiteResult:
+@_suite("tvd_chain")
+def suite_tvd_chain(instances: int, seed: int):
     """tvd(P_ideal, P_real) <= sqrt(1 - f_out) for pure output states."""
-    lattice, spec = _suite_lattice_and_input(seed)
-    rng = substream(seed, TAG_BOUNDS, 2)
+    lattice, _, ideal_out, rng = _suite_setting(seed, 2)
     n = lattice.num_qubits
-    ideal_out = product_state(spec).amplitudes * zz_phases(lattice, 1.0)
-    p_ideal = np.abs(walsh_hadamard(PureState(n, ideal_out)).amplitudes) ** 2
-    violations = 0
-    worst = -math.inf
+    p_ideal = _x_basis_probabilities(ideal_out)
     for k in range(instances):
         if k % 2 == 0:
             raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -650,22 +657,15 @@ def suite_tvd_chain(instances: int, seed: int) -> SuiteResult:
             raw = ideal_out + 0.15 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
         phi = raw / np.linalg.norm(raw)
         f_out = float(np.abs(np.vdot(phi, ideal_out)) ** 2)
-        p_real = np.abs(walsh_hadamard(PureState(n, phi)).amplitudes) ** 2
-        margin = tvd(p_ideal, p_real) - tvd_fidelity_bound(f_out) - 1e-10
-        worst = max(worst, margin)
-        violations += margin > 0
-    return SuiteResult("tvd_chain", instances, violations, worst)
+        yield tvd(p_ideal, _x_basis_probabilities(phi)) - tvd_fidelity_bound(f_out) - 1e-10
 
 
-def suite_stochastic(instances: int, seed: int) -> SuiteResult:
+@_suite("stochastic")
+def suite_stochastic(instances: int, seed: int):
     """(1/2)||rho - sigma||_tr <= stochastic_trace_bound(delta_f, delta_p)."""
-    lattice, spec = _suite_lattice_and_input(seed)
-    rng = substream(seed, TAG_BOUNDS, 3)
+    lattice, _, ideal_out, rng = _suite_setting(seed, 3)
     n = lattice.num_qubits
-    ideal_out = product_state(spec).amplitudes * zz_phases(lattice, 1.0)
     sigma = np.outer(ideal_out, ideal_out.conj())
-    violations = 0
-    worst = -math.inf
     for _ in range(instances):
         raw = ideal_out + rng.uniform(0.0, 0.4) * (
             rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -676,60 +676,27 @@ def suite_stochastic(instances: int, seed: int) -> SuiteResult:
         delta_f = 1.0 - float(np.real(ideal_out.conj() @ rho @ ideal_out))
         delta_p = 1.0 - float(np.real(np.trace(rho @ rho)))
         bound = stochastic_trace_bound(min(max(delta_f, 0.0), 1.0), min(max(delta_p, 0.0), 1.0))
-        margin = trace_distance(rho, sigma) - bound - 1e-10
-        worst = max(worst, margin)
-        violations += margin > 0
-    return SuiteResult("stochastic", instances, violations, worst)
+        yield trace_distance(rho, sigma) - bound - 1e-10
 
 
-def suite_noisy_meas(instances: int, seed: int, eps: float | None = None) -> SuiteResult:
-    """Exact flip-convolved sampling TVD against (1 - eps n) sqrt(delta_f) + eps n."""
-    lattice, spec = _suite_lattice_and_input(seed)
-    rng = substream(seed, TAG_BOUNDS, 4)
-    n = lattice.num_qubits
-    if eps is None:
-        eps = 1.0 / (100.0 * n)
-    ideal_out = product_state(spec).amplitudes * zz_phases(lattice, 1.0)
-    p_ideal = np.abs(walsh_hadamard(PureState(n, ideal_out)).amplitudes) ** 2
-    violations = 0
-    worst = -math.inf
-    for k in range(instances):
-        if k == 0:
-            phi = ideal_out
-        else:
-            raw = ideal_out + 0.1 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
-            phi = raw / np.linalg.norm(raw)
-        delta_f = 1.0 - float(np.abs(np.vdot(phi, ideal_out)) ** 2)
-        p_clean = np.abs(walsh_hadamard(PureState(n, phi)).amplitudes) ** 2
-        p_noisy = convolve_flip_noise(p_clean, eps, n)
-        margin = tvd(p_noisy, p_ideal) - noisy_measurement_tvd_bound(min(delta_f, 1.0), eps, n) - 1e-10
-        worst = max(worst, margin)
-        violations += margin > 0
-    return SuiteResult("noisy_meas", instances, violations, worst)
-
-
-def suite_martingale(instances: int, seed: int) -> SuiteResult:
+@_suite("martingale")
+def suite_martingale(instances: int, seed: int):
     """99th-percentile deviations inside the 3.2 beta/sqrt(N) envelope."""
     rng = substream(seed, TAG_BOUNDS, 5)
-    violations = 0
-    worst = -math.inf
-    checked = 0
     for trials in (1000, 10000):
         for scheme in (IIDScheme(), AlternatingScheme()):
             stats = martingale_experiment(scheme, trials, 1.0, rng, runs=max(instances, 50))
-            margin = stats.q99 - stats.width_limit
-            worst = max(worst, margin)
-            violations += margin > 0
-            checked += 1
-    return SuiteResult("martingale", checked, violations, worst)
+            yield stats.q99 - stats.width_limit
 
 
-def suite_php_echo(instances: int, seed: int) -> SuiteResult:
-    """Symbolic PHP = -H checks against dense algebra plus echo fidelities."""
+@_suite("php_echo")
+def suite_php_echo(instances: int, seed: int):
+    """Symbolic PHP = -H checks against dense algebra plus echo fidelities.
+
+    A symbolic check that disagrees with the dense algebra yields 1.0; one
+    that agrees yields -inf, so it counts as an instance but sets no margin.
+    """
     rng = substream(seed, TAG_BOUNDS, 6)
-    violations = 0
-    worst = -math.inf
-    cases = 0
     shapes = [(1, 2), (2, 2), (1, 3)]
     for k in range(max(1, instances // 4)):
         lattice = build_lattice(*shapes[k % len(shapes)])
@@ -741,41 +708,43 @@ def suite_php_echo(instances: int, seed: int) -> SuiteResult:
         h = dense_hamiltonian(terms, n)
         p_dense = dense_pauli(label)
         dense_inverts = float(np.max(np.abs(p_dense @ h @ p_dense + h))) < 1e-10
-        if php_negation_check(terms, label) != dense_inverts:
-            violations += 1
-            worst = max(worst, 1.0)
+        yield 1.0 if php_negation_check(terms, label) != dense_inverts else -math.inf
         state = generalized_echo_prepare(terms, label, product_state(spec), 1.0)
         target = ideal_history_state(lattice, spec).amplitudes
-        fid = float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
-        margin = (1.0 - 1e-10) - fid
-        worst = max(worst, margin)
-        violations += margin > 0
-        cases += 2
+        yield (1.0 - 1e-10) - float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
     # The non-commuting hopping-plus-field instance on a 1x2 lattice.
     terms = [(1.0, "XX"), (1.0, "YY"), (1.0, "ZI"), (1.0, "IZ")]
     phi = PureState(2, np.array([0.5, 0.5, 0.5, 0.5], dtype=np.complex128))
     state = generalized_echo_prepare(terms, "XY", phi, 1.0)
     u_full = expm_hermitian(dense_hamiltonian(terms, 2), 1.0)
     target = np.concatenate([phi.amplitudes, u_full @ phi.amplitudes]) / math.sqrt(2)
-    fid = float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
-    margin = (1.0 - 1e-10) - fid
-    worst = max(worst, margin)
-    violations += margin > 0
-    cases += 1
-    return SuiteResult("php_echo", cases, violations, worst)
+    yield (1.0 - 1e-10) - float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
+
+
+@_suite("noisy_meas")
+def suite_noisy_meas(instances: int, seed: int, eps: float | None = None):
+    """Exact flip-convolved sampling TVD against (1 - eps n) sqrt(delta_f) + eps n."""
+    lattice, _, ideal_out, rng = _suite_setting(seed, 4)
+    n = lattice.num_qubits
+    if eps is None:
+        eps = 1.0 / (100.0 * n)
+    p_ideal = _x_basis_probabilities(ideal_out)
+    for k in range(instances):
+        if k == 0:
+            phi = ideal_out
+        else:
+            raw = ideal_out + 0.1 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+            phi = raw / np.linalg.norm(raw)
+        delta_f = 1.0 - float(np.abs(np.vdot(phi, ideal_out)) ** 2)
+        p_noisy = convolve_flip_noise(_x_basis_probabilities(phi), eps, n)
+        yield tvd(p_noisy, p_ideal) - noisy_measurement_tvd_bound(min(delta_f, 1.0), eps, n) - 1e-10
+
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_bound_suite(name: str, instances: int, seed: int) -> SuiteResult:
     """Dispatch a named suite; unknown names raise ValidationError."""
-    suites = {
-        "cauchy_schwarz": suite_cauchy_schwarz,
-        "lower_bound": suite_lower_bound,
-        "tvd_chain": suite_tvd_chain,
-        "stochastic": suite_stochastic,
-        "martingale": suite_martingale,
-        "php_echo": suite_php_echo,
-        "noisy_meas": suite_noisy_meas,
-    }
-    if name not in suites:
-        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(suites)}")
-    return suites[name](instances, seed)
+    if name not in SUITES:
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return SUITES[name](instances, seed)

@@ -20,7 +20,9 @@ from .analysis import SUITE_NAMES, run_bound_suite
 from .errors import CapacityError, FklabError
 from .lattice import build_lattice, random_input
 from .prover import (
+    MAX_ECHO_SYSTEM_QUBITS,
     MAX_SETUP_BYTES,
+    NOISE_JSON_FIELDS,
     NoiseModel,
     echo_prepare,
     ideal_history_state,
@@ -33,6 +35,7 @@ from .simulator import MAX_STATE_QUBITS, state_fidelity
 from .verifier import ProtocolConfig, run_protocol
 
 ECHO_FIDELITY_FLOOR = 1.0 - 1e-10
+DEGRADED_TARGETS = ("target_o10_sq", "target_f_in")
 
 
 class ConfigError(FklabError, ValueError):
@@ -45,25 +48,46 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _convert(kind, value, context: str):
-    """kind(value), with a value that does not convert reported as a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{context} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _object(value, context: str) -> dict:
+def _object(value, context: str, keys) -> dict:
+    """A JSON object whose keys are all among `keys`."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"{context} has unknown keys {unknown}; allowed: {sorted(keys)}")
     return value
 
 
+def _int(value, context: str) -> int:
+    """A JSON integer: no bool, string or float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _float(value, context: str) -> float:
+    """A finite JSON number: no bool, string, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a JSON number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    return float(value)
+
+
 def _seed(value, context: str) -> int:
-    seed = _convert(int, value, context)
+    seed = _int(value, context)
     if seed < 0:
         raise ConfigError(f"{context} must be non-negative, got {seed}")
     return seed
+
+
+def _check_shape(rows: int, cols: int, max_qubits: int) -> None:
+    """Lattice-shape checks made before anything is allocated: exit 2 below
+    1x1, exit 3 above `max_qubits` system qubits."""
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"lattice dimensions must be at least 1, got {rows}x{cols}")
+    if rows * cols > max_qubits:
+        raise CapacityError(f"{rows}x{cols} lattice exceeds the {max_qubits}-qubit guard")
 
 
 def _positive_int(text: str) -> int:
@@ -91,13 +115,12 @@ def load_experiment_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    raw = _object(raw, "config")
+    raw = _object(raw, "config", ("lattice", "input_seed", "prover", "protocol", "repetitions"))
 
-    lattice_cfg = _object(_require(raw, "lattice", "config"), "lattice")
-    rows = _convert(int, _require(lattice_cfg, "rows", "lattice"), "lattice.rows")
-    cols = _convert(int, _require(lattice_cfg, "cols", "lattice"), "lattice.cols")
-    if rows * cols > MAX_STATE_QUBITS:
-        raise CapacityError(f"{rows}x{cols} lattice exceeds the {MAX_STATE_QUBITS}-qubit guard")
+    lattice_cfg = _object(_require(raw, "lattice", "config"), "lattice", ("rows", "cols"))
+    rows = _int(_require(lattice_cfg, "rows", "lattice"), "lattice.rows")
+    cols = _int(_require(lattice_cfg, "cols", "lattice"), "lattice.cols")
+    _check_shape(rows, cols, MAX_STATE_QUBITS)
     lattice = build_lattice(rows, cols)
     if setup_bytes(lattice.num_qubits) > MAX_SETUP_BYTES:
         raise CapacityError(
@@ -108,37 +131,45 @@ def load_experiment_config(path: str) -> dict:
     input_seed = _seed(raw.get("input_seed", 0), "input_seed")
     spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
 
-    prover_cfg = _object(raw.get("prover", {"type": "honest"}), "prover")
-    kind = prover_cfg.get("type", "honest")
-    noise_cfg = _object(prover_cfg.get("noise", {}), "prover.noise")
-    try:
-        noise = NoiseModel.from_json_dict(noise_cfg)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad prover.noise: {exc}") from exc
+    prover_cfg = raw.get("prover", {"type": "honest"})
+    kind = prover_cfg.get("type", "honest") if isinstance(prover_cfg, dict) else "honest"
+    if kind == "honest":
+        prover_keys, noise_keys = ("type", "noise"), NOISE_JSON_FIELDS
+    elif kind == "degraded":
+        # A degraded prover's state is fixed by its targets; only readout noise applies.
+        prover_keys, noise_keys = ("type", "noise", *DEGRADED_TARGETS), ("meas_flip",)
+    else:
+        raise ConfigError(f"unknown prover type {kind!r}")
+    prover_cfg = _object(prover_cfg, "prover", prover_keys)
+    noise_cfg = _object(prover_cfg.get("noise", {}), "prover.noise", noise_keys)
+    noise = NoiseModel.from_json_dict(
+        {key: _float(value, f"prover.noise.{key}") for key, value in noise_cfg.items()}
+    )
     if kind == "honest":
         model = make_honest_model(lattice, spec, noise)
-    elif kind == "degraded":
+    else:
         model = make_degraded_model(
             lattice,
             spec,
-            _convert(float, _require(prover_cfg, "target_o10_sq", "prover"), "prover.target_o10_sq"),
-            _convert(float, _require(prover_cfg, "target_f_in", "prover"), "prover.target_f_in"),
+            *(_float(_require(prover_cfg, key, "prover"), f"prover.{key}") for key in DEGRADED_TARGETS),
         )
-    else:
-        raise ConfigError(f"unknown prover type {kind!r}")
 
-    proto_cfg = _object(_require(raw, "protocol", "config"), "protocol")
+    proto_cfg = _object(
+        _require(raw, "protocol", "config"),
+        "protocol",
+        ("num_copies", "master_seed", "threshold_o10", "threshold_fin", "psamp_window"),
+    )
     window = proto_cfg.get("psamp_window", [0.494, 0.506])
     if not isinstance(window, list) or len(window) != 2:
         raise ConfigError(f"protocol.psamp_window must be a list of 2 numbers, got {window!r}")
     protocol = ProtocolConfig(
-        num_copies=_convert(int, _require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies"),
+        num_copies=_int(_require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies"),
         master_seed=_seed(_require(proto_cfg, "master_seed", "protocol"), "protocol.master_seed"),
-        threshold_o10=_convert(float, proto_cfg.get("threshold_o10", 0.994), "protocol.threshold_o10"),
-        threshold_fin=_convert(float, proto_cfg.get("threshold_fin", 0.994), "protocol.threshold_fin"),
-        psamp_window=tuple(_convert(float, w, "protocol.psamp_window") for w in window),
+        threshold_o10=_float(proto_cfg.get("threshold_o10", 0.994), "protocol.threshold_o10"),
+        threshold_fin=_float(proto_cfg.get("threshold_fin", 0.994), "protocol.threshold_fin"),
+        psamp_window=tuple(_float(w, "protocol.psamp_window") for w in window),
     )
-    repetitions = _convert(int, raw.get("repetitions", 1), "repetitions")
+    repetitions = _int(raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     return {
@@ -212,6 +243,12 @@ def cmd_echo_check(args) -> int:
     return 0 if fidelity >= ECHO_FIDELITY_FLOOR else 1
 
 
+def guarded_echo_check(args) -> int:
+    """cmd_echo_check, after the lattice shape passes the echo guard."""
+    _check_shape(args.rows, args.cols, MAX_ECHO_SYSTEM_QUBITS)
+    return cmd_echo_check(args)
+
+
 def cmd_verify_bounds(args) -> int:
     result = run_bound_suite(args.suite, args.instances, args.seed or 0)
     out_dir = Path(args.out) if args.out else Path(".")
@@ -256,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_echo.add_argument("rows", type=int)
     p_echo.add_argument("cols", type=int)
     p_echo.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_echo.set_defaults(func=cmd_echo_check)
+    p_echo.set_defaults(func=guarded_echo_check)
 
     p_bounds = sub.add_parser("verify-bounds", help="run a bound-verification suite")
     p_bounds.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")

@@ -34,6 +34,7 @@ from .simulator import (
     apply_global_cz,
     apply_single_qubit,
     hamming_weights,
+    inner_product,
     interaction_energies,
     product_state,
     walsh_hadamard,
@@ -52,6 +53,15 @@ SETUP_BYTES_PER_BASIS_STATE = 224
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
+
+# Config key of each NoiseModel field; a missing key means no noise of that kind.
+NOISE_JSON_FIELDS = {
+    "theta": "clock_phase_theta",
+    "eta": "evolution_scale",
+    "input_tilt": "input_tilt",
+    "meas_flip": "measurement_flip_rate",
+    "depolarizing": "depolarizing_rate",
+}
 
 
 @dataclass(frozen=True)
@@ -83,13 +93,8 @@ class NoiseModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NoiseModel":
-        return cls(
-            clock_phase_theta=float(data.get("theta", 0.0)),
-            evolution_scale=float(data.get("eta", 0.0)),
-            input_tilt=float(data.get("input_tilt", 0.0)),
-            measurement_flip_rate=float(data.get("meas_flip", 0.0)),
-            depolarizing_rate=float(data.get("depolarizing", 0.0)),
-        )
+        """The model of a config's prover.noise object, whose keys are among NOISE_JSON_FIELDS."""
+        return cls(**{NOISE_JSON_FIELDS[key]: float(value) for key, value in data.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +235,9 @@ def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
     b = model.output_component.amplitudes
     u_diag = zz_phases(lattice, 1.0)
 
-    f_in = float(np.abs(np.vdot(ideal, a)) ** 2)
-    tr = (1.0 - p) * np.vdot(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
-    f_out = (1.0 - p) * float(np.abs(np.vdot(b, u_diag * ideal)) ** 2) + p / a.size
+    f_in = float(np.abs(inner_product(ideal, a)) ** 2)
+    tr = (1.0 - p) * inner_product(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
+    f_out = (1.0 - p) * float(np.abs(inner_product(b, u_diag * ideal)) ** 2) + p / a.size
     return ModelParameters(f_in=f_in, p_samp=0.5, tr_rho_o10=complex(tr), f_out=f_out)
 
 

@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from fklab import analysis
 from fklab.analysis import (
     AlternatingScheme,
     DensityMatrix,
@@ -438,6 +439,37 @@ def test_suite_martingale_clean():
 def test_suite_php_echo_clean():
     res = suite_php_echo(12, seed=0)
     assert res.violations == 0
+
+
+def test_suite_tally_counts_php_disagreements(monkeypatch):
+    # The suite's own symbolic check disagrees with the dense algebra; the
+    # echo preparation keeps the true check, so its fidelities still pass.
+    true_check = analysis.php_negation_check
+    true_prepare = analysis.generalized_echo_prepare
+
+    def prepare(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "php_negation_check", true_check)
+            return true_prepare(*args)
+
+    monkeypatch.setattr(analysis, "php_negation_check", lambda terms, p: not true_check(terms, p))
+    monkeypatch.setattr(analysis, "generalized_echo_prepare", prepare)
+    res = suite_php_echo(12, seed=0)
+    assert (res.instances, res.violations, res.max_margin) == (7, 3, 1.0)
+
+
+def test_suite_tally_counts_every_violated_bound(monkeypatch):
+    monkeypatch.setattr(analysis, "tvd_fidelity_bound", lambda f_out: -1.0)
+    res = suite_tvd_chain(10, seed=0)
+    assert (res.instances, res.violations) == (10, 10)
+    assert res.max_margin > 0
+
+
+@pytest.mark.parametrize("suite", [suite_cauchy_schwarz, suite_lower_bound, suite_tvd_chain,
+                                   suite_stochastic, suite_noisy_meas])
+def test_suite_with_no_instances(suite):
+    res = suite(0, seed=0)
+    assert (res.instances, res.violations, res.max_margin) == (0, 0, -math.inf)
 
 
 def test_run_bound_suite_dispatch():

@@ -1,7 +1,10 @@
 """End-to-end command-line tests: files, exit codes, determinism."""
 
 import json
+import math
+import time
 
+import numpy as np
 import pytest
 
 from fklab import cli
@@ -218,6 +221,24 @@ MALFORMED_FIELDS = [
     ("repetitions", 0),
     ("repetitions", -1),
     ("repetitions", "two"),
+    # Integer fields take JSON integers only, number fields JSON numbers only.
+    ("lattice.rows", 2.5),
+    ("lattice.rows", True),
+    ("lattice.rows", "2"),
+    ("protocol.num_copies", True),
+    ("protocol.num_copies", 1000.7),
+    ("protocol.master_seed", 3.9),
+    ("protocol.threshold_o10", "0.9"),
+    ("repetitions", 1.5),
+    ("input_seed", "5"),
+    # Every object rejects the keys it does not read.
+    ("lattice.depth", 3),
+    ("protocl", {"num_copies": 1_000, "master_seed": 3}),
+    ("prover.noise.thta", 0.1),
+    ("prover", {"type": "degraded", "target_o10_sq": 0.97, "target_f_in": 1.0, "noise": {"theta": 0.1}}),
+    ("prover.target_o10_sq", 0.97),
+    # Negative dimensions are malformed before they are a capacity question.
+    ("lattice", {"rows": -1, "cols": -30}),
 ]
 
 
@@ -232,6 +253,119 @@ def test_run_malformed_field_exit_2(tmp_path, capsys, path, value):
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# Seeded fuzzing of malformed configs. Every mutation below is malformed on
+# its own, whatever other mutations the same config receives.
+_NOISE = ["theta", "eta", "input_tilt", "meas_flip", "depolarizing"]
+_TARGETS = ["target_o10_sq", "target_f_in"]
+# Keys each object reads, for an honest and for a degraded prover.
+_KEYS = {
+    "": ["lattice", "input_seed", "prover", "protocol", "repetitions"],
+    "lattice": ["rows", "cols"],
+    "protocol": ["num_copies", "master_seed", "threshold_o10", "threshold_fin", "psamp_window"],
+}
+_HONEST_KEYS = dict(_KEYS, **{"prover": ["type", "noise"], "prover.noise": _NOISE})
+_DEGRADED_KEYS = dict(_KEYS, **{"prover": ["type", "noise", *_TARGETS], "prover.noise": ["meas_flip"]})
+_KEY_POOL = ["depth", "protocl", "thta", "rows", "theta", "meas_flip", "num_copies", "target_f_in", "type", ""]
+_REQUIRED = ["lattice", "protocol", "lattice.rows", "lattice.cols", "protocol.num_copies",
+             "protocol.master_seed"]
+_INTEGERS = ["lattice.rows", "lattice.cols", "input_seed", "protocol.num_copies",
+             "protocol.master_seed", "repetitions"]
+_NOT_INTEGERS = [True, False, None, "3", 2.5, 3.0, [], {}]
+_NOT_NUMBERS = [True, None, "0.5", [0.5], {}]
+_NOT_OBJECTS = [5, "x", [1], None, True, 2.5]
+_OUT_OF_RANGE = {
+    "lattice.rows": [0, -1, 10**6],
+    "lattice.cols": [0, -30, 27],
+    "input_seed": [-1],
+    "protocol.num_copies": [-1, MAX_COPIES + 1],
+    "protocol.master_seed": [-7],
+    "repetitions": [0, -2],
+    "protocol.threshold_o10": [1.5, -0.1, math.nan, math.inf],
+    "protocol.threshold_fin": [2.0, -math.inf],
+    "protocol.psamp_window": [[0.6, 0.4], [0.5], [], [0.1, 2.0], [0.4, "x"], "wide", {}],
+    "prover.type": ["oracle", 3, None, ["honest"]],
+    "prover.noise.theta": [math.nan, math.inf],
+    "prover.noise.eta": [-math.inf],
+    "prover.noise.input_tilt": [math.nan],
+    "prover.noise.meas_flip": [1.5, -0.1, math.nan],
+    "prover.noise.depolarizing": [2.0, -1e-3],
+    "prover.target_o10_sq": [1.5, -0.2, math.nan],
+    "prover.target_f_in": [1.01, -1.0],
+}
+
+
+def _lookup(config, path):
+    """The object at a dotted path, or None where the path no longer leads to one."""
+    for name in filter(None, path.split(".")):
+        config = config.get(name) if isinstance(config, dict) else None
+    return config if isinstance(config, dict) else None
+
+
+def _mutate(config, draw):
+    """Apply one malformed mutation; returns the (possibly replaced) config."""
+
+    def pick(options):
+        return options[draw.integers(len(options))]
+
+    prover = config.get("prover")
+    degraded = isinstance(prover, dict) and prover.get("type") == "degraded"
+    keys = _DEGRADED_KEYS if degraded else _HONEST_KEYS
+    numbers = [f"prover.noise.{k}" for k in keys["prover.noise"]]
+    numbers += [f"prover.{k}" for k in _TARGETS if degraded]
+    kind = draw.integers(5)
+    if kind == 0:  # wrong type
+        if draw.integers(2):
+            path, bad = pick(_INTEGERS), pick(_NOT_INTEGERS)
+        else:
+            path, bad = pick(numbers), pick(_NOT_NUMBERS)
+    elif kind == 1:  # out of range
+        path = pick([p for p in _OUT_OF_RANGE if p in numbers or not p.startswith(("prover.noise", "prover.target"))])
+        bad = pick(_OUT_OF_RANGE[path])
+    elif kind == 2:  # missing required field
+        parent, _, key = pick(_REQUIRED + [f"prover.{k}" for k in _TARGETS if degraded]).rpartition(".")
+        if _lookup(config, parent) is not None:
+            _lookup(config, parent).pop(key, None)
+        return config
+    elif kind == 3:  # a key the object does not read
+        parent = pick(list(keys))
+        if _lookup(config, parent) is not None:
+            _lookup(config, parent)[pick([k for k in _KEY_POOL if k not in keys[parent]])] = 1
+        return config
+    else:  # a non-object where an object belongs
+        path, bad = pick(list(keys)), pick(_NOT_OBJECTS)
+        if not path:
+            return bad
+    parent, _, key = path.rpartition(".")
+    if _lookup(config, parent) is not None:
+        _lookup(config, parent)[key] = bad
+    return config
+
+
+def test_run_fuzzed_malformed_configs_exit_2_or_3(tmp_path, capsys):
+    draw = np.random.default_rng(20240812)
+    honest = _base_config()
+    degraded = _base_config()
+    degraded["prover"] = {
+        "type": "degraded", "target_o10_sq": 0.97, "target_f_in": 1.0, "noise": {"meas_flip": 0.01},
+    }
+    cfg = tmp_path / "config.json"
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    codes = []
+    start = time.perf_counter()
+    for _ in range(1200):
+        config = json.loads(json.dumps(degraded if draw.integers(3) == 0 else honest))
+        for _ in range(1 + draw.integers(3)):
+            if isinstance(config, dict):
+                config = _mutate(config, draw)
+        cfg.write_text(json.dumps(config))
+        codes.append(main(argv))
+        assert codes[-1] in (2, 3), config
+        assert "Traceback" not in capsys.readouterr().err
+    assert time.perf_counter() - start < 10.0
+    assert not (tmp_path / "out").exists()
+    assert codes.count(3) > 0 and codes.count(2) > 0
 
 
 @pytest.mark.parametrize(
@@ -325,6 +459,14 @@ def test_echo_check_small_lattices(capsys):
 
 def test_echo_check_capacity_exit_3():
     assert main(["echo-check", "10", "10"]) == 3
+
+
+def test_echo_check_guard_acts_before_the_lattice_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("lattice built before the echo guard")
+
+    monkeypatch.setattr(cli, "build_lattice", build)
+    assert main(["echo-check", "1", "100000000"]) == 3
 
 
 def test_verify_bounds_writes_csv(tmp_path):

@@ -324,12 +324,19 @@ v = np.random.default_rng(7).normal(size=(4, 1 << n))
 a = unit(v[0] + 1j * v[1])
 b = unit(a + 1e-3 * unit(v[2] + 1j * v[3]))
 print(repr(state_fidelity(PureState(n, a), PureState(n, b))))
+from fklab.lattice import build_lattice, random_input
+from fklab.prover import NoiseModel, exact_model_parameters, make_honest_model
+lattice = build_lattice(3, 6)
+noise = NoiseModel(clock_phase_theta=0.3, evolution_scale=0.02, input_tilt=0.05, depolarizing_rate=0.1)
+model = make_honest_model(lattice, random_input(18, np.random.default_rng(3)), noise)
+print(repr(exact_model_parameters(model)))
 """
 
 
 def test_state_fidelity_independent_of_blas_threads():
     # np.vdot's threaded BLAS sum changes order with the thread count; the
-    # printed fidelity of a pair of 2^17 amplitudes must not.
+    # printed fidelity of a pair of 2^17 amplitudes and the exact parameters
+    # of an 18-qubit model must not.
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
