@@ -741,10 +741,19 @@ def suite_noisy_meas(instances: int, seed: int, eps: float | None = None):
 
 
 SUITE_NAMES = tuple(SUITES)
+# The most instances one suite runs. The slowest suite, lower_bound, takes
+# 1.6-2 ms per instance (x86-64, numpy 2.4), so at most about 20 s at the
+# cap; martingale runs the cap in about 4 s with a 1.6 MiB peak.
+MAX_SUITE_INSTANCES = 10_000
 
 
 def run_bound_suite(name: str, instances: int, seed: int) -> SuiteResult:
-    """Dispatch a named suite; unknown names raise ValidationError."""
+    """Dispatch a named suite; unknown names raise ValidationError, and more
+    than MAX_SUITE_INSTANCES instances raise CapacityError."""
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if instances > MAX_SUITE_INSTANCES:
+        raise CapacityError(
+            f"{instances} instances exceeds the {MAX_SUITE_INSTANCES}-instance suite guard"
+        )
     return SUITES[name](instances, seed)

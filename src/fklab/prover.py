@@ -11,7 +11,6 @@ gate-level device prepares the same state.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +48,7 @@ MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
 # 158.7 B, degraded 198.3/176.6/177.2 B (Python 3.11, numpy 2.4, x86-64).
 SETUP_BYTES_PER_BASIS_STATE = 224
 # Half of an 8 GB host, which leaves room for the copy columns (at most
-# 1 GiB) and the outputs. It admits n <= 24 (3.5 GiB); n = 25 needs 7 GiB.
+# 768 MiB) and the outputs. It admits n <= 24 (3.5 GiB); n = 25 needs 7 GiB.
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
@@ -113,7 +112,7 @@ class HistoryStateModel:
     per qubit, and b evolves the ideal input (a if tilted_output) for time
     1 + evolution_scale. Both are built on first use.
 
-    Frozen, because mode_distributions memoizes its tables by model identity.
+    Frozen, because it memoizes its components and outcome tables.
     """
 
     lattice: LatticeGeometry
@@ -147,6 +146,21 @@ class HistoryStateModel:
         # fixed here (phases first) rather than left to numpy's temporary reuse.
         phases = zz_phases(self.lattice, 1.0 + self.evolution_scale)
         return PureState(self.num_system_qubits, np.multiply(phases, evolved.amplitudes, out=phases))
+
+    @cached_property
+    def distributions(self) -> ModeDistributions:
+        """The four measurement distributions and their alias tables, built
+        here, once, so that the threads of a run only read them."""
+        dim = 1 << self.num_system_qubits
+        alias = np.empty((len(MODE_ORDER), dim), dtype=np.int64)
+        accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
+        return ModeDistributions(
+            num_system=self.num_system_qubits,
+            p_clock_minus=0.5,
+            **dict(zip(MODE_ORDER, _mode_tables(self, alias, accept))),
+            alias=alias,
+            accept=accept,
+        )
 
     def components(self) -> list[tuple[float, PureState]]:
         """The coherent output component and its weight 1-p."""
@@ -393,11 +407,6 @@ class ModeDistributions:
     accept: np.ndarray
 
 
-_DIST_CACHE: "weakref.WeakKeyDictionary[HistoryStateModel, ModeDistributions]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _mode_tables(
     model: HistoryStateModel, alias: np.ndarray, accept: np.ndarray
 ) -> tuple[Distribution, ...]:
@@ -449,24 +458,6 @@ def _mode_tables(
 
 
 def mode_distributions(model: HistoryStateModel) -> ModeDistributions:
-    """Build (and memoize) the four measurement distributions of a model and
-    their alias tables.
-
-    The alias tables are built here, once, so that the threads of a run
-    only read them.
-    """
-    cached = _DIST_CACHE.get(model)
-    if cached is not None:
-        return cached
-    dim = 1 << model.num_system_qubits
-    alias = np.empty((len(MODE_ORDER), dim), dtype=np.int64)
-    accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
-    dists = ModeDistributions(
-        num_system=model.num_system_qubits,
-        p_clock_minus=0.5,
-        **dict(zip(MODE_ORDER, _mode_tables(model, alias, accept))),
-        alias=alias,
-        accept=accept,
-    )
-    _DIST_CACHE[model] = dists
-    return dists
+    """The four measurement distributions of a model and their alias tables
+    (HistoryStateModel.distributions, built on first use)."""
+    return model.distributions

@@ -4,9 +4,9 @@ Copies are processed in fixed 65536-copy chunks. Chunk c draws all of its
 randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout,
 and counter reduction is numpy's pairwise sum within a chunk followed by a
 sequential merge in chunk order, so results are byte-identical for any thread
-count. The transcript is the one record a run produces: its columns are
-allocated once, each chunk writes its own rows, and the report's counters and
-samples are ProtocolTranscript.recompute_counters() of it.
+count. The transcript is the one record a run produces: its three columns
+(6 B per copy) are allocated once, each chunk writes its own rows, and the
+report's counters and samples are ProtocolTranscript.recompute_counters() of it.
 
 Draw layout of a chunk of `count` copies: first u = random((6, count)), then,
 only with a measurement flip rate eps > 0, flips = random((count, n + 1)).
@@ -15,6 +15,9 @@ Copy i reads uk = u[k, i]:
   u1 < 0.5   b_testtype = 1 (the propagation test; 0 is the input test),
              read only when b_sampling = 0;
   u2 < 0.5   basis X, else Y, read only by a propagation copy;
+  the three give the copy's branch code 4 b_sampling + 2 b_testtype +
+             (u2 >= 0.5): 0-1 the input test, 2 X propagation, 3 Y
+             propagation, 4-7 sampling;
   u3 < p_clock_minus (1/2)  the clock reads -1, for sampling and input-test
              copies; a propagation copy's clock is bit n of its outcome;
   u4, u5     the alias pick from the copy's table: bin int(u4 * 2^n), kept
@@ -41,13 +44,9 @@ from .rng import TAG_COPIES, substream
 from .simulator import bitstrings, interaction_energies, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
-# 1 GiB of transcript columns at 8 B per copy, the memory the 26-qubit
-# statevector guard admits.
+# 768 MiB of transcript columns at 6 B per copy, within the memory the
+# 26-qubit statevector guard admits.
 MAX_COPIES = 1 << 27
-
-BASIS_X = 0
-BASIS_Y = 1
-BASIS_NONE = -1
 
 
 @dataclass(frozen=True)
@@ -139,19 +138,18 @@ class EstimatorReport:
 class ProtocolTranscript:
     """Columnar per-copy records.
 
-    basis is BASIS_X/BASIS_Y for propagation copies, BASIS_NONE otherwise;
-    sys_idx is -1 when no system measurement happened; clock holds the
-    reported clock outcome. A propagation copy's u = e^{-i pi E/4} is read,
-    when it is needed, from u_levels at the outcome's interaction energy E
-    (energies, the cached per-string array), rather than stored.
+    code is the copy's branch code (module docstring), from which a record
+    decodes b_sampling, b_testtype and the basis; sys_idx is -1 when no
+    system measurement happened; clock holds the reported clock outcome. A
+    propagation copy's u = e^{-i pi E/4} is read, when it is needed, from
+    u_levels at the outcome's interaction energy E (energies, the cached
+    per-string array), rather than stored.
     """
 
     num_copies: int
     num_system: int
     chunk_size: int
-    b_sampling: np.ndarray
-    b_testtype: np.ndarray
-    basis: np.ndarray
+    code: np.ndarray
     clock: np.ndarray
     sys_idx: np.ndarray
     energies: np.ndarray
@@ -173,40 +171,29 @@ class ProtocolTranscript:
     def _records(self, start: int, stop: int):
         """JSON-ready records of copies start..stop-1, built from list columns."""
         rows = slice(start, stop)
-        basis = self.basis[rows]
+        code = self.code[rows]
         sys_idx = self.sys_idx[rows]
         outcomes = bitstrings(sys_idx[sys_idx >= 0], self.num_system)
-        u = self.u_values(sys_idx[basis != BASIS_NONE])
+        u = self.u_values(sys_idx[(code >> 1) == 1])
         u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
-        names = {BASIS_X: "X", BASIS_Y: "Y", BASIS_NONE: None}
-        for i, b_samp, b_test, b, clock, z in zip(
-            range(start, stop),
-            self.b_sampling[rows].tolist(),
-            self.b_testtype[rows].tolist(),
-            basis.tolist(),
-            self.clock[rows].tolist(),
-            sys_idx.tolist(),
+        for i, c, clock, z in zip(
+            range(start, stop), code.tolist(), self.clock[rows].tolist(), sys_idx.tolist()
         ):
+            basis = _BASIS_NAMES.get(c)
             yield {
                 "copy_index": i,
-                "b_sampling": b_samp,
-                "b_testtype": b_test,
-                "basis_choice": names[b],
+                "b_sampling": c >> 2,
+                "b_testtype": (c >> 1) & 1,
+                "basis_choice": basis,
                 "clock_outcome": clock,
                 "system_outcomes": next(outcomes) if z >= 0 else None,
-                "u": None if b == BASIS_NONE else list(next(u_pairs)),
+                "u": None if basis is None else list(next(u_pairs)),
             }
 
     def _chunk_rows(self, start: int) -> tuple[np.ndarray, ...]:
-        """Views of the five columns over the chunk that begins at copy `start`."""
+        """Views of the three columns over the chunk that begins at copy `start`."""
         rows = slice(start, start + self.chunk_size)
-        return (
-            self.b_sampling[rows],
-            self.b_testtype[rows],
-            self.basis[rows],
-            self.clock[rows],
-            self.sys_idx[rows],
-        )
+        return self.code[rows], self.clock[rows], self.sys_idx[rows]
 
     def recompute_counters(self) -> tuple[Counters, np.ndarray]:
         """Counters and samples: numpy sums per chunk, merged in chunk order."""
@@ -222,17 +209,15 @@ class ProtocolTranscript:
         return total, np.concatenate(samples)
 
 
-def _chunk_counters(
-    b_sampling, b_testtype, basis, clock, sys_idx, u_values
-) -> tuple[Counters, np.ndarray]:
+def _chunk_counters(code, clock, sys_idx, u_values) -> tuple[Counters, np.ndarray]:
     """Counters and published samples of one chunk of transcript columns.
 
     Rows are selected through index arrays rather than boolean masks: the
     gathered values, and so every sum, are the same, and an index gather is
     faster than a masked one on a random mask.
     """
-    samp = b_sampling.view(np.bool_)
-    input_test = ~(samp | b_testtype.view(np.bool_))
+    samp = code >= 4
+    input_test = code < 2
     has_sys = sys_idx >= 0
 
     stored = samp & (clock == -1) & has_sys
@@ -245,10 +230,10 @@ def _chunk_counters(
         n_in_plus=int(np.count_nonzero(in_plus)),
         n_in_plus_0=int(np.count_nonzero(in_plus & has_sys & (sys_idx == 0))),
     )
-    for basis_code in (BASIS_X, BASIS_Y):
-        sel = np.flatnonzero(basis == basis_code)
+    for prop_code in (2, 3):
+        sel = np.flatnonzero(code == prop_code)
         contrib = complex(np.sum(clock[sel].astype(np.float64) * u_values(sys_idx[sel])))
-        if basis_code == BASIS_X:
+        if prop_code == 2:
             counters.s_xu = contrib
             counters.n_x = sel.size
         else:
@@ -257,13 +242,13 @@ def _chunk_counters(
     return counters, samples
 
 
-# Each copy's code is 4 * b_sampling + 2 * b_testtype + (u2 >= 0.5). These
-# map a code to its outcome table (an index into MODE_ORDER) and its basis.
+# A branch code's outcome table (an index into MODE_ORDER) and, for the two
+# propagation codes, its basis.
 _TABLE_OF_CODE = np.array(
     [MODE_ORDER.index(name) for name in ("input_given_plus",) * 2 + ("prop_x", "prop_y")]
     + [MODE_ORDER.index("sample_given_minus")] * 4
 )
-_BASIS_OF_CODE = np.array([BASIS_NONE] * 2 + [BASIS_X, BASIS_Y] + [BASIS_NONE] * 4, dtype=np.int8)
+_BASIS_NAMES = {2: "X", 3: "Y"}
 _CLOCK_OF_MINUS = np.array([1, -1], dtype=np.int8)
 
 
@@ -274,18 +259,17 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
     selects the table's row of the (4, 2^n) alias buffer, and the pick is
     Distribution.pick's arithmetic on that row.
     """
-    b_sampling, b_testtype, basis, clock, sys_idx = rows
-    count = b_sampling.size
+    code, clock, sys_idx = rows
+    count = code.size
     n = dists.num_system
     rng = substream(master_seed, TAG_COPIES, chunk_index)
     u_rand = rng.random((6, count))
     flips = rng.random((count, n + 1)) if eps > 0.0 else None
 
-    samp = np.less(u_rand[0], 0.5, out=b_sampling.view(np.bool_))
-    testtype = np.less(u_rand[1], 0.5, out=b_testtype.view(np.bool_))
-    code = (samp.view(np.uint8) << 2) | (testtype.view(np.uint8) << 1) | (u_rand[2] >= 0.5)
-    np.take(_BASIS_OF_CODE, code, out=basis)
-    prop = basis != BASIS_NONE
+    samp = u_rand[0] < 0.5
+    branch = (samp.view(np.uint8) << 2) | ((u_rand[1] < 0.5).view(np.uint8) << 1)
+    np.bitwise_or(branch, u_rand[2] >= 0.5, out=code)
+    prop = (code >> 1) == 1
 
     # Every table has 2^n bins, so u4 * 2^n is exact and below 2^n:
     # Distribution.pick's clamp to 2^n - 1 never binds here.
@@ -370,9 +354,7 @@ def run_protocol(
         num_copies=n_m,
         num_system=dists.num_system,
         chunk_size=CHUNK_SIZE,
-        b_sampling=np.empty(n_m, dtype=np.uint8),
-        b_testtype=np.empty(n_m, dtype=np.uint8),
-        basis=np.empty(n_m, dtype=np.int8),
+        code=np.empty(n_m, dtype=np.uint8),
         clock=np.empty(n_m, dtype=np.int8),
         sys_idx=np.empty(n_m, dtype=np.int32),
         energies=interaction_energies(lattice),

@@ -24,7 +24,24 @@ from fklab.simulator import (
     walsh_hadamard,
     zz_phases,
 )
-from fklab.verifier import BASIS_NONE, BASIS_X, BASIS_Y, Counters
+from fklab.verifier import Counters
+
+# The masked reference kernel's basis column: X and Y for propagation copies,
+# none otherwise.
+BASIS_X, BASIS_Y, BASIS_NONE = 0, 1, -1
+
+
+def decode_code(code):
+    """The b_sampling, b_testtype and basis columns of a branch-code column,
+    in the reference kernel's dtypes. A copy's code is 4 b_sampling + 2
+    b_testtype + (u2 >= 0.5); a propagation copy (b_sampling 0, b_testtype 1)
+    is measured in X when u2 < 0.5 and in Y otherwise."""
+    code = np.asarray(code)
+    b_sampling = (code // 4).astype(np.uint8)
+    b_testtype = (code // 2 % 2).astype(np.uint8)
+    prop = (b_sampling == 0) & (b_testtype == 1)
+    basis = np.where(prop, np.where(code % 2 == 0, BASIS_X, BASIS_Y), BASIS_NONE)
+    return b_sampling, b_testtype, basis.astype(np.int8)
 
 
 def brute_force_edges(rows, cols):

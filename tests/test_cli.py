@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from fklab import cli
+from fklab import analysis, cli
 from fklab.cli import main
 from fklab.verifier import MAX_COPIES
 
@@ -478,6 +478,31 @@ def test_verify_bounds_writes_csv(tmp_path):
     assert rows[0] == "test_name,instances,violations,max_margin"
     fields = rows[1].split(",")
     assert fields[0] == "cauchy_schwarz" and fields[2] == "0"
+
+
+@pytest.mark.parametrize("suite", analysis.SUITE_NAMES)
+def test_verify_bounds_instance_guard_exit_3(monkeypatch, tmp_path, suite):
+    def refuse(*args):
+        raise AssertionError("suite ran past the instance guard")
+
+    for name in analysis.SUITES:
+        monkeypatch.setitem(analysis.SUITES, name, refuse)
+    argv = ["verify-bounds", suite, "--instances", str(analysis.MAX_SUITE_INSTANCES + 1)]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_bounds_instance_guard_admits_the_cap(monkeypatch, tmp_path):
+    calls = []
+
+    def stub(instances, seed):
+        calls.append((instances, seed))
+        return analysis.SuiteResult("martingale", instances, 0, -math.inf)
+
+    monkeypatch.setitem(analysis.SUITES, "martingale", stub)
+    argv = ["verify-bounds", "martingale", "--instances", str(analysis.MAX_SUITE_INSTANCES)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert calls == [(analysis.MAX_SUITE_INSTANCES, 0)]
 
 
 @pytest.mark.parametrize(

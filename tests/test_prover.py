@@ -30,9 +30,12 @@ from fklab.prover import (
     tune_evolution_scale,
 )
 from fklab.simulator import Distribution, product_state, state_fidelity, zz_phases
-from fklab.verifier import BASIS_X, BASIS_Y, ProtocolConfig, run_protocol
+from fklab.verifier import ProtocolConfig, run_protocol
 
 from conftest import (
+    BASIS_X,
+    BASIS_Y,
+    decode_code,
     dense_coupling_hamiltonian,
     dense_hadamard_all,
     dense_history_vector,
@@ -295,7 +298,8 @@ def _run(model, lattice, spec, num_copies, seed, noise=None):
 def test_input_test_perfect_state(lattice, spec):
     model = honest(lattice, spec)
     transcript, _ = _run(model, lattice, spec, 4_000, seed=17)
-    input_test = (transcript.b_sampling == 0) & (transcript.b_testtype == 0)
+    b_sampling, b_testtype, _ = decode_code(transcript.code)
+    input_test = (b_sampling == 0) & (b_testtype == 0)
     plus = input_test & (transcript.clock == 1)
     assert plus.any()
     # A perfect input reads the input state itself (outcome 0) on every qubit.
@@ -320,14 +324,15 @@ def test_flip_rate_one_negates_everything(lattice, spec):
     model = honest(lattice, spec)
     noise = NoiseModel(measurement_flip_rate=1.0)
     transcript, _ = _run(model, lattice, spec, 4_000, seed=19, noise=noise)
-    input_test = (transcript.b_sampling == 0) & (transcript.b_testtype == 0)
+    b_sampling, b_testtype, _ = decode_code(transcript.code)
+    input_test = (b_sampling == 0) & (b_testtype == 0)
     measured = input_test & (transcript.sys_idx >= 0)
     assert measured.any()
     # True clock was +1 and perfect inputs give all +1, so every reported
     # value is now -1: clock -1 and every system bit set.
     assert np.all(transcript.clock[measured] == -1)
     assert np.all(transcript.sys_idx[measured] == (1 << 4) - 1)
-    sampled = (transcript.b_sampling == 1) & (transcript.sys_idx >= 0)
+    sampled = (b_sampling == 1) & (transcript.sys_idx >= 0)
     assert np.all(transcript.clock[sampled] == 1)
 
 
@@ -366,14 +371,15 @@ def _branch_histogram(transcript, mode):
     n = transcript.num_system
     dim = 1 << n
     sys_idx = transcript.sys_idx.astype(np.int64)
+    b_sampling, b_testtype, basis = decode_code(transcript.code)
     if mode in ("sample", "input"):
-        samp = transcript.b_sampling == 1
-        rows = samp if mode == "sample" else (~samp & (transcript.b_testtype == 0))
+        samp = b_sampling == 1
+        rows = samp if mode == "sample" else (~samp & (b_testtype == 0))
         measured = rows & (sys_idx >= 0)
         counts = np.bincount(sys_idx[measured], minlength=dim + 1).astype(np.float64)
         counts[dim] = (rows & (sys_idx < 0)).sum()
     else:
-        rows = transcript.basis == (BASIS_X if mode == "x" else BASIS_Y)
+        rows = basis == (BASIS_X if mode == "x" else BASIS_Y)
         joint = ((transcript.clock[rows] == -1).astype(np.int64) << n) | sys_idx[rows]
         counts = np.bincount(joint, minlength=2 * dim).astype(np.float64)
     return counts / rows.sum()
@@ -548,7 +554,7 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
         law[alias] += (1.0 - accept) / dim
         assert np.array_equal(law, table.probabilities)
         assert np.max(np.abs(law - ref.probabilities)) < 1e-14
-        sel = transcript.basis == basis
+        sel = decode_code(transcript.code)[2] == basis
         joint = table.pick(u_rand[4][sel], u_rand[5][sel])
         assert np.array_equal(joint & (dim - 1), transcript.sys_idx[sel])
         assert np.array_equal(np.where(joint >> n, -1, 1), transcript.clock[sel])
@@ -564,7 +570,7 @@ def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
     exact = np.vdot(top, u_dense @ bot) + np.vdot(bot, u_dense @ top)
 
     transcript, _ = _run(model, lattice, spec, 800_000, seed=8)
-    prop_x = transcript.basis == BASIS_X
+    prop_x = decode_code(transcript.code)[2] == BASIS_X
     u_vals = np.array([u_value([1 - 2 * ((z >> k) & 1) for k in range(4)], lattice)
                        for z in range(16)])
     mean_bu = np.mean(transcript.clock[prop_x] * u_vals[transcript.sys_idx[prop_x]])

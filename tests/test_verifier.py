@@ -20,7 +20,13 @@ from fklab.prover import (
 from fklab.simulator import zz_phases
 from fklab.verifier import CHUNK_SIZE, MAX_COPIES, Counters, ProtocolConfig, decide, run_protocol
 
-from conftest import reference_chunk_counters, reference_process_chunk, u_value
+from conftest import (
+    BASIS_NONE,
+    decode_code,
+    reference_chunk_counters,
+    reference_process_chunk,
+    u_value,
+)
 
 FULL_BUDGET = 3_500_000
 
@@ -121,7 +127,7 @@ def test_transcript_records_well_formed(setup_2x2):
 def test_u_column_matches_u_value(setup_2x2):
     lattice, spec, model = setup_2x2
     transcript, _ = run(model, lattice, spec, 2_000, seed=13)
-    prop = transcript.basis != -1
+    prop = decode_code(transcript.code)[2] != BASIS_NONE
     for i in np.flatnonzero(prop)[:50]:
         signs = [1 - 2 * ((int(transcript.sys_idx[i]) >> k) & 1) for k in range(4)]
         assert abs(complex(*transcript.record(i)["u"]) - u_value(signs, lattice)) < 1e-10
@@ -135,13 +141,14 @@ def _record_per_copy(transcript, i, u_table):
     """One copy's record built by per-copy numpy indexing into the dense
     2^n u table, the reference for the columnar iter_records."""
     has_sys = transcript.sys_idx[i] >= 0
-    prop = transcript.basis[i] != -1
+    b_sampling, b_testtype, basis = decode_code(transcript.code[i])
+    prop = basis != BASIS_NONE
     u = u_table[transcript.sys_idx[i]] if prop else None
     return {
         "copy_index": i,
-        "b_sampling": int(transcript.b_sampling[i]),
-        "b_testtype": int(transcript.b_testtype[i]),
-        "basis_choice": {0: "X", 1: "Y", -1: None}[int(transcript.basis[i])],
+        "b_sampling": int(b_sampling),
+        "b_testtype": int(b_testtype),
+        "basis_choice": {0: "X", 1: "Y", -1: None}[int(basis)],
         "clock_outcome": int(transcript.clock[i]),
         "system_outcomes": (
             _old_bitstring(int(transcript.sys_idx[i]), transcript.num_system) if has_sys else None
@@ -233,8 +240,8 @@ def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
             transcript, report = run_protocol(
                 model, model.lattice, model.input_spec, config, noise=noise, threads=threads
             )
-            for name, column in zip(names, columns):
-                got = getattr(transcript, name)
+            decoded = (*decode_code(transcript.code), transcript.clock, transcript.sys_idx)
+            for name, got, column in zip(names, decoded, columns):
                 assert got.dtype == column.dtype
                 assert np.array_equal(got, column), (name, num, threads)
             assert report.counters == counters
@@ -341,18 +348,37 @@ def test_decide_window_inclusive():
 
 
 def test_run_protocol_memory_is_the_columns(setup_2x2):
-    # The five columns take 8 B per copy and the published samples about 1 B;
-    # everything else a run allocates is per chunk.
+    # The three columns take 6 B per copy, and the published samples (about a
+    # quarter of the copies, 4 B each) are held twice at the end: per chunk
+    # and concatenated. Everything else a run allocates is per chunk.
     lattice, spec, model = setup_2x2
-    num = 2_000_000
+    num = 8_000_000
     config = ProtocolConfig(num_copies=num, master_seed=17)
     tracemalloc.start()
     try:
-        run_protocol(model, lattice, spec, config, threads=1)
+        _, report = run_protocol(model, lattice, spec, config, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * num + 16 * 2**20
+    assert peak <= 6 * num + 2 * report.samples.nbytes + 4 * 2**20
+
+
+def test_transcript_columns_are_code_clock_sys_idx(setup_2x2):
+    lattice, spec, model = setup_2x2
+    num = 1000
+    transcript, _ = run(model, lattice, spec, num, seed=3)
+    per_copy = {
+        f.name: getattr(transcript, f.name).dtype
+        for f in fields(transcript)
+        if isinstance(getattr(transcript, f.name), np.ndarray)
+        and getattr(transcript, f.name).shape == (num,)
+    }
+    assert per_copy == {
+        "code": np.dtype(np.uint8),
+        "clock": np.dtype(np.int8),
+        "sys_idx": np.dtype(np.int32),
+    }
+    assert set(np.unique(transcript.code).tolist()) == set(range(8))
 
 
 def test_config_validation():
@@ -392,8 +418,10 @@ def test_thread_count_does_not_change_results(setup_2x2):
         r8.to_json_dict(), sort_keys=True
     )
     assert r1.counters.s_xu == r8.counters.s_xu  # bitwise, not approximate
-    for column in ("b_sampling", "b_testtype", "basis", "clock", "sys_idx"):
+    for column in ("code", "clock", "sys_idx"):
         assert np.array_equal(getattr(t1, column), getattr(t8, column))
+    for got, expected in zip(decode_code(t8.code), decode_code(t1.code)):
+        assert np.array_equal(got, expected)
 
 
 def test_report_json_schema(setup_2x2):
