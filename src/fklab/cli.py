@@ -106,6 +106,23 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _out_dir(text: str) -> str:
+    """argparse type for --out: a directory, or a path whose nearest existing
+    ancestor is a directory, so the command's mkdir can create it."""
+    path = Path(text)
+    for existing in (path, *path.parents):
+        try:
+            existing.lstat()
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:  # e.g. a name longer than the file system allows
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not existing.is_dir():
+            raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+        break
+    return text
+
+
 def load_experiment_config(path: str) -> dict:
     """Parse and validate a run config, returning ready-to-use objects."""
     try:
@@ -282,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the protocol from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the experiment config JSON")
     p_run.add_argument("--seed", type=_nonnegative_int, default=None, help="override the master seed")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", type=_out_dir, default=None, help="output directory")
     p_run.add_argument("--transcript", action="store_true", help="also write per-copy JSONL")
     p_run.add_argument(
         "--reps", type=_positive_int, default=None, help="override the repetition count (>= 1)"
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
     p_bounds.add_argument("--instances", type=_positive_int, default=200)
     p_bounds.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_bounds.add_argument("--out", default=None)
+    p_bounds.add_argument("--out", type=_out_dir, default=None)
     p_bounds.set_defaults(func=cmd_verify_bounds)
 
     p_report = sub.add_parser("report", help="pretty-print a report JSON")

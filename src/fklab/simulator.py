@@ -298,10 +298,11 @@ FORMAT_BLOCK = 1 << 16
 _BYTE_BITS = (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0")).astype(np.uint8)
 
 
-def bitstrings(indices, num_bits: int) -> Iterator[str]:
+def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
     """Format outcome indices in [0, 2^num_bits) as bit strings, qubit 0 first.
 
-    The strings are yielded block by block, so only one block's text is held.
+    Each FORMAT_BLOCK indices yield one str: their bit strings joined by
+    "\\n", with no trailing newline. Empty input yields nothing.
     """
     indices = np.asarray(indices)
     num_bytes = (num_bits + 7) // 8
@@ -312,7 +313,13 @@ def bitstrings(indices, num_bits: int) -> Iterator[str]:
         chars = np.empty((count, num_bits + 1), dtype=np.uint8)
         chars[:, :num_bits] = _BYTE_BITS[index_bytes].reshape(count, 8 * num_bytes)[:, :num_bits]
         chars[:, num_bits] = ord("\n")
-        yield from chars.tobytes().decode("ascii").split("\n")[:-1]
+        yield str(memoryview(chars.reshape(-1)[:-1]), "ascii")
+
+
+def bitstrings(indices, num_bits: int) -> Iterator[str]:
+    """The bit strings of bitstring_blocks one by one."""
+    for block in bitstring_blocks(indices, num_bits):
+        yield from block.split("\n")
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -41,7 +41,7 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import MODE_ORDER, HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
-from .simulator import bitstrings, interaction_energies, zz_phase_levels
+from .simulator import bitstring_blocks, bitstrings, interaction_energies, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
 # 768 MiB of transcript columns at 6 B per copy, within the memory the
@@ -131,7 +131,10 @@ class EstimatorReport:
         }
 
     def sample_bitstrings(self) -> Iterator[str]:
-        return bitstrings(self.samples, self.num_system)
+        """The published samples as text blocks of up to FORMAT_BLOCK bit
+        strings joined by "\\n" (simulator.bitstring_blocks): writing
+        item + "\\n" for each item writes the sample file."""
+        return bitstring_blocks(self.samples, self.num_system)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +300,29 @@ def test_azuma_tail_values():
         2 * math.exp(-(3.2**2) / 8), rel=1e-12
     )
     assert 2 * math.exp(-(3.2**2) / 8) <= 0.56
+
+
+def _iid_envelope_tail(trials):
+    """Exact P(|2k - N|/N > 3.2/sqrt(N)) for k ~ Bin(N, 1/2): the IID scheme's
+    deviation outside suite_martingale's envelope. The condition is tested in
+    integers, 100 (2k - N)^2 > 1024 N, so no rounding enters."""
+    outside = 0
+    count = 1  # C(N, k), updated along the row
+    for k in range(trials + 1):
+        if 100 * (2 * k - trials) ** 2 > 1024 * trials:
+            outside += count
+        count = count * (trials - k) // (k + 1)
+    return Fraction(outside, 2**trials)
+
+
+@pytest.mark.parametrize("trials", [1000, 10_000])
+def test_iid_martingale_exact_tail_inside_azuma(trials):
+    tail = _iid_envelope_tail(trials)
+    assert tail < azuma_tail_bound(3.2 / math.sqrt(trials), trials, 1.0)
+    # The exact 99th percentile of the deviation lies inside the envelope.
+    assert tail < Fraction(1, 100)
+    # About the normal two-sided tail at 3.2 sigma, 1.37e-3.
+    assert 1e-3 < tail < 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 from fklab import analysis, cli
 from fklab.cli import main
-from fklab.verifier import MAX_COPIES
+from fklab.simulator import FORMAT_BLOCK
+from fklab.verifier import MAX_COPIES, run_protocol
 
 
 def write_config(path, **overrides):
@@ -45,6 +46,32 @@ def test_run_writes_expected_files(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("rep,seed,accepted")
     assert len(summary) == 3
+
+
+def test_run_sample_file_is_the_per_bit_formatting(tmp_path, monkeypatch):
+    """More than FORMAT_BLOCK samples: the file is every sample's bits, qubit
+    0 first, one per line, byte for byte."""
+    reports = []
+
+    def spy(*args, **kwargs):
+        transcript, report = run_protocol(*args, **kwargs)
+        reports.append(report)
+        return transcript, report
+
+    monkeypatch.setattr(cli, "run_protocol", spy)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, lattice={"rows": 3, "cols": 3}, repetitions=1, protocol={
+        "num_copies": 300_000, "master_seed": 11, "threshold_o10": 0.5,
+        "threshold_fin": 0.5, "psamp_window": [0.3, 0.7],
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    samples = reports[0].samples.tolist()
+    assert len(samples) > FORMAT_BLOCK
+    expected = "".join(
+        "".join("1" if (z >> k) & 1 else "0" for k in range(9)) + "\n" for z in samples
+    )
+    assert (out / "samples_rep000.txt").read_bytes() == expected.encode("ascii")
 
 
 def test_run_transcript_flag(tmp_path):
@@ -398,6 +425,52 @@ def test_run_malformed_argument_exit_2(tmp_path, argv):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_base_config()))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *argv]) == 2
+
+
+UNUSABLE_OUT = (
+    "existing file", "under a file", "deep under a file", "dangling symlink", "name too long"
+)
+
+
+def _out_paths(tmp_path):
+    """--out values (keyed by UNUSABLE_OUT) that name no directory and that
+    mkdir cannot create."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    return {
+        "existing file": tmp_path / "file",
+        "under a file": tmp_path / "file" / "sub",
+        "deep under a file": tmp_path / "file" / "a" / "b",
+        "dangling symlink": tmp_path / "dangling",
+        "name too long": tmp_path / ("a" * 300) / "out",
+    }
+
+
+@pytest.mark.parametrize("case", UNUSABLE_OUT)
+def test_run_unusable_out_exit_2(tmp_path, capsys, case):
+    out = _out_paths(tmp_path)[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_base_config()))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dangling", "file"]
+
+
+@pytest.mark.parametrize("case", UNUSABLE_OUT)
+def test_verify_bounds_unusable_out_exit_2(tmp_path, capsys, case):
+    out = _out_paths(tmp_path)[case]
+    argv = ["verify-bounds", "cauchy_schwarz", "--instances", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
+
+
+def test_run_out_creates_missing_directories(tmp_path):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, repetitions=1)
+    out = tmp_path / "a" / "b"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "samples_rep000.txt").exists()
 
 
 def test_run_depolarized_4x4_exit_0(tmp_path):

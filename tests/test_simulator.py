@@ -17,6 +17,7 @@ from fklab.simulator import (
     apply_single_qubit,
     FORMAT_BLOCK,
     _build_alias,
+    bitstring_blocks,
     bitstrings,
     hamming_weights,
     interaction_energies,
@@ -546,3 +547,26 @@ def test_bitstring_formatting():
     for count in (FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1):
         indices = rng.integers(0, 1 << 16, size=count).astype(np.uint32)
         assert list(bitstrings(indices, 16)) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
+
+
+def _per_bit_text(indices, num_bits):
+    """The sample-file text of `indices`, each bit shifted out on its own."""
+    bits = (indices.astype(np.int64)[:, None] >> np.arange(num_bits)) & 1
+    chars = np.full((indices.size, num_bits + 1), ord("\n"), dtype=np.uint8)
+    chars[:, :num_bits] = bits + ord("0")
+    return chars.tobytes().decode("ascii")
+
+
+@pytest.mark.parametrize("num_bits", [1, 8, 16, 26])
+@pytest.mark.parametrize(
+    "count", [0, 1, FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1, 2 * FORMAT_BLOCK + 1]
+)
+def test_bitstring_blocks(num_bits, count):
+    rng = np.random.default_rng(count + num_bits)
+    indices = rng.integers(0, 1 << num_bits, size=count).astype(np.int32)
+    blocks = list(bitstring_blocks(indices, num_bits))
+    assert len(blocks) == -(-count // FORMAT_BLOCK)
+    assert all(block.count("\n") < FORMAT_BLOCK for block in blocks)
+    assert "".join(block + "\n" for block in blocks) == _per_bit_text(indices, num_bits)
+    if count:
+        assert blocks[0].split("\n", 1)[0] == _bitstring_per_bit(int(indices[0]), num_bits)

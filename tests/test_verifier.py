@@ -17,7 +17,7 @@ from fklab.prover import (
     make_honest_model,
     mode_distributions,
 )
-from fklab.simulator import zz_phases
+from fklab.simulator import FORMAT_BLOCK, zz_phases
 from fklab.verifier import CHUNK_SIZE, MAX_COPIES, Counters, ProtocolConfig, decide, run_protocol
 
 from conftest import (
@@ -451,9 +451,14 @@ def test_report_json_schema(setup_2x2):
 
 
 def test_sample_bitstrings_shape(setup_2x2):
+    """Writing item + "\\n" for each item writes one line per sample."""
     lattice, spec, model = setup_2x2
-    _, report = run(model, lattice, spec, 10_000, seed=5)
-    strings = list(report.sample_bitstrings())
+    _, report = run(model, lattice, spec, 300_000, seed=5)
+    blocks = list(report.sample_bitstrings())
+    assert report.samples.size > FORMAT_BLOCK and len(blocks) == 2
+    assert all(block.count("\n") < FORMAT_BLOCK for block in blocks)
+    strings = "".join(block + "\n" for block in blocks).split("\n")
+    assert strings.pop() == ""
     assert len(strings) == report.samples.size
     assert all(len(s) == 4 and set(s) <= {"0", "1"} for s in strings)
     assert strings == [_old_bitstring(x, 4) for x in report.samples.tolist()]
