@@ -3,9 +3,10 @@ the outcome distributions the verifier samples copies from.
 
 The honest prover is modeled analytically as clock-indexed input/output
 components plus a scalar depolarizing weight on the output, so copy
-measurement statistics have closed forms that are precomputed once and
-sampled in O(1) per shot. echo_prepare exists separately to certify that a
-gate-level device prepares the same state.
+measurement statistics and exact parameters have closed forms in each
+string's Hamming weight and interaction energy (simulator.level_counts),
+precomputed once and sampled in O(1) per shot. echo_prepare exists
+separately to certify that a gate-level device prepares the same state.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .simulator import (
     apply_global_cz,
     apply_single_qubit,
     hamming_weights,
-    inner_product,
-    interaction_energies,
+    level_counts,
     product_state,
+    string_levels,
     walsh_hadamard,
     zz_phases,
 )
@@ -52,6 +53,9 @@ SETUP_BYTES_PER_BASIS_STATE = 224
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
+
+# Each clock branch has weight 1/2 in every model, depolarized or not.
+P_CLOCK_MINUS = 0.5
 
 # Config key of each NoiseModel field; a missing key means no noise of that kind.
 NOISE_JSON_FIELDS = {
@@ -110,9 +114,9 @@ class HistoryStateModel:
 
     The model is its scalars: a is the input with an R_z(input_tilt) error
     per qubit, and b evolves the ideal input (a if tilted_output) for time
-    1 + evolution_scale. Both are built on first use.
+    1 + evolution_scale. Both are built anew on each use and not kept.
 
-    Frozen, because it memoizes its components and outcome tables.
+    Frozen, because it memoizes its outcome tables and their accept levels.
     """
 
     lattice: LatticeGeometry
@@ -130,16 +134,34 @@ class HistoryStateModel:
             raise ValidationError(
                 f"depolarizing_rate must be in [0, 1], got {self.depolarizing_rate}"
             )
+        # Built with the model, so that a phase past float range is a config error.
+        self.accept_levels
+
+    @cached_property
+    def accept_levels(self) -> np.ndarray:
+        """The (2, n+1, edges+1) accept levels of the X and Y propagation alias
+        rows: entry [r, w, k] is the accept of every string of weight w and
+        energy 2k - edges (_mode_tables). Raises ValidationError if one is not
+        finite."""
+        n, edges, p = self.num_system_qubits, self.lattice.num_edges, self.depolarizing_rate
+        t_in, t_out = self.input_tilt, self.input_tilt if self.tilted_output else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = self.clock_phase + (t_out - t_in) * (np.arange(n + 1)[:, None] - n / 2)
+            phi = phi - (np.pi / 4) * (1.0 + self.evolution_scale) * np.arange(-edges, edges + 1, 2)
+            levels = 0.5 + 0.5 * (1.0 - p) * np.stack((np.cos(phi), np.sin(phi)))
+        if not np.isfinite(levels).all():
+            raise ValidationError("the propagation phases of this noise model are not finite")
+        return levels
 
     @property
     def num_system_qubits(self) -> int:
         return self.lattice.num_qubits
 
-    @cached_property
+    @property
     def input_component(self) -> PureState:
         return _tilted_input(self.input_spec, self.input_tilt)
 
-    @cached_property
+    @property
     def output_component(self) -> PureState:
         evolved = self.input_component if self.tilted_output else product_state(self.input_spec)
         # Complex products are not bitwise commutative, so the operand order is
@@ -156,7 +178,6 @@ class HistoryStateModel:
         accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
         return ModeDistributions(
             num_system=self.num_system_qubits,
-            p_clock_minus=0.5,
             **dict(zip(MODE_ORDER, _mode_tables(self, alias, accept))),
             alias=alias,
             accept=accept,
@@ -234,33 +255,33 @@ def make_honest_model(
     )
 
 
+def level_sum(lattice: LatticeGeometry, weight_phase: float, energy_phase: float) -> complex:
+    """2^-n sum_z e^{i weight_phase (w(z) - n/2) + i energy_phase E(z)}, summed
+    over the level grid by weight, then by energy."""
+    n = lattice.num_qubits
+    by_weight = np.exp(1j * weight_phase * (np.arange(n + 1) - n / 2))
+    by_energy = np.sum(by_weight[:, None] * level_counts(lattice), axis=0)
+    levels = 2 * np.arange(by_energy.size) - lattice.num_edges
+    return np.sum(by_energy * np.exp(1j * energy_phase * levels)) / (1 << n)
+
+
 def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
     """Exact F_in, p_samp, Tr[rho O10], F_out of an analytic model.
 
-    Computed in O(2^n) from the components: depolarizing scales Tr[rho O10]
-    by 1-p and mixes F_out with the 2^-n overlap of the maximally mixed state.
-    The density-matrix route in the analysis module is the independent oracle
-    for small n.
+    Every amplitude of a, b and the ideal input has modulus 2^(-n/2) and a
+    phase set by w(z) and E(z), so <b|U a> = level_sum(t_in - t_out, (pi/4)
+    eta), <b|U phi> = level_sum(-t_out, (pi/4) eta) and F_in = cos(t_in/2)^(2n).
+    Depolarizing scales Tr[rho O10] by 1-p and mixes F_out with the 2^-n
+    overlap of the maximally mixed state.
     """
-    lattice = model.lattice
-    p = model.depolarizing_rate
-    ideal = product_state(model.input_spec).amplitudes
-    a = model.input_component.amplitudes
-    b = model.output_component.amplitudes
-    u_diag = zz_phases(lattice, 1.0)
-
-    f_in = float(np.abs(inner_product(ideal, a)) ** 2)
-    tr = (1.0 - p) * inner_product(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
-    f_out = (1.0 - p) * float(np.abs(inner_product(b, u_diag * ideal)) ** 2) + p / a.size
-    return ModelParameters(f_in=f_in, p_samp=0.5, tr_rho_o10=complex(tr), f_out=f_out)
-
-
-def _overlap_sq_at_eta(counts: np.ndarray, eta: float) -> float:
-    """|<U^{1+eta} phi | U phi>|^2: every |phi_z|^2 is 2^-n, so it is a sum over
-    the energy levels 2k - edges, with counts[k] strings at level k."""
-    levels = 2 * np.arange(counts.size) - (counts.size - 1)
-    chi = np.sum(counts * np.exp(1j * eta * (np.pi / 4) * levels)) / counts.sum()
-    return float(np.abs(chi) ** 2)
+    lattice, n, p = model.lattice, model.num_system_qubits, model.depolarizing_rate
+    t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
+    energy_phase = model.evolution_scale * (np.pi / 4)
+    f_in = math.cos(t_in / 2) ** (2 * n)
+    tr = (1.0 - p) * level_sum(lattice, t_in - t_out, energy_phase) * 0.5
+    tr *= np.exp(-1j * model.clock_phase)
+    f_out = (1.0 - p) * float(np.abs(level_sum(lattice, -t_out, energy_phase)) ** 2) + p / (1 << n)
+    return ModelParameters(f_in=f_in, p_samp=P_CLOCK_MINUS, tr_rho_o10=complex(tr), f_out=f_out)
 
 
 def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> float:
@@ -269,11 +290,14 @@ def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> 
         raise ValidationError(f"target overlap must be in [0, 1], got {target_overlap_sq}")
     if target_overlap_sq == 1.0:
         return 0.0
-    counts = np.bincount((interaction_energies(lattice) + len(lattice.edges)) >> 1)
+
+    def overlap_sq(eta: float) -> float:
+        return float(np.abs(level_sum(lattice, 0.0, eta * (np.pi / 4))) ** 2)
+
     hi = 0.0
     for _ in range(400):
         hi += 0.02
-        if _overlap_sq_at_eta(counts, hi) < target_overlap_sq:
+        if overlap_sq(hi) < target_overlap_sq:
             break
     else:
         raise SearchFailureError(
@@ -282,12 +306,12 @@ def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> 
     lo = hi - 0.02
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _overlap_sq_at_eta(counts, mid) > target_overlap_sq:
+        if overlap_sq(mid) > target_overlap_sq:
             lo = mid
         else:
             hi = mid
     eta = 0.5 * (lo + hi)
-    if abs(_overlap_sq_at_eta(counts, eta) - target_overlap_sq) > TARGET_TOL:
+    if abs(overlap_sq(eta) - target_overlap_sq) > TARGET_TOL:
         raise SearchFailureError("overlap bisection failed to converge")
     return eta
 
@@ -398,7 +422,6 @@ class ModeDistributions:
     """
 
     num_system: int
-    p_clock_minus: float
     sample_given_minus: Distribution
     input_given_plus: Distribution
     prop_x: Distribution
@@ -417,35 +440,29 @@ def _mode_tables(
     with phi = theta + (t_out - t_in)(w - n/2) - (pi/4)(1+eta)E for z of weight
     w and energy E. A depolarized propagation half is 2^-n/2 (1 +- (1-p) cos phi)
     in X and the same with sin phi in Y. So a propagation alias table is closed
-    form: bin z keeps z (clock +1) with accept (1 + (1-p) cos phi) / 2 and else
-    aliases z + 2^n (clock -1), and the dense table is read off that row. The
-    input test reads back each qubit's input state with c = cos^2(t_in/2), so
-    z has c^(n-w) s^w, s = sin^2(t_in/2); that product law and the sampling
-    table get a Vose build.
+    form: bin z keeps z (clock +1) with accept (1 + (1-p) cos phi) / 2, gathered
+    from model.accept_levels at (w, E), and else aliases z + 2^n (clock -1); the
+    dense table is read off that row. The input test reads back each qubit's
+    input state with c = cos^2(t_in/2), so z has c^(n-w) s^w, s = sin^2(t_in/2);
+    that product law and the sampling table get a Vose build.
     """
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
-    weight = hamming_weights(n)
     samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
     sample_given_minus = Distribution(n, samp / samp.sum())
     del samp
 
-    t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
+    t_in = model.input_tilt
     c, s = math.cos(t_in / 2) ** 2, math.sin(t_in / 2) ** 2
     w = np.arange(n + 1)
-    input_given_plus = Distribution(n, (c ** (n - w) * s**w)[weight])
+    input_given_plus = Distribution(n, (c ** (n - w) * s**w)[hamming_weights(n)])
     for row, table in enumerate((sample_given_minus, input_given_plus)):
         table._alias = _build_alias(table.probabilities, (alias[row], accept[row]))
 
-    phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
-    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
+    levels = model.accept_levels.reshape(2, -1)
+    np.take(levels, string_levels(model.lattice), axis=1, out=accept[2:], mode="clip")
     alias[2:] = np.arange(dim, 2 * dim)
-    np.cos(phi, out=accept[2])
-    np.sin(phi, out=accept[3])
-    del phi
-    accept[2:] *= 0.5 * (1.0 - p)
-    accept[2:] += 0.5
     prop_x, prop_y = (
         Distribution(
             n + 1,

@@ -54,7 +54,8 @@ class PureState:
                 f"expected {1 << self.num_qubits} amplitudes, got {self.amplitudes.shape}"
             )
         norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        # Negated so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {NORM_ATOL}")
 
 
@@ -99,6 +100,24 @@ def hamming_weights(num_qubits: int) -> np.ndarray:
         np.add(weight[: 1 << k], 1, out=weight[1 << k : 2 << k])
     weight.flags.writeable = False
     return weight
+
+
+@lru_cache(maxsize=8)
+def level_counts(lattice: LatticeGeometry) -> np.ndarray:
+    """counts[w, k], the number of basis strings of weight w and interaction
+    energy 2k - edges: a read-only int64 (n+1, edges+1) grid."""
+    shape = (lattice.num_qubits + 1, lattice.num_edges + 1)
+    counts = np.bincount(string_levels(lattice), minlength=shape[0] * shape[1]).reshape(shape)
+    counts.flags.writeable = False
+    return counts
+
+
+def string_levels(lattice: LatticeGeometry) -> np.ndarray:
+    """Each basis string's flat index w (edges+1) + k into level_counts, as int16."""
+    level = hamming_weights(lattice.num_qubits).astype(np.int16)
+    level *= lattice.num_edges + 1
+    level += (interaction_energies(lattice) + lattice.num_edges) >> 1
+    return level
 
 
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
@@ -270,10 +289,11 @@ class Distribution:
             raise DimensionMismatchError(
                 f"expected {1 << self.num_bits} probabilities, got {self.probabilities.shape}"
             )
-        if np.any(self.probabilities < -1e-12):
-            raise ValidationError("negative probability")
+        # Negated so that NaN probabilities fail too.
+        if not np.all(self.probabilities >= -1e-12):
+            raise ValidationError("negative or NaN probability")
         total = float(self.probabilities.sum())
-        if abs(total - 1.0) > NORM_ATOL:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1 within {NORM_ATOL}")
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

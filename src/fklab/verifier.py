@@ -18,7 +18,7 @@ Copy i reads uk = u[k, i]:
   the three give the copy's branch code 4 b_sampling + 2 b_testtype +
              (u2 >= 0.5): 0-1 the input test, 2 X propagation, 3 Y
              propagation, 4-7 sampling;
-  u3 < p_clock_minus (1/2)  the clock reads -1, for sampling and input-test
+  u3 < P_CLOCK_MINUS (1/2)  the clock reads -1, for sampling and input-test
              copies; a propagation copy's clock is bit n of its outcome;
   u4, u5     the alias pick from the copy's table: bin int(u4 * 2^n), kept
              when u5 < accept[bin], else alias[bin]. A sampling copy is
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
-from .prover import MODE_ORDER, HistoryStateModel, NoiseModel, mode_distributions
+from .prover import MODE_ORDER, P_CLOCK_MINUS, HistoryStateModel, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
 from .simulator import bitstring_blocks, bitstrings, interaction_energies, zz_phase_levels
 
@@ -282,7 +282,7 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) 
 
     # A propagation outcome carries its clock bit at bit n; a sampling or
     # input-test outcome is below 2^n, and its clock is read from u3.
-    true_minus = u_rand[3] < dists.p_clock_minus
+    true_minus = u_rand[3] < P_CLOCK_MINUS
     minus = j >> n
     minus |= true_minus & ~prop
     np.take(_CLOCK_OF_MINUS, minus, out=clock)

@@ -12,6 +12,7 @@ import pytest
 
 from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
 from fklab.lattice import InputSpec, InputType, build_lattice
+from fklab.prover import P_CLOCK_MINUS
 from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import (
     MAX_STATE_QUBITS,
@@ -20,6 +21,8 @@ from fklab.simulator import (
     Distribution,
     PureState,
     apply_single_qubit,
+    hamming_weights,
+    interaction_energies,
     product_state,
     walsh_hadamard,
     zz_phases,
@@ -326,6 +329,38 @@ def reference_mode_tables(model):
     )
 
 
+def reference_propagation_rows(model):
+    """Rows 2-3 of the alias buffer, (1 + (1-p) cos phi_z) / 2 and the same
+    with sin phi_z, from the per-string phase formula the level gather
+    replaced, with the same dtypes and operations."""
+    n = model.num_system_qubits
+    p = model.depolarizing_rate
+    weight = hamming_weights(n)
+    t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
+    phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
+    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
+    rows = np.empty((2, 1 << n))
+    np.cos(phi, out=rows[0])
+    np.sin(phi, out=rows[1])
+    rows *= 0.5 * (1.0 - p)
+    rows += 0.5
+    return rows
+
+
+def dense_model_parameters(model):
+    """F_in, Tr[rho O10] and F_out of a model from 2^n inner products over its
+    components: the dense route the level sums replaced."""
+    p = model.depolarizing_rate
+    ideal = product_state(model.input_spec).amplitudes
+    a = model.input_component.amplitudes
+    b = model.output_component.amplitudes
+    u_diag = zz_phases(model.lattice, 1.0)
+    f_in = float(np.abs(np.vdot(ideal, a)) ** 2)
+    tr = (1.0 - p) * np.vdot(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
+    f_out = (1.0 - p) * float(np.abs(np.vdot(b, u_diag * ideal)) ** 2) + p / a.size
+    return f_in, complex(tr), f_out
+
+
 # Reference chunk kernel and counters: the verifier's earlier masked
 # formulation, kept verbatim so the mask-free kernel and the index-gather
 # counters can be checked column for column with np.array_equal and counter
@@ -353,7 +388,7 @@ def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):
     sys_idx[:] = -1
 
     z_branch = samp | input_test
-    true_minus = z_branch & (u_rand[3] < dists.p_clock_minus)
+    true_minus = z_branch & (u_rand[3] < P_CLOCK_MINUS)
     clock[z_branch] = np.where(true_minus[z_branch], -1, 1)
 
     samp_measured = samp & true_minus

@@ -325,6 +325,77 @@ def test_iid_martingale_exact_tail_inside_azuma(trials):
     assert 1e-3 < tail < 2e-3
 
 
+def _alternating_deviation_law(trials):
+    """Exact law of 5 N dev = |S + 5 F_N - 4| for AlternatingScheme, as a
+    dict from S + 5 F_N - 4 to its probability.
+
+    The scheme's conditional mean is 0.8 for the first trial and 0.8 F_{j-1}
+    after it, so f_sum - mean_sum = 0.2 S + F_N - 0.8, with S the sum of the
+    first N - 1 outcomes. That is a function of (number of +1 outcomes, last
+    outcome), whose law follows trial by trial: plus[k] (minus[k]) is the
+    probability of k +1 outcomes so far with a last outcome of +1 (-1).
+    """
+    scheme = AlternatingScheme()
+    after_plus, after_minus = scheme.p_plus_a, scheme.p_plus_b
+    plus = np.zeros(trials + 1)
+    minus = np.zeros(trials + 1)
+    plus[1], minus[0] = after_plus, 1.0 - after_plus
+    for done in range(1, trials):
+        was_plus, was_minus = plus[: done + 1].copy(), minus[: done + 1].copy()
+        plus[1 : done + 2] = after_plus * was_plus + after_minus * was_minus
+        plus[0] = 0.0
+        minus[: done + 1] = (1.0 - after_plus) * was_plus + (1.0 - after_minus) * was_minus
+    law = {}
+    for k in range(trials + 1):
+        # The last outcome is excluded from S: S = 2 (k - [F_N = +1]) - (N - 1).
+        for prob, last in ((plus[k], 1), (minus[k], -1)):
+            s_sum = 2 * (k - (last == 1)) - (trials - 1)
+            value = s_sum + 5 * last - 4
+            law[value] = law.get(value, 0.0) + prob
+    return law
+
+
+def _alternating_envelope_tail(trials):
+    """Exact P(dev > 3.2/sqrt(N)) for AlternatingScheme: in integers,
+    (S + 5 F_N - 4)^2 > 256 N."""
+    law = _alternating_deviation_law(trials)
+    return sum(prob for value, prob in law.items() if value * value > 256 * trials)
+
+
+def test_alternating_deviation_law_matches_enumeration():
+    # Every outcome sequence of 10 trials, weighted by the scheme's rule.
+    trials = 10
+    scheme = AlternatingScheme()
+    expected = {}
+    for bits in range(1 << trials):
+        outcomes = [1 if (bits >> j) & 1 else -1 for j in range(trials)]
+        prob, prev = 1.0, None
+        for f in outcomes:
+            p_plus = scheme.p_plus_a if prev in (None, 1) else scheme.p_plus_b
+            prob *= p_plus if f == 1 else 1.0 - p_plus
+            prev = f
+        value = sum(outcomes[:-1]) + 5 * outcomes[-1] - 4
+        expected[value] = expected.get(value, 0.0) + prob
+    law = _alternating_deviation_law(trials)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    assert set(law) >= set(expected)
+    for value in law:
+        assert abs(law[value] - expected.get(value, 0.0)) < 1e-15
+
+
+@pytest.mark.parametrize("trials", [1000, 10_000])
+def test_alternating_martingale_exact_tail_inside_azuma(trials):
+    tail = _alternating_envelope_tail(trials)
+    assert tail < azuma_tail_bound(3.2 / math.sqrt(trials), trials, 1.0)
+    # The exact 99th percentile of the deviation lies inside the envelope.
+    assert tail < 0.01
+    # Far below the IID scheme's 1.4e-3: about 3.9e-8 at N = 1000 and 8.7e-8
+    # at N = 10000. At N = 10000 the envelope is itself a deviation value
+    # (|S + 5 F_N - 4| = 1600, probability 1.6e-9 each side), which the
+    # strict inequality leaves out.
+    assert 1e-8 < tail < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # Pauli-product inversion and the generalized echo
 

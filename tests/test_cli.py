@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ def test_run_malformed_field_exit_2(tmp_path, capsys, path, value):
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [{"input_tilt": 1e308}, {"eta": 1e308}])
+def test_run_non_finite_phase_exit_2(tmp_path, capsys, noise):
+    # Finite noise values whose propagation phases leave float range: rejected
+    # with the model at config load, with no warning, traceback or output.
+    config = _base_config()
+    config["prover"]["noise"] = noise
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # Seeded fuzzing of malformed configs. Every mutation below is malformed on

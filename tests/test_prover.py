@@ -18,18 +18,19 @@ from fklab import prover
 from fklab.rng import TAG_COPIES, substream
 from fklab.prover import (
     MODE_ORDER,
+    P_CLOCK_MINUS,
     HistoryStateModel,
     NoiseModel,
-    _overlap_sq_at_eta,
     echo_prepare,
     exact_model_parameters,
     ideal_history_state,
+    level_sum,
     make_degraded_model,
     make_honest_model,
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import Distribution, product_state, state_fidelity, zz_phases
+from fklab.simulator import Distribution, level_counts, product_state, state_fidelity, zz_phases
 from fklab.verifier import ProtocolConfig, run_protocol
 
 from conftest import (
@@ -39,12 +40,14 @@ from conftest import (
     dense_coupling_hamiltonian,
     dense_hadamard_all,
     dense_history_vector,
+    dense_model_parameters,
     depolarized_mixture_density,
     ideal_output_distribution,
     kron_chain,
     reference_echo_amplitudes,
     reference_interaction_energies,
     reference_mode_tables,
+    reference_propagation_rows,
     rotated_basis,
     small_lattices,
     spectral_expm,
@@ -159,7 +162,11 @@ def test_depolarizing_mixture_weights(lattice, spec):
     # Weight 1-p stays on the coherent output, which components() reports;
     # the rest is the maximally mixed output, and each clock branch keeps 1/2.
     model = honest(lattice, spec, depolarizing_rate=0.2)
-    assert model.components() == [(0.8, model.output_component)]
+    [(weight, component)] = model.components()
+    assert weight == 0.8
+    assert np.array_equal(component.amplitudes, model.output_component.amplitudes)
+    oracle = dense_history_vector(lattice, spec)[16:] * np.sqrt(2)
+    assert np.max(np.abs(component.amplitudes - oracle)) < 1e-12
     rho = model.to_density_matrix()
     assert abs(np.trace(rho[:16, :16]) - 0.5) < 1e-12
     assert abs(np.trace(rho[16:, 16:]) - 0.5) < 1e-12
@@ -171,7 +178,8 @@ def test_depolarizing_capacity_guard():
     lat = build_lattice(3, 4)
     spec = random_input(12, np.random.default_rng(0))
     model = make_honest_model(lat, spec, NoiseModel(depolarizing_rate=0.1))
-    assert model.components() == [(0.9, model.output_component)]
+    [(weight, component)] = model.components()
+    assert weight == 0.9 and component.num_qubits == 12
     assert abs(exact_model_parameters(model).f_out - (0.9 + 0.1 / 4096)) < 1e-12
     with pytest.raises(CapacityError):
         model.to_density_matrix()
@@ -430,7 +438,7 @@ def test_mode_distributions_match_dense_joints(rows, cols, rate):
     dists = mode_distributions(model)
     joints = _dense_mode_joints(model.to_density_matrix(), spec)
     dim = 1 << lat.num_qubits
-    assert abs(dists.p_clock_minus - joints["sample"][dim]) < 1e-12
+    assert abs(P_CLOCK_MINUS - joints["sample"][dim]) < 1e-12
     for table, joint in (
         (dists.sample_given_minus, joints["sample"][:dim]),
         (dists.input_given_plus, joints["input"][:dim]),
@@ -482,19 +490,57 @@ def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice
     mode_distributions(honest(lattice, spec, input_tilt=0.05, depolarizing_rate=0.1))
 
 
+def test_degraded_model_builds_no_component(monkeypatch, lattice, spec):
+    # The degraded model's tuning and target check are level sums: no 2^n
+    # component is built.
+    def dense(*args):
+        raise AssertionError("a dense component was built")
+
+    monkeypatch.setattr(prover, "product_state", dense)
+    monkeypatch.setattr(prover, "zz_phases", dense)
+    model = make_degraded_model(lattice, spec, 0.97, 0.95)
+    exact_model_parameters(model)
+
+
 @pytest.mark.parametrize("rows,cols", small_lattices(12))
 def test_energy_histogram_overlap_matches_dense_sum(rows, cols):
     # chi(eta) = sum_z |phi_z|^2 e^{i eta (pi/4) E(z)}, summed over all 2^n
-    # strings with the input's own weights and per-edge energies.
+    # strings with the input's own weights and per-edge energies, against the
+    # level sum tune_evolution_scale bisects on.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     weights = np.abs(product_state(spec).amplitudes) ** 2
     energy = reference_interaction_energies(lat)
-    counts = np.bincount((energy.astype(np.int64) + len(lat.edges)) // 2)
-    assert counts.size == len(lat.edges) + 1
+    assert level_counts(lat).shape == (lat.num_qubits + 1, len(lat.edges) + 1)
     for eta in (0.0, 0.013, 0.1, 0.7, 2.5):
         dense = abs(np.sum(weights * np.exp(1j * eta * (np.pi / 4) * energy))) ** 2
-        assert abs(_overlap_sq_at_eta(counts, eta) - dense) < 1e-12
+        assert abs(abs(level_sum(lat, 0.0, eta * (np.pi / 4))) ** 2 - dense) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
+def test_propagation_rows_gather_the_per_string_formula(kind, rows, cols):
+    # Rows 2-3 are gathered from the (2, n+1, edges+1) accept levels at each
+    # string's (w, E): bit for bit the per-string formula.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = REFERENCE_MODELS[kind](lat, spec)
+    rows_23 = mode_distributions(model).accept[2:]
+    assert np.array_equal(rows_23.view(np.uint64), reference_propagation_rows(model).view(np.uint64))
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12) + [(4, 5)])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
+def test_level_sum_parameters_match_dense_oracle(kind, rows, cols):
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = REFERENCE_MODELS[kind](lat, spec)
+    params = exact_model_parameters(model)
+    f_in, tr, f_out = dense_model_parameters(model)
+    assert params.p_samp == P_CLOCK_MINUS
+    assert abs(params.f_in - f_in) < 1e-12
+    assert abs(params.tr_rho_o10 - tr) < 1e-12
+    assert abs(params.f_out - f_out) < 1e-12
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 3), (3, 3), (4, 4)])
@@ -603,6 +649,15 @@ def test_history_model_rejects_bad_mixture(lattice, spec):
                 clock_phase=0.0,
                 depolarizing_rate=rate,
             )
+
+
+@pytest.mark.parametrize(
+    "noise", [{"input_tilt": 1e308}, {"evolution_scale": 1e308}, {"clock_phase": 1e308, "input_tilt": 1e308}]
+)
+def test_history_model_rejects_non_finite_phases(lattice, spec, noise):
+    kwargs = {"clock_phase": 0.0, **noise}
+    with pytest.raises(ValidationError, match="not finite"):
+        HistoryStateModel(lattice=lattice, input_spec=spec, **kwargs)
 
 
 def test_statevector_against_conftest_oracle(lattice, spec):

@@ -21,6 +21,7 @@ from fklab.simulator import (
     bitstrings,
     hamming_weights,
     interaction_energies,
+    level_counts,
     product_state,
     state_fidelity,
     walsh_hadamard,
@@ -299,6 +300,22 @@ def test_hamming_weights_match_per_bit_count(n):
     assert weights.tolist() == [bin(index).count("1") for index in range(1 << n)]
 
 
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+def test_level_counts_match_per_string_levels(rows, cols):
+    # counts[w, k] strings have weight w and energy 2k - edges, counted one
+    # string at a time from its bits.
+    lattice = build_lattice(rows, cols)
+    n, edges = lattice.num_qubits, len(lattice.edges)
+    expected = np.zeros((n + 1, edges + 1), dtype=np.int64)
+    for index in range(1 << n):
+        z = [1 - 2 * ((index >> k) & 1) for k in range(n)]
+        energy = sum(z[i] * z[j] for i, j in lattice.edges)
+        expected[bin(index).count("1"), (energy + edges) // 2] += 1
+    counts = level_counts(lattice)
+    assert not counts.flags.writeable
+    assert np.array_equal(counts, expected)
+
+
 # ---------------------------------------------------------------------------
 # state_fidelity
 
@@ -386,6 +403,18 @@ def test_ideal_distribution_capacity_guard():
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+@pytest.mark.parametrize("amplitudes", [[math.nan, 0.0], [math.nan, math.nan], [math.inf, 0.0]])
+def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ValidationError):
+        PureState(1, amplitudes)
+
+
+@pytest.mark.parametrize("probabilities", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.inf]])
+def test_distribution_rejects_non_finite_probabilities(probabilities):
+    with pytest.raises(ValidationError):
+        Distribution(1, probabilities)
 
 
 def test_sample_point_mass():
