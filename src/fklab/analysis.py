@@ -27,7 +27,6 @@ from .lattice import InputSpec, LatticeGeometry, build_lattice, random_input
 from .prover import ideal_history_state
 from .rng import TAG_BOUNDS, substream
 from .simulator import (
-    Distribution,
     MAX_DENSE_QUBITS,
     PureState,
     product_state,
@@ -240,8 +239,7 @@ def fidelity_lower_bound(o10_sq: float, f_in: float) -> float:
 
 def tvd(p, q) -> float:
     """Total variation distance (1/2) sum |p - q|."""
-    p_arr = p.probabilities if isinstance(p, Distribution) else np.asarray(p, dtype=np.float64)
-    q_arr = q.probabilities if isinstance(q, Distribution) else np.asarray(q, dtype=np.float64)
+    p_arr, q_arr = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p_arr.shape != q_arr.shape:
         raise DimensionMismatchError(f"support sizes differ: {p_arr.shape} vs {q_arr.shape}")
     return 0.5 * float(np.abs(p_arr - q_arr).sum())
@@ -620,11 +618,12 @@ def suite_cauchy_schwarz(instances: int, seed: int):
 
 # Draws suite_lower_bound makes per instance before it gives up on the regime.
 LOWER_BOUND_DRAWS = 10
+LOWER_BOUND_SLACK = 5e-3
 
 
 @_suite("lower_bound")
-def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3):
-    """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - slack for in-regime states."""
+def suite_lower_bound(instances: int, seed: int):
+    """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - LOWER_BOUND_SLACK for in-regime states."""
     lattice, spec, _, rng = _suite_setting(seed, 1)
     for _ in range(instances):
         # An out-of-regime draw is replaced by the next one from the same stream.
@@ -641,7 +640,7 @@ def suite_lower_bound(instances: int, seed: int, slack: float = 5e-3):
                 f"{LOWER_BOUND_DRAWS} generated states in a row left the epsilon <= 0.02 regime"
             )
         bound = fidelity_lower_bound(abs(params.tr_rho_o10) ** 2, params.f_in)
-        yield (bound - slack) - params.f_out
+        yield (bound - LOWER_BOUND_SLACK) - params.f_out
 
 
 @_suite("tvd_chain")
@@ -732,12 +731,11 @@ def suite_php_echo(instances: int, seed: int):
 
 
 @_suite("noisy_meas")
-def suite_noisy_meas(instances: int, seed: int, eps: float | None = None):
-    """Exact flip-convolved sampling TVD against (1 - eps n) sqrt(delta_f) + eps n."""
+def suite_noisy_meas(instances: int, seed: int):
+    """Exact flip-convolved sampling TVD at eps = 1/(100 n) against (1 - eps n) sqrt(delta_f) + eps n."""
     lattice, _, ideal_out, rng = _suite_setting(seed, 4)
     n = lattice.num_qubits
-    if eps is None:
-        eps = 1.0 / (100.0 * n)
+    eps = 1.0 / (100.0 * n)
     p_ideal = _x_basis_probabilities(ideal_out)
     for k in range(instances):
         if k == 0:

@@ -30,7 +30,6 @@ from .simulator import (
     MAX_DENSE_QUBITS,
     PAULI_X,
     PureState,
-    _build_alias,
     apply_global_cz,
     apply_single_qubit,
     hamming_weights,
@@ -441,8 +440,8 @@ def _mode_tables(
     w and energy E. A depolarized propagation half is 2^-n/2 (1 +- (1-p) cos phi)
     in X and the same with sin phi in Y. So a propagation alias table is closed
     form: bin z keeps z (clock +1) with accept (1 + (1-p) cos phi) / 2, gathered
-    from model.accept_levels at (w, E), and else aliases z + 2^n (clock -1); the
-    dense table is read off that row. The input test reads back each qubit's
+    from model.accept_levels at (w, E), and else aliases z + 2^n (clock -1), so
+    no dense joint is built. The input test reads back each qubit's
     input state with c = cos^2(t_in/2), so z has c^(n-w) s^w, s = sin^2(t_in/2);
     that product law and the sampling table get a Vose build.
     """
@@ -450,27 +449,20 @@ def _mode_tables(
     dim = 1 << n
     p = model.depolarizing_rate
     samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
-    sample_given_minus = Distribution(n, samp / samp.sum())
+    sample_given_minus = Distribution.from_probabilities(n, samp / samp.sum(), (alias[0], accept[0]))
     del samp
 
     t_in = model.input_tilt
     c, s = math.cos(t_in / 2) ** 2, math.sin(t_in / 2) ** 2
     w = np.arange(n + 1)
-    input_given_plus = Distribution(n, (c ** (n - w) * s**w)[hamming_weights(n)])
-    for row, table in enumerate((sample_given_minus, input_given_plus)):
-        table._alias = _build_alias(table.probabilities, (alias[row], accept[row]))
+    input_given_plus = Distribution.from_probabilities(
+        n, (c ** (n - w) * s**w)[hamming_weights(n)], (alias[1], accept[1])
+    )
 
     levels = model.accept_levels.reshape(2, -1)
     np.take(levels, string_levels(model.lattice), axis=1, out=accept[2:], mode="clip")
     alias[2:] = np.arange(dim, 2 * dim)
-    prop_x, prop_y = (
-        Distribution(
-            n + 1,
-            np.concatenate([accept[row], 1.0 - accept[row]]) / dim,
-            _alias=(alias[row], accept[row]),
-        )
-        for row in (2, 3)
-    )
+    prop_x, prop_y = (Distribution(n + 1, alias[row], accept[row]) for row in (2, 3))
     return sample_given_minus, input_given_plus, prop_x, prop_y
 
 

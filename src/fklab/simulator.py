@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -122,7 +122,7 @@ def string_levels(lattice: LatticeGeometry) -> np.ndarray:
 
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
     """Diagonal of the time-t coupling evolution over the lattice register."""
-    return np.exp((-1j * time * np.pi / 4) * interaction_energies(lattice))
+    return np.exp((-1j * (time * (np.pi / 4))) * interaction_energies(lattice))
 
 
 def zz_phase_levels(lattice: LatticeGeometry) -> np.ndarray:
@@ -209,7 +209,7 @@ def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(whole.astype(np.int64)), np.cumsum(rest.astype(np.int64))
 
 
-def _build_alias(
+def _vose_build(
     probabilities: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias table (alias index J, acceptance threshold q) in closed form.
@@ -271,44 +271,54 @@ def _build_alias(
 
 @dataclass
 class Distribution:
-    """Discrete distribution over n-bit outcomes with an alias table.
+    """Discrete distribution over n-bit outcomes, held as its alias table.
 
     Sampling costs two uniforms per draw regardless of the support size.
-    Outcomes are integer indices; bit k of an index is qubit k's bit. The
-    alias table may have fewer bins than there are outcomes, when its aliases
+    Outcomes are integer indices; bit k of an index is qubit k's bit. Bin i
+    keeps i with probability accept[i] and otherwise draws alias[i]. The
+    table may have fewer bins than there are outcomes, when its aliases
     reach outcomes that no bin keeps: pick draws its bin among alias.size.
     """
 
     num_bits: int
-    probabilities: np.ndarray
-    _alias: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    alias: np.ndarray
+    accept: np.ndarray
 
-    def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
-        if self.probabilities.shape != (1 << self.num_bits,):
-            raise DimensionMismatchError(
-                f"expected {1 << self.num_bits} probabilities, got {self.probabilities.shape}"
-            )
+    @classmethod
+    def from_probabilities(cls, num_bits: int, probabilities, out=None) -> Distribution:
+        """The Vose table of a law over 2^num_bits outcomes, written into `out`
+        (see _vose_build) when one is given."""
+        p = np.asarray(probabilities, dtype=np.float64)
+        if p.shape != (1 << num_bits,):
+            raise DimensionMismatchError(f"expected {1 << num_bits} probabilities, got {p.shape}")
         # Negated so that NaN probabilities fail too.
-        if not np.all(self.probabilities >= -1e-12):
+        if not np.all(p >= -1e-12):
             raise ValidationError("negative or NaN probability")
-        total = float(self.probabilities.sum())
+        total = float(p.sum())
         if not abs(total - 1.0) <= NORM_ATOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1 within {NORM_ATOL}")
+        return cls(num_bits, *_vose_build(p, out))
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._alias is None:
-            self._alias = _build_alias(self.probabilities)
-        return self._alias
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The law the table draws: bin i's 1/size share split between i and
+        alias[i], computed on each access. Each outcome's leftovers are summed
+        pairwise (np.add.reduceat), so ~10^5 of them still round to ~1e-16."""
+        order = np.argsort(self.alias, kind="stable")
+        targets = self.alias[order]
+        starts = np.flatnonzero(np.diff(targets, prepend=-1))
+        law = np.zeros(1 << self.num_bits)
+        law[targets[starts]] = np.add.reduceat((1.0 - self.accept)[order], starts)
+        law[: self.alias.size] += self.accept
+        return law / self.alias.size
 
     def pick(self, u_bin: np.ndarray, u_coin: np.ndarray) -> np.ndarray:
         """Map pairs of uniforms in [0,1) to outcome indices (vectorized)."""
-        alias, accept = self._table()
-        size = alias.size
+        size = self.alias.size
         u_bin = np.asarray(u_bin)
         u_coin = np.asarray(u_coin)
         bins = np.minimum((u_bin * size).astype(np.int64), size - 1)
-        return np.where(u_coin < accept[bins], bins, alias[bins])
+        return np.where(u_coin < self.accept[bins], bins, self.alias[bins])
 
 
 # Indices are formatted in blocks of this many, so the temporaries stay near

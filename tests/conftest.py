@@ -18,7 +18,6 @@ from fklab.simulator import (
     MAX_STATE_QUBITS,
     X_STATE,
     Y_STATE,
-    Distribution,
     PureState,
     apply_single_qubit,
     hamming_weights,
@@ -177,14 +176,14 @@ def apply_zz_evolution(state, lattice, time):
 
 
 def ideal_output_distribution(lattice, spec):
-    """X-basis outcome distribution of the time-1 evolved input state."""
+    """X-basis outcome law of the time-1 evolved input state, as an array."""
     n = lattice.num_qubits
     if spec.num_qubits != n:
         raise DimensionMismatchError(f"input has {spec.num_qubits} qubits, lattice has {n}")
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
     state = walsh_hadamard(apply_zz_evolution(product_state(spec), lattice, 1.0))
-    return Distribution(n, np.abs(state.amplitudes) ** 2)
+    return np.abs(state.amplitudes) ** 2
 
 
 def u_value(z_outcomes, lattice):
@@ -289,7 +288,7 @@ def rotated_basis(kind):
 
 
 def reference_mode_tables(model):
-    """The four measurement distributions of a model, in MODE_ORDER."""
+    """The four measurement laws of a model, in MODE_ORDER, as arrays."""
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
@@ -322,10 +321,10 @@ def reference_mode_tables(model):
     input_probs = np.abs(rotated.amplitudes) ** 2
 
     return (
-        Distribution(n, samp / samp.sum()),
-        Distribution(n, input_probs / input_probs.sum()),
-        Distribution(n + 1, prop_x / prop_x.sum()),
-        Distribution(n + 1, prop_y / prop_y.sum()),
+        samp / samp.sum(),
+        input_probs / input_probs.sum(),
+        prop_x / prop_x.sum(),
+        prop_y / prop_y.sum(),
     )
 
 

@@ -55,7 +55,7 @@ from fklab.errors import (
 )
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import ideal_history_state, make_degraded_model
-from fklab.simulator import Distribution, PureState, product_state, zz_phases
+from fklab.simulator import PureState, product_state, zz_phases
 
 from conftest import dense_coupling_hamiltonian, dense_history_vector, spectral_expm
 
@@ -192,7 +192,7 @@ def test_tvd_perturbed_distribution_matches_direct_sum():
     p = np.abs(h_all @ ideal) ** 2
     q = np.abs(h_all @ perturbed) ** 2
     direct = 0.5 * sum(abs(p[i] - q[i]) for i in range(4))
-    assert abs(tvd(Distribution(2, p), Distribution(2, q)) - direct) < 1e-12
+    assert abs(tvd(p, q) - direct) < 1e-12
 
 
 def test_tvd_fidelity_bound_values():

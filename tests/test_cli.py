@@ -299,6 +299,21 @@ def test_run_non_finite_phase_exit_2(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta", [3e307, 7e307, 1e308])
+def test_run_finite_phase_levels_exit_0(tmp_path, capsys, eta):
+    # On a 1x2 lattice these evolution times keep every phase finite, so the
+    # run completes with nothing on stderr, warnings included.
+    config = _base_config()
+    config["lattice"] = {"rows": 1, "cols": 2}
+    config["prover"]["noise"] = {"eta": eta}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # Seeded fuzzing of malformed configs. Every mutation below is malformed on
 # its own, whatever other mutations the same config receives.
 _NOISE = ["theta", "eta", "input_tilt", "meas_flip", "depolarizing"]

@@ -6,6 +6,7 @@ measurement tests read its output through run_protocol's transcript columns.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,15 @@ from fklab.prover import (
     mode_distributions,
     tune_evolution_scale,
 )
-from fklab.simulator import Distribution, level_counts, product_state, state_fidelity, zz_phases
+from fklab.simulator import (
+    Distribution,
+    hamming_weights,
+    interaction_energies,
+    level_counts,
+    product_state,
+    state_fidelity,
+    zz_phases,
+)
 from fklab.verifier import ProtocolConfig, run_protocol
 
 from conftest import (
@@ -463,16 +472,19 @@ REFERENCE_MODELS = {
 @pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
 def test_mode_tables_match_amplitude_reference(kind, rows, cols):
     # The closed-form input and propagation tables against the amplitude
-    # formulas (and the gate loop) they replace; the sampling table is the
-    # same expression, so it must match bit for bit.
+    # formulas (and the gate loop) they replace. The sampling law is the same
+    # expression, so its row must be, bit for bit, the Vose build of the
+    # reference law.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     model = REFERENCE_MODELS[kind](lat, spec)
     dists = mode_distributions(model)
     reference = reference_mode_tables(model)
-    assert np.array_equal(dists.sample_given_minus.probabilities, reference[0].probabilities)
-    for name, table in zip(MODE_ORDER[1:], reference[1:]):
-        assert np.max(np.abs(getattr(dists, name).probabilities - table.probabilities)) < 1e-14
+    built = Distribution.from_probabilities(lat.num_qubits, reference[0])
+    assert np.array_equal(dists.alias[0], built.alias)
+    assert np.array_equal(dists.accept[0].view(np.uint64), built.accept.view(np.uint64))
+    for name, law in zip(MODE_ORDER, reference):
+        assert np.max(np.abs(getattr(dists, name).probabilities - law)) < 1e-14
 
 
 def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice, spec):
@@ -558,22 +570,43 @@ def test_ideal_history_state_bit_identical_to_amplitude_formula(rows, cols):
 def test_alias_tables_share_one_buffer(rate):
     lat = build_lattice(3, 3)
     spec = random_input(9, np.random.default_rng(33))
-    dists = mode_distributions(_depolarized_model(lat, spec, rate))
+    model = _depolarized_model(lat, spec, rate)
+    dists = mode_distributions(model)
     n = lat.num_qubits
     assert dists.alias.shape == dists.accept.shape == (4, 1 << n)
-    u = np.random.default_rng(5).random((2, 100_000))
     for t, name in enumerate(MODE_ORDER):
         table = getattr(dists, name)
-        alias, accept = table._alias
-        # Each table's alias arrays are its row of the buffer: nothing is
-        # stored twice.
-        assert alias.base is dists.alias and accept.base is dists.accept
-        assert np.array_equal(alias, dists.alias[t]) and np.array_equal(accept, dists.accept[t])
-        if name.startswith("prop"):
-            continue
-        # The sampling and input-test rows are the Vose build of their table.
-        standalone = Distribution(table.num_bits, table.probabilities)
-        assert np.array_equal(table.pick(u[0], u[1]), standalone.pick(u[0], u[1]))
+        # Each table is its row of the buffer: nothing is stored twice.
+        assert table.alias.base is dists.alias and table.accept.base is dists.accept
+        assert np.array_equal(table.alias, dists.alias[t]) and np.array_equal(table.accept, dists.accept[t])
+    # The input-test row is, bit for bit, the Vose build of the product law
+    # c^(n-w) s^w written out here; the sampling row is checked against the
+    # amplitude reference in test_mode_tables_match_amplitude_reference.
+    c, s = math.cos(model.input_tilt / 2) ** 2, math.sin(model.input_tilt / 2) ** 2
+    weight = np.array([bin(z).count("1") for z in range(1 << n)])
+    law = np.array([c ** (n - w) * s**w for w in range(n + 1)])[weight]
+    built = Distribution.from_probabilities(n, law)
+    assert np.array_equal(dists.alias[1], built.alias)
+    assert np.array_equal(dists.accept[1].view(np.uint64), built.accept.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["honest", "degraded"])
+def test_setup_holds_only_the_alias_buffer(kind):
+    # With the per-lattice caches warm, a model and its four tables hold the
+    # (4, 2^n) alias buffer, 64 B per basis state, and a few small objects.
+    lat = build_lattice(4, 4)
+    n = lat.num_qubits
+    spec = random_input(n, np.random.default_rng(44))
+    hamming_weights(n), interaction_energies(lat), level_counts(lat)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = REFERENCE_MODELS[kind](lat, spec)
+        mode_distributions(model)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * (1 << n) + (64 << 10)
 
 
 @pytest.mark.parametrize("rows,cols", small_lattices(12))
@@ -599,7 +632,7 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
         law[:dim] += accept / dim
         law[alias] += (1.0 - accept) / dim
         assert np.array_equal(law, table.probabilities)
-        assert np.max(np.abs(law - ref.probabilities)) < 1e-14
+        assert np.max(np.abs(law - ref)) < 1e-14
         sel = decode_code(transcript.code)[2] == basis
         joint = table.pick(u_rand[4][sel], u_rand[5][sel])
         assert np.array_equal(joint & (dim - 1), transcript.sys_idx[sel])

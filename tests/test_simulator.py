@@ -16,7 +16,7 @@ from fklab.simulator import (
     apply_global_cz,
     apply_single_qubit,
     FORMAT_BLOCK,
-    _build_alias,
+    _vose_build,
     bitstring_blocks,
     bitstrings,
     hamming_weights,
@@ -41,6 +41,7 @@ from conftest import (
     random_unitary,
     reference_apply_global_cz,
     reference_apply_single_qubit,
+    reference_mode_tables,
     small_lattices,
     spectral_expm,
     u_value,
@@ -115,6 +116,23 @@ def test_zz_size_mismatch():
     lat = build_lattice(2, 2)
     with pytest.raises(DimensionMismatchError):
         apply_zz_evolution(PureState(2, np.array([1, 0, 0, 0], dtype=complex)), lat, 1.0)
+
+
+def test_zz_phases_bit_identical_to_time_pi_product(rng):
+    # zz_phases scales t by pi/4 before the -1j, so a time near the float
+    # limit does not overflow; scaling by a power of two commutes with
+    # rounding, so every phase equals the former -1j * t * pi / 4 form bit
+    # for bit wherever that form is finite.
+    lat = build_lattice(3, 3)
+    energies = interaction_energies(lat)
+    times = np.concatenate([
+        [0.0, 1.0, 0.5, 1.02, -1.3, 1e-300, 1e300, -1e300],
+        rng.uniform(-50.0, 50.0, 200),
+        np.exp(rng.uniform(-690.0, 690.0, 200)),
+    ])
+    for t in times:
+        former = np.exp((-1j * t * np.pi / 4) * energies)
+        assert np.array_equal(zz_phases(lat, t).view(np.uint64), former.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +394,8 @@ def test_ideal_distribution_single_qubit():
     lat = build_lattice(1, 1)
     dist = ideal_output_distribution(lat, InputSpec(choices=(InputType.X_TYPE,)))
     dense = dense_hadamard_all(1) @ dense_input_vector(InputSpec(choices=(InputType.X_TYPE,)))
-    assert np.allclose(dist.probabilities, np.abs(dense) ** 2, atol=1e-12)
-    assert np.allclose(dist.probabilities, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(dist, np.abs(dense) ** 2, atol=1e-12)
+    assert np.allclose(dist, [0.5, 0.5], atol=1e-12)
 
 
 def test_ideal_distribution_1x2_matches_brute_force(xx_input):
@@ -385,14 +403,14 @@ def test_ideal_distribution_1x2_matches_brute_force(xx_input):
     dist = ideal_output_distribution(lat, xx_input)
     u = spectral_expm(dense_coupling_hamiltonian(lat))
     dense = dense_hadamard_all(2) @ (u @ dense_input_vector(xx_input))
-    assert np.max(np.abs(dist.probabilities - np.abs(dense) ** 2)) < 1e-12
+    assert np.max(np.abs(dist - np.abs(dense) ** 2)) < 1e-12
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 3), (2, 2), (2, 3)])
 def test_ideal_distribution_normalized(rows, cols, rng):
     lat = build_lattice(rows, cols)
     dist = ideal_output_distribution(lat, random_input(lat.num_qubits, rng))
-    assert abs(dist.probabilities.sum() - 1) < 1e-10
+    assert abs(dist.sum() - 1) < 1e-10
 
 
 def test_ideal_distribution_capacity_guard():
@@ -414,37 +432,27 @@ def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
 @pytest.mark.parametrize("probabilities", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.inf]])
 def test_distribution_rejects_non_finite_probabilities(probabilities):
     with pytest.raises(ValidationError):
-        Distribution(1, probabilities)
+        Distribution.from_probabilities(1, probabilities)
 
 
 def test_sample_point_mass():
-    dist = Distribution(2, np.array([0.0, 0.0, 1.0, 0.0]))
+    dist = Distribution.from_probabilities(2, np.array([0.0, 0.0, 1.0, 0.0]))
     u = np.random.default_rng(9).random((2, 32))
     assert np.all(dist.pick(u[0], u[1]) == 2)
 
 
 def test_sample_uniform_frequencies():
-    dist = Distribution(2, np.full(4, 0.25))
+    dist = Distribution.from_probabilities(2, np.full(4, 0.25))
     u = np.random.default_rng(31415).random((2, 1_000_000))
     freqs = np.bincount(dist.pick(u[0], u[1]), minlength=4) / 1_000_000
     assert np.all(freqs >= 0.2485) and np.all(freqs <= 0.2515)
 
 
 def test_sample_deterministic_given_seed():
-    dist = Distribution(3, np.full(8, 0.125))
+    dist = Distribution.from_probabilities(3, np.full(8, 0.125))
     a = dist.pick(*np.random.default_rng(77).random((2, 100)))
     b = dist.pick(*np.random.default_rng(77).random((2, 100)))
     assert np.array_equal(a, b)
-
-
-def _alias_probabilities(dist):
-    """Rebuild the distribution an alias table encodes: bin i keeps
-    accept[i] of its 1/size share and hands the rest to alias[i]. The table
-    may have fewer bins than the distribution has outcomes."""
-    alias, accept = dist._table()
-    size, outcomes = alias.size, dist.probabilities.size
-    kept = np.bincount(np.arange(size), weights=accept, minlength=outcomes)
-    return (kept + np.bincount(alias, weights=1.0 - accept, minlength=outcomes)) / size
 
 
 @pytest.fixture(scope="module")
@@ -461,11 +469,14 @@ def models_4x4():
 
 @pytest.mark.parametrize("name", ["honest", "degraded"])
 def test_alias_table_reconstructs_probabilities(models_4x4, name):
-    from fklab.prover import mode_distributions
+    # The law each table draws against the dense amplitude formula it was
+    # built from.
+    from fklab.prover import MODE_ORDER, mode_distributions
 
-    dists = mode_distributions(models_4x4[name])
-    for table in (dists.sample_given_minus, dists.input_given_plus, dists.prop_x, dists.prop_y):
-        assert np.max(np.abs(_alias_probabilities(table) - table.probabilities)) < 1e-12
+    model = models_4x4[name]
+    dists = mode_distributions(model)
+    for table, law in zip(MODE_ORDER, reference_mode_tables(model)):
+        assert np.max(np.abs(getattr(dists, table).probabilities - law)) < 1e-12
 
 
 def _alias_probabilities_exact(alias, accept):
@@ -498,7 +509,7 @@ def _random_table(kind, size, rng):
 @pytest.mark.parametrize("kind", ["flat", "uniform", "heavy_tailed", "point_mass", "half_zero"])
 def test_alias_table_exact(kind, size):
     p = _random_table(kind, size, np.random.default_rng(size))
-    alias, accept = _build_alias(p)
+    alias, accept = _vose_build(p)
     assert np.all((accept >= 0.0) & (accept <= 1.0))
     assert np.all((alias >= 0) & (alias < size))
     # No bin hands its leftover to a zero-probability outcome, and a zero bin
@@ -506,6 +517,10 @@ def test_alias_table_exact(kind, size):
     assert np.all(p[alias] > 0.0)
     assert np.all(accept[p == 0.0] == 0.0)
     assert np.max(np.abs(_alias_probabilities_exact(alias, accept) - p)) < 1e-14
+    # The law a Distribution computes from the table, padded with zeros up to
+    # the next power of two, is the same law to the same tolerance.
+    law = Distribution((size - 1).bit_length(), alias, accept).probabilities
+    assert np.max(np.abs(law[:size] - p)) < 1e-14 and not law[size:].any()
 
 
 # ---------------------------------------------------------------------------
