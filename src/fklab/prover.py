@@ -30,8 +30,8 @@ from .simulator import (
     MAX_DENSE_QUBITS,
     PAULI_X,
     PureState,
-    apply_global_cz,
-    apply_single_qubit,
+    _apply_global_cz_inplace,
+    _apply_single_qubit_inplace,
     hamming_weights,
     level_counts,
     product_state,
@@ -188,12 +188,11 @@ class HistoryStateModel:
 
     def to_statevector(self) -> PureState:
         """Full (n+1)-qubit statevector of the coherent part."""
-        amps = np.concatenate(
-            [
-                self.input_component.amplitudes,
-                np.exp(1j * self.clock_phase) * self.output_component.amplitudes,
-            ]
-        ) / math.sqrt(2)
+        dim = 1 << self.num_system_qubits
+        amps = np.empty(2 * dim, dtype=np.complex128)
+        amps[:dim] = self.input_component.amplitudes
+        np.multiply(np.exp(1j * self.clock_phase), self.output_component.amplitudes, out=amps[dim:])
+        amps /= math.sqrt(2)
         return PureState(self.num_system_qubits + 1, amps)
 
     def to_density_matrix(self) -> np.ndarray:
@@ -365,6 +364,9 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     highest qubit; the global CZ acts on every system qubit, and the H
     conjugation turns it into a controlled bit-flip on sublattice B while the
     stray controlled-Z phases on sublattice A cancel between the two blocks.
+
+    Every step runs in place on one 2^(n+1) buffer (the simulator's
+    in-place kernels), bit for bit as the out-of-place gate sequence.
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
@@ -373,24 +375,33 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
         raise CapacityError(
             f"echo statevector needs {n}+1 qubits, over the {MAX_ECHO_SYSTEM_QUBITS}-qubit guard"
         )
-    clock = n
+    clock, dim = n, 1 << n
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2)
-    state = PureState(n + 1, np.kron(plus, product_state(input_spec).amplitudes))
-    half = np.tile(zz_phases(lattice, 0.5), 2)
+    a = PureState(n + 1, np.kron(plus, product_state(input_spec).amplitudes)).amplitudes
+    half = zz_phases(lattice, 0.5)
 
-    def controlled_flip_b(s: PureState) -> PureState:
-        for q in sorted(lattice.partition_b):
-            s = apply_single_qubit(s, q, HADAMARD)
-        s = apply_global_cz(s, clock, range(n))
-        for q in sorted(lattice.partition_b):
-            s = apply_single_qubit(s, q, HADAMARD)
-        return s
+    def gate(kernel, *args) -> None:
+        kernel(a, *args)
+        PureState(n + 1, a)  # the norm check every gate's output state passes
 
-    state = controlled_flip_b(state)
-    state = PureState(n + 1, state.amplitudes * half)
-    state = controlled_flip_b(state)
-    state = apply_single_qubit(state, clock, PAULI_X)
-    return PureState(n + 1, state.amplitudes * half)
+    def evolve_half(amplitudes: np.ndarray) -> None:
+        # Both clock halves times the same 2^n phases, amplitude first.
+        for part in (amplitudes[:dim], amplitudes[dim:]):
+            part *= half
+
+    def controlled_flip_b() -> None:
+        for q in sorted(lattice.partition_b):
+            gate(_apply_single_qubit_inplace, q, HADAMARD)
+        gate(_apply_global_cz_inplace, clock, range(n))
+        for q in sorted(lattice.partition_b):
+            gate(_apply_single_qubit_inplace, q, HADAMARD)
+
+    controlled_flip_b()
+    gate(evolve_half)
+    controlled_flip_b()
+    gate(_apply_single_qubit_inplace, clock, PAULI_X)
+    gate(evolve_half)
+    return PureState(n + 1, a)
 
 
 def ideal_history_state(

@@ -7,7 +7,10 @@ Conventions, fixed package-wide:
   * the diagonal coupling phase of a basis string z under time-t evolution is
     exp(-i * t * (pi/4) * sum_{edges} z_i z_j).
 
-All operations return fresh states; inputs are never mutated.
+The public operations return fresh states and never mutate their inputs.
+The `_`-prefixed gate kernels work in place on an amplitude array, one
+cache-sized block of amplitude pairs at a time (_pair_blocks), so a chain of
+gates can run on one buffer.
 """
 
 from __future__ import annotations
@@ -121,35 +124,69 @@ def string_levels(lattice: LatticeGeometry) -> np.ndarray:
 
 
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
-    """Diagonal of the time-t coupling evolution over the lattice register."""
-    return np.exp((-1j * (time * (np.pi / 4))) * interaction_energies(lattice))
+    """Diagonal of the time-t coupling evolution over the lattice register,
+    gathered from zz_phase_levels(lattice, time) at each string's energy."""
+    return zz_phase_levels(lattice, time)[interaction_energies(lattice) + lattice.num_edges]
 
 
-def zz_phase_levels(lattice: LatticeGeometry) -> np.ndarray:
-    """zz_phases(lattice, 1.0) by energy: entry E + edges is e^{-i pi E/4}, the
-    phase of every string of interaction energy E, bit for bit."""
+def zz_phase_levels(lattice: LatticeGeometry, time: float) -> np.ndarray:
+    """The time-t coupling phases by energy: entry E + edges is
+    e^{-i t pi E/4}, the phase of every string of interaction energy E.
+
+    The scalar is -1j * (t * pi/4), so a time near the float limit does not
+    overflow, and it multiplies the int16 level as it would the int16 energy
+    of one string: each phase is the per-string product, bit for bit.
+    """
     edges = lattice.num_edges
-    return np.exp((-1j * np.pi / 4) * np.arange(-edges, edges + 1, dtype=np.int16))
+    return np.exp((-1j * (time * (np.pi / 4))) * np.arange(-edges, edges + 1, dtype=np.int16))
+
+
+# The in-place kernels sweep a state this many amplitude pairs at a time, so
+# each temporary is 256 KiB and a block's working set stays in a core's cache.
+PAIR_BLOCK = 1 << 14
+
+
+def _pair_blocks(a: np.ndarray, qubit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Views (s0, s1) of the amplitudes of `a` whose `qubit` bit is 0 and 1,
+    in blocks of min(PAIR_BLOCK, a.size / 2) pairs, in index order: s1 holds
+    the partners of s0, element for element. Every block has the same shape.
+    """
+    stride = 1 << qubit
+    if stride >= PAIR_BLOCK:
+        for row in a.reshape(-1, 2, stride // PAIR_BLOCK, PAIR_BLOCK):
+            yield from zip(row[0], row[1])
+    else:
+        rows = min(a.size >> 1, PAIR_BLOCK) >> qubit
+        for block in a.reshape(-1, rows, 2, stride):
+            yield block[:, 0], block[:, 1]
+
+
+def _block_temporaries(a: np.ndarray, count: int) -> list[np.ndarray]:
+    """`count` complex temporaries of one _pair_blocks block of `a`, flat."""
+    return list(np.empty((count, min(a.size >> 1, PAIR_BLOCK)), dtype=np.complex128))
 
 
 def walsh_hadamard(state: PureState) -> PureState:
-    """Apply H on every qubit via the in-place butterfly (O(n 2^n))."""
+    """Apply H on every qubit (O(n 2^n)): one copy of the state, then at each
+    qubit the butterfly (e + o, e - o) in place, block by block, and the
+    2^(-n/2) scale last."""
     n = state.num_qubits
     a = state.amplitudes.copy()
+    (total,) = _block_temporaries(a, 1)
     for k in range(n):
-        a = a.reshape(-1, 2, 1 << k)
-        even = a[:, 0, :].copy()
-        odd = a[:, 1, :].copy()
-        a[:, 0, :] = even + odd
-        a[:, 1, :] = even - odd
-    return PureState(n, a.reshape(-1) * 2.0 ** (-0.5 * n))
+        for even, odd in _pair_blocks(a, k):
+            both = total.reshape(even.shape)
+            np.add(even, odd, out=both)
+            np.subtract(even, odd, out=odd)
+            even[...] = both
+    a *= 2.0 ** (-0.5 * n)
+    return PureState(n, a)
 
 
 def apply_single_qubit(state: PureState, qubit: int, gate: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one qubit. Raises ValidationError if non-unitary.
 
-    Reads both halves of the input through views and writes each output half
-    once, with one half-size temporary.
+    Copies the state once and runs _apply_single_qubit_inplace on the copy.
     """
     g = np.asarray(gate, dtype=np.complex128)
     if g.shape != (2, 2):
@@ -158,26 +195,37 @@ def apply_single_qubit(state: PureState, qubit: int, gate: np.ndarray) -> PureSt
         raise ValidationError("gate is not unitary within 1e-10")
     if not 0 <= qubit < state.num_qubits:
         raise DimensionMismatchError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    s0 = a[:, 0, :]
-    s1 = a[:, 1, :]
-    out = np.empty_like(a)
-    term = np.empty_like(s0)
-    for r in range(2):
-        half = out[:, r, :]
-        np.multiply(g[r, 0], s0, out=half)
-        np.multiply(g[r, 1], s1, out=term)
-        half += term
-    return PureState(state.num_qubits, out.reshape(-1))
+    a = state.amplitudes.copy()
+    _apply_single_qubit_inplace(a, qubit, g)
+    return PureState(state.num_qubits, a)
+
+
+def _apply_single_qubit_inplace(a: np.ndarray, qubit: int, g: np.ndarray) -> None:
+    """Overwrite each amplitude pair (s0, s1) of `a` at `qubit` with
+    (g00 s0 + g01 s1, g10 s0 + g11 s1), block by block, through two
+    block-sized temporaries. `g` is a complex128 2x2 array; nothing is checked.
+
+    Each product takes the gate entry first and each sum the s0 term first,
+    so every amplitude is bit for bit that of the out-of-place formula.
+    """
+    new0, term = _block_temporaries(a, 2)
+    for s0, s1 in _pair_blocks(a, qubit):
+        new0_block, term_block = new0.reshape(s0.shape), term.reshape(s0.shape)
+        np.multiply(g[0, 0], s0, out=new0_block)
+        np.multiply(g[0, 1], s1, out=term_block)
+        new0_block += term_block
+        np.multiply(g[1, 0], s0, out=term_block)
+        np.multiply(g[1, 1], s1, out=s1)
+        np.add(term_block, s1, out=s1)
+        s0[...] = new0_block
 
 
 def apply_global_cz(state: PureState, control: int, targets) -> PureState:
-    """Controlled Z on every target qubit, controlled by one qubit.
+    """Controlled Z on every target qubit, controlled by one qubit: a basis
+    amplitude flips sign iff the control bit is 1 and an odd number of
+    target bits are 1.
 
-    A basis amplitude flips sign iff the control bit is 1 and an odd number
-    of target bits are 1. The target parity over the other n-1 qubits is
-    built by doubling an int8 pattern one qubit at a time, and only the
-    control-1 half is touched.
+    Copies the state once and runs _apply_global_cz_inplace on the copy.
     """
     targets = tuple(targets)
     if control in targets:
@@ -185,16 +233,25 @@ def apply_global_cz(state: PureState, control: int, targets) -> PureState:
     for q in (control, *targets):
         if not 0 <= q < state.num_qubits:
             raise DimensionMismatchError(f"qubit {q} out of range for {state.num_qubits} qubits")
+    a = state.amplitudes.copy()
+    _apply_global_cz_inplace(a, control, targets)
+    return PureState(state.num_qubits, a)
+
+
+def _apply_global_cz_inplace(a: np.ndarray, control: int, targets) -> None:
+    """apply_global_cz's sign flips, made in `a`. Nothing is checked.
+
+    The target parity over the other qubits is built by doubling an int8
+    pattern one qubit at a time, and only the control-1 half is touched.
+    """
     parity = np.zeros(1, dtype=np.int8)
-    for q in range(state.num_qubits):
+    for q in range(a.size.bit_length() - 1):
         if q != control:
             parity = np.concatenate((parity, parity ^ 1 if q in targets else parity))
-    out = state.amplitudes.copy()
-    on = out.reshape(-1, 2, 1 << control)[:, 1, :]
+    on = a.reshape(-1, 2, 1 << control)[:, 1, :]
     # Multiplying by -1 rather than negating keeps every bit, signed zeros
     # included, equal to the int64-mask reference in tests/conftest.py.
     np.multiply(on, -1, out=on, where=parity.view(np.bool_).reshape(on.shape))
-    return PureState(state.num_qubits, out)
 
 
 def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

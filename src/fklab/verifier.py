@@ -315,16 +315,24 @@ def decide(
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Thread cap: explicit argument, else FKLAB_THREADS, else 1."""
+    """Thread cap: explicit argument, else FKLAB_THREADS, else 1, and never
+    more than the CPUs this process may run on. Each thread holds its chunk's
+    temporaries, so an unbounded count would hold them for every chunk at
+    once; the outputs are the same at any count."""
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FKLAB_THREADS")
-    if env:
+        requested = int(threads)
+    else:
+        env = os.environ.get("FKLAB_THREADS")
         try:
-            return max(1, int(env))
+            requested = int(env) if env else 1
         except ValueError as exc:
             raise ValidationError(f"FKLAB_THREADS must be an integer, got {env!r}") from exc
-    return 1
+    # CPU affinity is a Linux call; elsewhere every CPU counts as usable.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus))
 
 
 def run_protocol(
@@ -361,7 +369,7 @@ def run_protocol(
         clock=np.empty(n_m, dtype=np.int8),
         sys_idx=np.empty(n_m, dtype=np.int32),
         energies=interaction_energies(lattice),
-        u_levels=zz_phase_levels(lattice),
+        u_levels=zz_phase_levels(lattice, 1.0),
     )
     n_chunks = (n_m + CHUNK_SIZE - 1) // CHUNK_SIZE
 

@@ -245,9 +245,24 @@ def reference_interaction_energies(lattice):
     return energy
 
 
-def reference_echo_amplitudes(lattice, input_amplitudes):
-    """The echo circuit of prover.echo_prepare, composed from the reference
-    kernels above on |+> (x) the given input amplitudes."""
+def reference_walsh_hadamard(amplitudes):
+    """H on every qubit: copy the state, then at each qubit copy both halves
+    and overwrite them with their sum and difference; scale last."""
+    n = amplitudes.size.bit_length() - 1
+    a = np.asarray(amplitudes, dtype=np.complex128).copy()
+    for k in range(n):
+        a = a.reshape(-1, 2, 1 << k)
+        even = a[:, 0, :].copy()
+        odd = a[:, 1, :].copy()
+        a[:, 0, :] = even + odd
+        a[:, 1, :] = even - odd
+    return a.reshape(-1) * 2.0 ** (-0.5 * n)
+
+
+def reference_echo_prepare(lattice, input_amplitudes):
+    """The echo circuit of prover.echo_prepare, out of place: one fresh state
+    per gate from the reference kernels above, on |+> (x) the given input
+    amplitudes, with the half-time phases tiled over both clock halves."""
     n = lattice.num_qubits
     clock = n
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)

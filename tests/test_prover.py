@@ -53,7 +53,7 @@ from conftest import (
     depolarized_mixture_density,
     ideal_output_distribution,
     kron_chain,
-    reference_echo_amplitudes,
+    reference_echo_prepare,
     reference_interaction_energies,
     reference_mode_tables,
     reference_propagation_rows,
@@ -287,8 +287,37 @@ def test_echo_4x4_fidelity_and_reference_amplitudes():
     spec = random_input(lat.num_qubits, np.random.default_rng(44))
     prepared = echo_prepare(lat, spec)
     assert state_fidelity(prepared, ideal_history_state(lat, spec)) >= ECHO_FIDELITY_FLOOR
-    expected = reference_echo_amplitudes(lat, product_state(spec).amplitudes)
+    expected = reference_echo_prepare(lat, product_state(spec).amplitudes)
     assert np.array_equal(prepared.amplitudes, expected)
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(12))
+def test_echo_bit_identical_to_out_of_place_reference(rows, cols):
+    # The in-place echo on one buffer equals, as uint64 views, the sequence
+    # that builds a fresh state per gate and tiles the half-time phases.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    prepared = echo_prepare(lat, spec).amplitudes
+    expected = reference_echo_prepare(lat, product_state(spec).amplitudes)
+    assert np.array_equal(prepared.view(np.uint64), expected.view(np.uint64))
+
+
+def test_echo_peak_memory_is_one_buffer_and_the_phases():
+    # At 4x4 with warm caches the echo holds its 2^17-amplitude buffer, the
+    # 2^16 half-time phases and block-sized temporaries: about 1.5 state
+    # sizes. A fresh state per gate and tiled phases peak near 4.6.
+    lat = build_lattice(4, 4)
+    spec = random_input(lat.num_qubits, np.random.default_rng(44))
+    echo_prepare(lat, spec)
+    state_bytes = 16 << (lat.num_qubits + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        echo_prepare(lat, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state_bytes
 
 
 def test_echo_clock_balance(lattice, spec):
@@ -496,8 +525,8 @@ def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice
     def gate_kernel(*args):
         raise AssertionError("a gate kernel ran during set-up")
 
-    monkeypatch.setattr(prover, "apply_single_qubit", gate_kernel)
-    monkeypatch.setattr(prover, "apply_global_cz", gate_kernel)
+    monkeypatch.setattr(prover, "_apply_single_qubit_inplace", gate_kernel)
+    monkeypatch.setattr(prover, "_apply_global_cz_inplace", gate_kernel)
     mode_distributions(make_degraded_model(lattice, spec, 0.97, 0.95))
     mode_distributions(honest(lattice, spec, input_tilt=0.05, depolarizing_rate=0.1))
 

@@ -12,6 +12,7 @@ from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
 from fklab.lattice import InputSpec, InputType, build_lattice, random_input
 from fklab.simulator import (
     Distribution,
+    PAIR_BLOCK,
     PureState,
     apply_global_cz,
     apply_single_qubit,
@@ -42,6 +43,7 @@ from conftest import (
     reference_apply_global_cz,
     reference_apply_single_qubit,
     reference_mode_tables,
+    reference_walsh_hadamard,
     small_lattices,
     spectral_expm,
     u_value,
@@ -135,6 +137,12 @@ def test_zz_phases_bit_identical_to_time_pi_product(rng):
         assert np.array_equal(zz_phases(lat, t).view(np.uint64), former.view(np.uint64))
 
 
+# The in-place kernels sweep PAIR_BLOCK amplitude pairs at a time. Below
+# qubit log2(PAIR_BLOCK) a block holds whole rows of pairs; from it up, a
+# block is a slice of one row. These state sizes span 2, 4 and 8 blocks.
+BLOCK_SIZES = tuple(PAIR_BLOCK.bit_length() + k for k in range(3))
+
+
 # ---------------------------------------------------------------------------
 # walsh_hadamard
 
@@ -155,6 +163,17 @@ def test_walsh_matches_dense(rng):
     fast = walsh_hadamard(state)
     dense = dense_hadamard_all(3) @ state.amplitudes
     assert np.max(np.abs(fast.amplitudes - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(9), *BLOCK_SIZES])
+def test_walsh_bit_identical_to_reference(n, rng):
+    state = PureState(n, random_state_vector(n, rng))
+    before = state.amplitudes.copy()
+    out = walsh_hadamard(state)
+    expected = reference_walsh_hadamard(before)
+    assert np.array_equal(out.amplitudes.view(np.uint64), expected.view(np.uint64))
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert np.array_equal(state.amplitudes.view(np.uint64), before.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +217,17 @@ def test_gates_preserve_norm(qubit, rng):
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) < 1e-10
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
 def test_single_qubit_bit_identical_to_reference(n, rng):
     state = PureState(n, random_state_vector(n, rng))
     before = state.amplitudes.copy()
     for qubit in range(n):
         for gate in (np.array([[1, 1], [1, -1]]) / np.sqrt(2), PAULI["X"], random_unitary(rng)):
             out = apply_single_qubit(state, qubit, gate)
-            assert np.array_equal(out.amplitudes, reference_apply_single_qubit(before, qubit, gate))
+            expected = reference_apply_single_qubit(before, qubit, gate)
+            assert np.array_equal(out.amplitudes.view(np.uint64), expected.view(np.uint64))
             assert not np.shares_memory(out.amplitudes, state.amplitudes)
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state.amplitudes.view(np.uint64), before.view(np.uint64))
 
 
 def test_single_qubit_range_checked(rng):
@@ -262,7 +282,7 @@ def test_global_cz_range_checked(rng):
         apply_global_cz(state, 0, [1, 3])
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
 def test_global_cz_bit_identical_to_reference(n, rng):
     # The control takes every position, so it sits below some targets too.
     state = PureState(n, random_state_vector(n, rng))
@@ -276,9 +296,9 @@ def test_global_cz_bit_identical_to_reference(n, rng):
         for targets in target_sets:
             out = apply_global_cz(state, control, targets)
             expected = reference_apply_global_cz(before, control, targets)
-            assert np.array_equal(out.amplitudes, expected)
+            assert np.array_equal(out.amplitudes.view(np.uint64), expected.view(np.uint64))
             assert not np.shares_memory(out.amplitudes, state.amplitudes)
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state.amplitudes.view(np.uint64), before.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +317,16 @@ def test_interaction_energies_match_per_edge_sum(rows, cols):
     assert energies.dtype == np.int16
     assert not energies.flags.writeable
     assert energies.tolist() == expected
-    for time in (0.5, 1.0):
-        assert np.array_equal(
-            zz_phases(lattice, time),
-            np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16)),
-        )
+    # zz_phases takes one exp per energy level and gathers it by energy; the
+    # phases are bit for bit one exp per string.
+    for time in (0.5, 1.0, 1.37, 1e-3, 123.4):
+        former = np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16))
+        assert np.array_equal(zz_phases(lattice, time).view(np.uint64), former.view(np.uint64))
     # The verifier's u table is the unit-time phase, bit for bit as it was
     # once computed on its own, and the verifier reads it by energy level.
     u_table = zz_phases(lattice, 1.0)
     assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * energies))
-    by_level = zz_phase_levels(lattice)[energies + len(lattice.edges)]
+    by_level = zz_phase_levels(lattice, 1.0)[energies + len(lattice.edges)]
     assert np.array_equal(by_level.view(np.uint64), u_table.view(np.uint64))
 
 

@@ -1,6 +1,7 @@
 """Protocol state-machine tests: counters, estimators, decision, determinism."""
 
 import json
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -18,7 +19,16 @@ from fklab.prover import (
     mode_distributions,
 )
 from fklab.simulator import FORMAT_BLOCK, zz_phases
-from fklab.verifier import CHUNK_SIZE, MAX_COPIES, Counters, ProtocolConfig, decide, run_protocol
+from fklab import verifier
+from fklab.verifier import (
+    CHUNK_SIZE,
+    MAX_COPIES,
+    Counters,
+    ProtocolConfig,
+    decide,
+    resolve_threads,
+    run_protocol,
+)
 
 from conftest import (
     BASIS_NONE,
@@ -408,7 +418,9 @@ def test_same_seed_reproduces_everything(setup_2x2):
     assert np.array_equal(t1.clock, t2.clock)
 
 
-def test_thread_count_does_not_change_results(setup_2x2):
+def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
+    # Eight usable CPUs, so that eight threads run whatever this host has.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     lattice, spec, model = setup_2x2
     num = 3 * CHUNK_SIZE + 777  # multiple chunks plus a partial one
     config = ProtocolConfig(num_copies=num, master_seed=314)
@@ -422,6 +434,36 @@ def test_thread_count_does_not_change_results(setup_2x2):
         assert np.array_equal(getattr(t1, column), getattr(t8, column))
     for got, expected in zip(decode_code(t8.code), decode_code(t1.code)):
         assert np.array_equal(got, expected)
+
+
+def test_thread_count_is_capped_at_the_usable_cpus(monkeypatch):
+    # Each thread holds a chunk's temporaries, so no request, by argument or
+    # by FKLAB_THREADS, gets more threads than the CPUs the process may use.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.delenv("FKLAB_THREADS", raising=False)
+    assert resolve_threads() == 1
+    assert [resolve_threads(t) for t in (-7, 0, 1, 2, 3, 4, 2048, 10**9)] == [1, 1, 1, 2, 3, 3, 3, 3]
+    for env, expected in (("-3", 1), ("2", 2), ("3", 3), ("2048", 3), (str(10**12), 3)):
+        monkeypatch.setenv("FKLAB_THREADS", env)
+        assert resolve_threads() == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads(64) == 1
+
+
+def test_run_protocol_pool_is_capped_at_the_usable_cpus(setup_2x2, monkeypatch):
+    lattice, spec, model = setup_2x2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pools = []
+
+    class RecordingPool(verifier.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingPool)
+    config = ProtocolConfig(num_copies=4 * CHUNK_SIZE, master_seed=5)
+    run_protocol(model, lattice, spec, config, threads=4096)
+    assert pools == [2]
 
 
 def test_report_json_schema(setup_2x2):
