@@ -123,16 +123,26 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def load_experiment_config(path: str) -> dict:
-    """Parse and validate a run config, returning ready-to-use objects."""
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`, or ConfigError naming `what`."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    raw = _object(raw, "config", ("lattice", "input_seed", "prover", "protocol", "repetitions"))
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past Python's digit limit; RecursionError, nesting too deep.
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_experiment_config(path: str) -> dict:
+    """Parse and validate a run config, returning ready-to-use objects."""
+    raw = _object(
+        _read_json(path, "config"),
+        "config",
+        ("lattice", "input_seed", "prover", "protocol", "repetitions"),
+    )
 
     lattice_cfg = _object(_require(raw, "lattice", "config"), "lattice", ("rows", "cols"))
     rows = _int(_require(lattice_cfg, "rows", "lattice"), "lattice.rows")
@@ -283,12 +293,7 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read report: {exc}") from exc
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(json.dumps(_read_json(args.path, "report"), sort_keys=True, indent=2))
     return 0
 
 

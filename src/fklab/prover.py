@@ -32,12 +32,12 @@ from .simulator import (
     PureState,
     _apply_global_cz_inplace,
     _apply_single_qubit_inplace,
+    _apply_zz_phases_inplace,
+    _write_product_state,
     hamming_weights,
     level_counts,
-    product_state,
     string_levels,
     walsh_hadamard,
-    zz_phases,
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
@@ -158,15 +158,21 @@ class HistoryStateModel:
 
     @property
     def input_component(self) -> PureState:
-        return _tilted_input(self.input_spec, self.input_tilt)
+        amps = np.empty(1 << self.num_system_qubits, dtype=np.complex128)
+        _write_input(amps, self.input_spec, self.input_tilt)
+        return PureState(self.num_system_qubits, amps)
 
     @property
     def output_component(self) -> PureState:
-        evolved = self.input_component if self.tilted_output else product_state(self.input_spec)
-        # Complex products are not bitwise commutative, so the operand order is
-        # fixed here (phases first) rather than left to numpy's temporary reuse.
-        phases = zz_phases(self.lattice, 1.0 + self.evolution_scale)
-        return PureState(self.num_system_qubits, np.multiply(phases, evolved.amplitudes, out=phases))
+        amps = np.empty(1 << self.num_system_qubits, dtype=np.complex128)
+        self._write_output(amps)
+        return PureState(self.num_system_qubits, amps)
+
+    def _write_output(self, out: np.ndarray) -> None:
+        """Write b into `out`: the input (tilted if tilted_output), then the
+        coupling phases of time 1 + evolution_scale, phases first."""
+        _write_input(out, self.input_spec, self.input_tilt if self.tilted_output else 0.0)
+        _apply_zz_phases_inplace(out, self.lattice, 1.0 + self.evolution_scale, phases_first=True)
 
     @cached_property
     def distributions(self) -> ModeDistributions:
@@ -187,11 +193,15 @@ class HistoryStateModel:
         return [(1.0 - self.depolarizing_rate, self.output_component)]
 
     def to_statevector(self) -> PureState:
-        """Full (n+1)-qubit statevector of the coherent part."""
+        """Full (n+1)-qubit statevector of the coherent part, built in one
+        buffer: a in the lower half, b in the upper half, then e^{i theta}
+        (first operand) on b and 1/sqrt(2) on both."""
         dim = 1 << self.num_system_qubits
         amps = np.empty(2 * dim, dtype=np.complex128)
-        amps[:dim] = self.input_component.amplitudes
-        np.multiply(np.exp(1j * self.clock_phase), self.output_component.amplitudes, out=amps[dim:])
+        _write_input(amps[:dim], self.input_spec, self.input_tilt)
+        output = amps[dim:]
+        self._write_output(output)
+        np.multiply(np.exp(1j * self.clock_phase), output, out=output)
         amps /= math.sqrt(2)
         return PureState(self.num_system_qubits + 1, amps)
 
@@ -223,15 +233,15 @@ class ModelParameters:
     f_out: float
 
 
-def _tilted_input(spec: InputSpec, tilt: float) -> PureState:
-    """Ideal product input with a diagonal R_z(tilt) error on every qubit."""
-    state = product_state(spec)
-    if tilt == 0.0:
-        return state
-    n = spec.num_qubits
-    # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
-    phases = np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
-    return PureState(n, state.amplitudes * phases)
+def _write_input(out: np.ndarray, spec: InputSpec, tilt: float) -> None:
+    """Write the ideal product input of `spec` into `out` with a diagonal
+    R_z(tilt) error on every qubit: unless tilt is 0, the state is multiplied
+    (amplitude first) by the R_z phase of every string."""
+    _write_product_state(out, spec)
+    if tilt != 0.0:
+        n = spec.num_qubits
+        # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
+        out *= np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
 
 
 def make_honest_model(
@@ -365,8 +375,11 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     conjugation turns it into a controlled bit-flip on sublattice B while the
     stray controlled-Z phases on sublattice A cancel between the two blocks.
 
-    Every step runs in place on one 2^(n+1) buffer (the simulator's
-    in-place kernels), bit for bit as the out-of-place gate sequence.
+    Every step runs in place on one 2^(n+1) buffer, bit for bit as the
+    out-of-place gate sequence: phi_in is written into the upper half, and
+    |+> (x) phi_in is taken from it in np.kron's operand order. Each
+    half-time evolution multiplies both clock halves by the coupling phases
+    block by block (amplitude first), so no 2^n phase array is built.
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
@@ -377,17 +390,20 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
         )
     clock, dim = n, 1 << n
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2)
-    a = PureState(n + 1, np.kron(plus, product_state(input_spec).amplitudes)).amplitudes
-    half = zz_phases(lattice, 0.5)
+    a = np.empty(2 * dim, dtype=np.complex128)
+    lower, upper = a[None, :dim], a[None, dim:]
+    _write_product_state(a[dim:], input_spec)
+    np.multiply(plus[0:1, None], upper, out=lower)
+    np.multiply(plus[1:2, None], upper, out=upper)
+    PureState(n + 1, a)  # the norm check the input state passes
 
     def gate(kernel, *args) -> None:
         kernel(a, *args)
         PureState(n + 1, a)  # the norm check every gate's output state passes
 
     def evolve_half(amplitudes: np.ndarray) -> None:
-        # Both clock halves times the same 2^n phases, amplitude first.
         for part in (amplitudes[:dim], amplitudes[dim:]):
-            part *= half
+            _apply_zz_phases_inplace(part, lattice, 0.5, phases_first=False)
 
     def controlled_flip_b() -> None:
         for q in sorted(lattice.partition_b):

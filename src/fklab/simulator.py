@@ -8,9 +8,12 @@ Conventions, fixed package-wide:
     exp(-i * t * (pi/4) * sum_{edges} z_i z_j).
 
 The public operations return fresh states and never mutate their inputs.
-The `_`-prefixed gate kernels work in place on an amplitude array, one
-cache-sized block of amplitude pairs at a time (_pair_blocks), so a chain of
-gates can run on one buffer.
+The `_`-prefixed kernels work in place on an amplitude array, so a state is
+built and evolved in one buffer: _write_product_state fills it by doubling,
+_apply_zz_phases_inplace multiplies it by the coupling phases 2^16 entries at
+a time, and the gate kernels sweep it one cache-sized block of amplitude
+pairs at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays for
+the analysis oracles.
 """
 
 from __future__ import annotations
@@ -63,11 +66,32 @@ class PureState:
 
 
 def product_state(spec: InputSpec) -> PureState:
-    """Tensor product of the per-qubit input states, qubit 0 at bit 0."""
-    amps = np.array([1.0 + 0.0j])
-    for kind in spec.choices:
-        amps = np.kron(_SINGLE_QUBIT_STATES[kind], amps)
+    """Tensor product of the per-qubit input states, qubit 0 at bit 0, built
+    in one 2^n buffer by _write_product_state."""
+    amps = np.empty(1 << spec.num_qubits, dtype=np.complex128)
+    _write_product_state(amps, spec)
     return PureState(spec.num_qubits, amps)
+
+
+def _write_product_state(amps: np.ndarray, spec: InputSpec) -> None:
+    """Write the product state of `spec` into `amps`, a complex128 array of
+    2^n entries, by doubling: with the first m = 2^k entries holding qubits
+    0..k-1, qubit k's state s sets amps[m:2m] = s[1] amps[:m], then
+    amps[:m] = s[0] amps[:m].
+
+    Each product takes the state entry first, in np.kron's broadcast form,
+    so every amplitude is bit for bit that of the np.kron chain.
+    """
+    amps[0] = 1.0
+    for k, kind in enumerate(spec.choices):
+        state, m = _SINGLE_QUBIT_STATES[kind], 1 << k
+        np.multiply(state[1:2, None], amps[None, :m], out=amps[None, m : 2 * m])
+        np.multiply(state[0:1, None], amps[None, :m], out=amps[None, :m])
+
+
+# The energy and phase kernels sweep a register this many basis strings at a
+# time, so their temporaries stay near 1 MiB whatever the register size.
+STRING_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -76,19 +100,30 @@ def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
 
     z_i z_j is 1 - 2 (b_i XOR b_j), so the sum starts at the edge count and
     drops by 2 per anti-aligned edge. Each qubit's bit is held as 0 or 2 in
-    int8, so one XOR gives the drop.
+    int8, so one XOR gives the drop. The bit columns are built for one
+    STRING_BLOCK of strings at a time: the low ones once, the high ones,
+    constant within a block, per block.
     """
     n = lattice.num_qubits
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
-    doubled = np.arange(1 << n, dtype=np.uint32) << 1
-    twice_bits = [((doubled >> k) & 2).astype(np.int8) for k in range(n)]
+    size = 1 << n
+    block = min(size, STRING_BLOCK)
+    low = block.bit_length() - 1
+    twice_bits = np.empty((n, block), dtype=np.int8)
+    doubled = np.arange(block, dtype=np.uint32) << 1
+    for k in range(low):
+        twice_bits[k] = (doubled >> k) & 2
     del doubled
-    energy = np.full(1 << n, len(lattice.edges), dtype=np.int16)
-    drop = np.empty(1 << n, dtype=np.int8)
-    for i, j in lattice.edges:
-        np.bitwise_xor(twice_bits[i], twice_bits[j], out=drop)
-        energy -= drop
+    energy = np.full(size, len(lattice.edges), dtype=np.int16)
+    drop = np.empty(block, dtype=np.int8)
+    for start in range(0, size, block):
+        for k in range(low, n):
+            twice_bits[k] = 2 * (start >> k & 1)
+        part = energy[start : start + block]
+        for i, j in lattice.edges:
+            np.bitwise_xor(twice_bits[i], twice_bits[j], out=drop)
+            part -= drop
     energy.flags.writeable = False
     return energy
 
@@ -141,7 +176,30 @@ def zz_phase_levels(lattice: LatticeGeometry, time: float) -> np.ndarray:
     return np.exp((-1j * (time * (np.pi / 4))) * np.arange(-edges, edges + 1, dtype=np.int16))
 
 
-# The in-place kernels sweep a state this many amplitude pairs at a time, so
+def _apply_zz_phases_inplace(
+    amps: np.ndarray, lattice: LatticeGeometry, time: float, phases_first: bool
+) -> None:
+    """Multiply `amps` (2^n amplitudes) by zz_phases(lattice, time) in place,
+    one STRING_BLOCK at a time, each block's phases gathered from
+    zz_phase_levels. Complex products are not bitwise commutative, so the
+    caller fixes the operand order: phases first or amplitude first.
+    """
+    levels = zz_phase_levels(lattice, time)
+    energies = interaction_energies(lattice)
+    block = min(amps.size, STRING_BLOCK)
+    level = np.empty(block, dtype=np.int16)
+    phases = np.empty(block, dtype=np.complex128)
+    for start in range(0, amps.size, block):
+        part = amps[start : start + block]
+        np.add(energies[start : start + block], lattice.num_edges, out=level)
+        np.take(levels, level, out=phases, mode="clip")
+        if phases_first:
+            np.multiply(phases, part, out=part)
+        else:
+            np.multiply(part, phases, out=part)
+
+
+# The gate kernels sweep a state this many amplitude pairs at a time, so
 # each temporary is 256 KiB and a block's working set stays in a core's cache.
 PAIR_BLOCK = 1 << 14
 

@@ -236,6 +236,39 @@ def reference_apply_global_cz(amplitudes, control, targets):
     return a
 
 
+def reference_product_state(spec):
+    """The product state as a chain of np.kron calls, qubit 0 at bit 0."""
+    amps = np.array([1.0 + 0.0j])
+    for kind in spec.choices:
+        amps = np.kron({InputType.X_TYPE: X_STATE, InputType.Y_TYPE: Y_STATE}[kind], amps)
+    return amps
+
+
+def reference_components(model):
+    """The input component, output component and statevector of a model from
+    whole-register arrays: the np.kron product, the R_z phases of every
+    string, then zz_phases times the evolved input (phases first)."""
+    n = model.num_system_qubits
+    ideal = reference_product_state(model.input_spec)
+
+    def tilted(tilt):
+        if tilt == 0.0:
+            return ideal
+        # Named, so that numpy does not reuse the temporary and swap operands.
+        phases = np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
+        return ideal * phases
+
+    a = tilted(model.input_tilt)
+    evolved = tilted(model.input_tilt if model.tilted_output else 0.0)
+    phases = zz_phases(model.lattice, 1.0 + model.evolution_scale)
+    b = np.multiply(phases, evolved, out=phases)
+    psi = np.empty(2 * a.size, dtype=np.complex128)
+    psi[: a.size] = a
+    np.multiply(np.exp(1j * model.clock_phase), b, out=psi[a.size :])
+    psi /= math.sqrt(2)
+    return a, b, psi
+
+
 def reference_interaction_energies(lattice):
     """sum_{edges} z_i z_j per basis string, from int64 spins."""
     idx = np.arange(1 << lattice.num_qubits, dtype=np.int64)

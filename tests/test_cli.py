@@ -203,6 +203,27 @@ def test_run_missing_file_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+# Files that json.load rejects with an error other than JSONDecodeError.
+UNREADABLE_JSON_FILES = {
+    "undecodable bytes": b"\xff\xfe{\x00}\x00",
+    "nesting past the recursion limit": b"[" * 200_000 + b"]" * 200_000,
+    "integer past the digit limit": b'{"input_seed": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON_FILES))
+def test_unreadable_json_file_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / "file.json"
+    path.write_bytes(UNREADABLE_JSON_FILES[name])
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["report", str(path)]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _base_config():
     config = {
         "lattice": {"rows": 2, "cols": 2},

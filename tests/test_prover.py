@@ -53,6 +53,7 @@ from conftest import (
     depolarized_mixture_density,
     ideal_output_distribution,
     kron_chain,
+    reference_components,
     reference_echo_prepare,
     reference_interaction_energies,
     reference_mode_tables,
@@ -291,15 +292,36 @@ def test_echo_4x4_fidelity_and_reference_amplitudes():
     assert np.array_equal(prepared.amplitudes, expected)
 
 
-@pytest.mark.parametrize("rows,cols", small_lattices(12))
+@pytest.mark.parametrize("rows,cols", small_lattices(12) + [(1, 17), (3, 6)])
 def test_echo_bit_identical_to_out_of_place_reference(rows, cols):
     # The in-place echo on one buffer equals, as uint64 views, the sequence
-    # that builds a fresh state per gate and tiles the half-time phases.
+    # that builds a fresh state per gate and tiles the half-time phases. At
+    # 1x17 and 3x6 each clock half spans 2 and 4 blocks of the phase kernel.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     prepared = echo_prepare(lat, spec).amplitudes
     expected = reference_echo_prepare(lat, product_state(spec).amplitudes)
     assert np.array_equal(prepared.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("build", ["echo_prepare", "ideal_history_state"])
+def test_history_state_peak_memory_is_one_buffer(build):
+    # At 3x6 with warm caches, each state is built in its 2^(n+1)-amplitude
+    # buffer with block-sized temporaries; a kron product, a 2^n phase array
+    # and copies of the halves peaked at 1.6 (echo) and 2.1 (ideal).
+    lat = build_lattice(3, 6)
+    spec = random_input(lat.num_qubits, np.random.default_rng(36))
+    builder = {"echo_prepare": echo_prepare, "ideal_history_state": ideal_history_state}[build]
+    builder(lat, spec)
+    state_bytes = 16 << (lat.num_qubits + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        builder(lat, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * state_bytes
 
 
 def test_echo_peak_memory_is_one_buffer_and_the_phases():
@@ -537,8 +559,8 @@ def test_degraded_model_builds_no_component(monkeypatch, lattice, spec):
     def dense(*args):
         raise AssertionError("a dense component was built")
 
-    monkeypatch.setattr(prover, "product_state", dense)
-    monkeypatch.setattr(prover, "zz_phases", dense)
+    monkeypatch.setattr(prover, "_write_product_state", dense)
+    monkeypatch.setattr(prover, "_apply_zz_phases_inplace", dense)
     model = make_degraded_model(lattice, spec, 0.97, 0.95)
     exact_model_parameters(model)
 
@@ -593,6 +615,36 @@ def test_ideal_history_state_bit_identical_to_amplitude_formula(rows, cols):
         out = zz_phases(lat, 1.0) * phi
         expected = np.concatenate([phi, np.exp(1j * theta) * out]) / math.sqrt(2)
         assert np.array_equal(ideal_history_state(lat, spec, theta).amplitudes, expected)
+
+
+COMPONENT_MODELS = {
+    "honest": lambda lat, spec: honest(lat, spec),
+    "theta": lambda lat, spec: honest(lat, spec, clock_phase_theta=0.7),
+    "eta": lambda lat, spec: honest(lat, spec, evolution_scale=0.04),
+    "input_tilt": lambda lat, spec: honest(lat, spec, input_tilt=0.15),
+    "tilted_output": lambda lat, spec: HistoryStateModel(
+        lat, spec, clock_phase=-1.3, evolution_scale=0.02, input_tilt=0.15, tilted_output=True
+    ),
+    "depolarizing": lambda lat, spec: honest(lat, spec, depolarizing_rate=0.3),
+    "degraded": lambda lat, spec: make_degraded_model(lat, spec, 0.97, 0.95),
+}
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (1, 17)])
+@pytest.mark.parametrize("kind", sorted(COMPONENT_MODELS))
+def test_components_bit_identical_to_whole_register_formulas(kind, rows, cols):
+    # The one-buffer builders against the kron product, whole-register tilt
+    # and zz_phases formulas, as uint64 views; 1x17 spans two phase blocks.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    model = COMPONENT_MODELS[kind](lat, spec)
+    built = (
+        model.input_component.amplitudes,
+        model.output_component.amplitudes,
+        model.to_statevector().amplitudes,
+    )
+    for amps, expected in zip(built, reference_components(model)):
+        assert np.array_equal(amps.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fklab.simulator import (
     apply_global_cz,
     apply_single_qubit,
     FORMAT_BLOCK,
+    STRING_BLOCK,
     _vose_build,
     bitstring_blocks,
     bitstrings,
@@ -42,7 +44,9 @@ from conftest import (
     random_unitary,
     reference_apply_global_cz,
     reference_apply_single_qubit,
+    reference_interaction_energies,
     reference_mode_tables,
+    reference_product_state,
     reference_walsh_hadamard,
     small_lattices,
     spectral_expm,
@@ -74,6 +78,21 @@ def test_two_qubit_product_moduli(xx_input):
 def test_product_state_normalized(n, rng):
     state = product_state(random_input(n, rng))
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 18])
+@pytest.mark.parametrize("pattern", ["all X", "all Y", "mixed"])
+def test_product_state_bit_identical_to_kron_chain(n, pattern):
+    # The doubling fill equals the np.kron chain as uint64 views, on both
+    # sides of the 2^16-string block size.
+    kinds = {
+        "all X": [InputType.X_TYPE] * n,
+        "all Y": [InputType.Y_TYPE] * n,
+        "mixed": [(InputType.X_TYPE, InputType.Y_TYPE)[k % 3 == 1] for k in range(n)],
+    }[pattern]
+    spec = InputSpec(choices=tuple(kinds))
+    amps = product_state(spec).amplitudes
+    assert np.array_equal(amps.view(np.uint64), reference_product_state(spec).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +347,32 @@ def test_interaction_energies_match_per_edge_sum(rows, cols):
     assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * energies))
     by_level = zz_phase_levels(lattice, 1.0)[energies + len(lattice.edges)]
     assert np.array_equal(by_level.view(np.uint64), u_table.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 17), (3, 6), (1, 20)])
+def test_interaction_energies_across_string_blocks(rows, cols):
+    # Several STRING_BLOCKs of bit columns: the high qubits' columns change
+    # from block to block, and 1x20 puts edges between two high qubits.
+    lattice = build_lattice(rows, cols)
+    assert 1 << lattice.num_qubits > STRING_BLOCK
+    energies = interaction_energies(lattice)
+    assert energies.dtype == np.int16 and not energies.flags.writeable
+    assert np.array_equal(energies, reference_interaction_energies(lattice))
+
+
+def test_interaction_energies_peak_memory_is_the_result_and_block_columns():
+    # Uncached at 4x5, the build holds its 2 MiB int16 result and one block of
+    # int8 bit columns; a whole-register int8 column per qubit peaked at 31 MiB.
+    lattice = build_lattice(4, 5)
+    result_bytes = 2 << lattice.num_qubits
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        interaction_energies.__wrapped__(lattice)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= result_bytes + (4 << 20)
 
 
 @pytest.mark.parametrize("n", range(13))
