@@ -14,8 +14,6 @@ from .prover import (
 from .simulator import (
     Distribution,
     PureState,
-    apply_global_cz,
-    apply_single_qubit,
     product_state,
     walsh_hadamard,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolTranscript",
     "PureState",
-    "apply_global_cz",
-    "apply_single_qubit",
     "build_lattice",
     "decide",
     "echo_prepare",

@@ -314,66 +314,22 @@ def convolve_flip_noise(probabilities: np.ndarray, eps: float, n: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Correlated-trial (martingale) experiment
+# Correlated trials: the exact deviation law of a two-state chain
 
 
-class CorrelationScheme:
-    """Per-trial observable source; subclasses may correlate trials.
+# The martingale suite's two trial schemes. Each trial's outcome is +-1
+# (beta = 1), and its law depends only on the previous outcome, so a scheme
+# is a two-state chain: (P(+1) on the first trial, P(+1) after a +1, P(+1)
+# after a -1).
+IID_CHAIN = (0.5, 0.5, 0.5)
+# Adversarial correlations: the trial state flips between two fixed
+# preparations depending on the previous outcome's sign.
+ALTERNATING_CHAIN = (0.9, 0.9, 0.1)
 
-    step() consumes one uniform per run and returns (conditional mean,
-    outcome) vectors; outcomes must stay within +-scale.
-    """
-
-    scale: float
-
-    @property
-    def outcome_bound(self) -> float:
-        return self.scale
-
-    def step(self, u: np.ndarray, prev_outcome: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
-@dataclass
-class IIDScheme(CorrelationScheme):
-    """Same two-point +-scale observable every trial."""
-
-    p_plus: float = 0.5
-    scale: float = 1.0
-
-    def step(self, u, prev_outcome):
-        mean = np.full(u.shape, self.scale * (2.0 * self.p_plus - 1.0))
-        return mean, np.where(u < self.p_plus, self.scale, -self.scale)
-
-
-@dataclass
-class AlternatingScheme(CorrelationScheme):
-    """Adversarial correlations: the trial state flips between two fixed
-    preparations depending on the previous outcome's sign."""
-
-    p_plus_a: float = 0.9
-    p_plus_b: float = 0.1
-    scale: float = 1.0
-
-    def step(self, u, prev_outcome):
-        if prev_outcome is None:
-            p = np.full(u.shape, self.p_plus_a)
-        else:
-            p = np.where(prev_outcome > 0, self.p_plus_a, self.p_plus_b)
-        mean = self.scale * (2.0 * p - 1.0)
-        return mean, np.where(u < p, self.scale, -self.scale)
-
-
-@dataclass(frozen=True)
-class MartingaleTailStats:
-    """Empirical deviation quantiles of the correlated-trial estimator."""
-
-    trials: int
-    beta: float
-    runs: int
-    q99: float
-    max_abs: float
-    width_limit: float
+# Probabilities below sqrt(tiny) are set to 0 after every polynomial product,
+# so that no product of two of them is subnormal (subnormal operands slow
+# np.convolve about 15-fold). No tail moves by more than 1e-140.
+_FLUSH = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def azuma_tail_bound(deviation: float, trials: int, beta: float) -> float:
@@ -381,49 +337,66 @@ def azuma_tail_bound(deviation: float, trials: int, beta: float) -> float:
     return 2.0 * math.exp(-(deviation**2) * trials / (8.0 * beta**2))
 
 
-def azuma_quantile(alpha: float, trials: int, beta: float) -> float:
-    """Deviation at which the Azuma tail drops to alpha."""
-    return beta * math.sqrt(8.0 * math.log(2.0 / alpha) / trials)
+def _polynomial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two matrices of polynomials with non-negative coefficients
+    (lowest degree first, on the last axis), by direct convolution, so that
+    every coefficient keeps its relative accuracy."""
+    rows, inner, _ = a.shape
+    out = np.zeros((rows, b.shape[1], a.shape[2] + b.shape[2] - 1))
+    for i in range(rows):
+        for j in range(b.shape[1]):
+            for m in range(inner):
+                out[i, j] += np.convolve(a[i, m], b[m, j])
+    out[out < _FLUSH] = 0.0
+    return out
 
 
-def martingale_experiment(
-    scheme: CorrelationScheme,
-    trials: int,
-    beta: float,
-    rng: np.random.Generator,
-    runs: int = 400,
-) -> MartingaleTailStats:
-    """Estimate an observable over correlated trials and measure deviations.
+def chain_outcome_law(trials: int, chain: tuple[float, float, float]) -> np.ndarray:
+    """Exact law of the last outcome and the number k of +1 outcomes over
+    `trials` >= 1 trials of a two-state chain (p_first, p_after_plus,
+    p_after_minus): row 0 holds P(k, last = +1) and row 1 P(k, last = -1),
+    for k = 0..trials.
 
-    Each run averages `trials` outcomes F_j and subtracts the average of the
-    per-trial conditional means Tr(A sigma_j); the 99th percentile and the
-    maximum of the absolute deviation are returned. Raises ValidationError
-    if the scheme's outcomes can exceed the stated bound beta.
+    The law is the first trial's row [p_first x, 1 - p_first] times the step
+    matrix [[a x, 1 - a], [b x, 1 - b]] (a = p_after_plus, b = p_after_minus,
+    x marking a +1) to the power trials - 1, taken by binary powering.
     """
-    if trials < 1 or runs < 1:
-        raise ValidationError("need trials >= 1 and runs >= 1")
-    if scheme.outcome_bound > beta + 1e-12:
-        raise ValidationError(
-            f"observable bound {scheme.outcome_bound} exceeds the stated beta {beta}"
-        )
-    f_sum = np.zeros(runs)
-    mean_sum = np.zeros(runs)
-    prev = None
-    for _ in range(trials):
-        u = rng.random(runs)
-        mu, outcome = scheme.step(u, prev)
-        f_sum += outcome
-        mean_sum += mu
-        prev = outcome
-    dev = np.abs(f_sum - mean_sum) / trials
-    return MartingaleTailStats(
-        trials=trials,
-        beta=beta,
-        runs=runs,
-        q99=float(np.quantile(dev, 0.99)),
-        max_abs=float(dev.max()),
-        width_limit=3.2 * beta / math.sqrt(trials),
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
+    p_first, after_plus, after_minus = chain
+    law = np.array([[[0.0, p_first], [1.0 - p_first, 0.0]]])
+    power = np.array([[[0.0, after_plus], [1.0 - after_plus, 0.0]],
+                      [[0.0, after_minus], [1.0 - after_minus, 0.0]]])
+    exponent = trials - 1
+    while exponent:
+        if exponent & 1:
+            law = _polynomial_matmul(law, power)
+        exponent >>= 1
+        if exponent:
+            power = _polynomial_matmul(power, power)
+    return law[0]
+
+
+def deviation_quantile(trials: int, chain: tuple[float, float, float], level: float) -> float:
+    """The exact `level` quantile, the least d with P(dev <= d) >= level, of
+    dev = |f_sum - mean_sum| / N over N = `trials` trials of `chain`.
+
+    f_sum adds the +-1 outcomes and mean_sum their conditional means 2 p - 1,
+    so f_sum - mean_sum is a function of (k, last outcome): of the first
+    N - 1 outcomes, k - [last = +1] are +1 and the rest -1.
+    """
+    p_first, after_plus, after_minus = chain
+    k = np.arange(trials + 1)
+    before_last = np.stack([k - 1, k])
+    mean_sum = (
+        (2.0 * p_first - 1.0)
+        + before_last * (2.0 * after_plus - 1.0)
+        + (trials - 1 - before_last) * (2.0 * after_minus - 1.0)
     )
+    dev = (np.abs((2 * k - trials) - mean_sum) / trials).ravel()
+    order = np.argsort(dev, kind="stable")
+    below = np.cumsum(chain_outcome_law(trials, chain).ravel()[order])
+    return float(dev[order][np.searchsorted(below, level)])
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +653,17 @@ def suite_stochastic(instances: int, seed: int):
 
 @_suite("martingale")
 def suite_martingale(instances: int, seed: int):
-    """99th-percentile deviations inside the 3.2 beta/sqrt(N) envelope.
+    """Exact 99th-percentile deviations inside the 3.2 beta/sqrt(N) envelope.
 
-    The gate is a Monte-Carlo quantile over max(instances, 50) runs, so it
-    can fail on correct code. An IID run's deviation is |2k - N|/N with k ~
-    Bin(N, 1/2); from that exact law and np.quantile's linear interpolation,
-    a correct IID instance fails the gate at the default 200 runs with
-    probability 0.29% at N = 1000 and 0.30% at N = 10000. Seed 1 is such a
-    false alarm (N = 10000, margin 1.4e-5). The exact tail beyond the
-    envelope, 1.39e-3 and 1.33e-3, is checked against the Azuma bound in
-    the tests without a seed.
+    For N = 1000 and 10000 trials of each scheme (IID_CHAIN,
+    ALTERNATING_CHAIN), the margin is the exact 99th percentile of
+    |f_sum - mean_sum| / N, from deviation_quantile, minus 3.2/sqrt(N). No
+    trial is drawn, so `instances` and `seed` change nothing: the suite is
+    always these four checks, with the same margins.
     """
-    rng = substream(seed, TAG_BOUNDS, 5)
     for trials in (1000, 10000):
-        for scheme in (IIDScheme(), AlternatingScheme()):
-            stats = martingale_experiment(scheme, trials, 1.0, rng, runs=max(instances, 50))
-            yield stats.q99 - stats.width_limit
+        for chain in (IID_CHAIN, ALTERNATING_CHAIN):
+            yield deviation_quantile(trials, chain, 0.99) - 3.2 / math.sqrt(trials)
 
 
 @_suite("php_echo")
@@ -751,7 +719,7 @@ def suite_noisy_meas(instances: int, seed: int):
 SUITE_NAMES = tuple(SUITES)
 # The most instances one suite runs. The slowest suite, lower_bound, takes
 # 1.6-2 ms per instance (x86-64, numpy 2.4), so at most about 20 s at the
-# cap; martingale runs the cap in about 4 s with a 1.6 MiB peak.
+# cap; martingale runs its four exact checks whatever the instance count.
 MAX_SUITE_INSTANCES = 10_000
 
 

@@ -27,7 +27,6 @@ from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
     HADAMARD,
-    MAX_DENSE_QUBITS,
     PAULI_X,
     PureState,
     _apply_global_cz_inplace,
@@ -41,7 +40,6 @@ from .simulator import (
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
-MAX_MODEL_DENSITY_QUBITS = MAX_DENSE_QUBITS
 # Peak set-up memory per basis state: the model, its four mode tables and
 # their (4, 2^n) alias buffer, as peak RSS above the baseline after lattice
 # and input, divided by 2^n. Measured at n = 18/20/22: honest 168.3/160.6/
@@ -204,23 +202,6 @@ class HistoryStateModel:
         np.multiply(np.exp(1j * self.clock_phase), output, out=output)
         amps /= math.sqrt(2)
         return PureState(self.num_system_qubits + 1, amps)
-
-    def to_density_matrix(self) -> np.ndarray:
-        """Dense (n+1)-qubit density matrix; guarded to small systems."""
-        n = self.num_system_qubits
-        if n > MAX_MODEL_DENSITY_QUBITS:
-            raise CapacityError(
-                f"density matrix for {n} system qubits exceeds the "
-                f"{MAX_MODEL_DENSITY_QUBITS}-qubit guard"
-            )
-        p = self.depolarizing_rate
-        dim = 1 << n
-        psi = self.to_statevector().amplitudes
-        a = self.input_component.amplitudes
-        rho = (1.0 - p) * np.outer(psi, psi.conj())
-        rho[:dim, :dim] += (p / 2.0) * np.outer(a, a.conj())
-        rho[dim:, dim:] += (p / (2 * dim)) * np.eye(dim)
-        return rho
 
 
 @dataclass(frozen=True)

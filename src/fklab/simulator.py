@@ -34,7 +34,6 @@ MAX_STATE_QUBITS = 26
 MAX_DENSE_QUBITS = 6
 
 NORM_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 
 # Single-qubit input states (Z evolution absorbed), amplitudes of modulus 1/sqrt(2).
 X_STATE = np.array([0.5 * (1 + 1j), 0.5 * (1 - 1j)], dtype=np.complex128)
@@ -241,23 +240,6 @@ def walsh_hadamard(state: PureState) -> PureState:
     return PureState(n, a)
 
 
-def apply_single_qubit(state: PureState, qubit: int, gate: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to one qubit. Raises ValidationError if non-unitary.
-
-    Copies the state once and runs _apply_single_qubit_inplace on the copy.
-    """
-    g = np.asarray(gate, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 gate, got shape {g.shape}")
-    if np.max(np.abs(g.conj().T @ g - np.eye(2))) > UNITARY_ATOL:
-        raise ValidationError("gate is not unitary within 1e-10")
-    if not 0 <= qubit < state.num_qubits:
-        raise DimensionMismatchError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    a = state.amplitudes.copy()
-    _apply_single_qubit_inplace(a, qubit, g)
-    return PureState(state.num_qubits, a)
-
-
 def _apply_single_qubit_inplace(a: np.ndarray, qubit: int, g: np.ndarray) -> None:
     """Overwrite each amplitude pair (s0, s1) of `a` at `qubit` with
     (g00 s0 + g01 s1, g10 s0 + g11 s1), block by block, through two
@@ -278,26 +260,10 @@ def _apply_single_qubit_inplace(a: np.ndarray, qubit: int, g: np.ndarray) -> Non
         s0[...] = new0_block
 
 
-def apply_global_cz(state: PureState, control: int, targets) -> PureState:
-    """Controlled Z on every target qubit, controlled by one qubit: a basis
-    amplitude flips sign iff the control bit is 1 and an odd number of
-    target bits are 1.
-
-    Copies the state once and runs _apply_global_cz_inplace on the copy.
-    """
-    targets = tuple(targets)
-    if control in targets:
-        raise ValidationError(f"control qubit {control} overlaps the target set")
-    for q in (control, *targets):
-        if not 0 <= q < state.num_qubits:
-            raise DimensionMismatchError(f"qubit {q} out of range for {state.num_qubits} qubits")
-    a = state.amplitudes.copy()
-    _apply_global_cz_inplace(a, control, targets)
-    return PureState(state.num_qubits, a)
-
-
 def _apply_global_cz_inplace(a: np.ndarray, control: int, targets) -> None:
-    """apply_global_cz's sign flips, made in `a`. Nothing is checked.
+    """Controlled Z on every target qubit, controlled by one qubit, in `a`:
+    an amplitude flips sign iff the control bit is 1 and an odd number of
+    target bits are 1. Nothing is checked.
 
     The target parity over the other qubits is built by doubling an int8
     pattern one qubit at a time, and only the control-1 half is touched.

@@ -162,11 +162,6 @@ class ProtocolTranscript:
         """u of each propagation outcome: entry E + edges of u_levels."""
         return self.u_levels[self.energies[outcomes] + self.u_levels.size // 2]
 
-    def record(self, i: int) -> dict:
-        if not 0 <= i < self.num_copies:
-            raise IndexError(f"copy {i} out of range for {self.num_copies} copies")
-        return next(self._records(i, i + 1))
-
     def iter_records(self):
         for start in range(0, self.num_copies, self.chunk_size):
             yield from self._records(start, min(start + self.chunk_size, self.num_copies))

@@ -19,7 +19,6 @@ from fklab.simulator import (
     X_STATE,
     Y_STATE,
     PureState,
-    apply_single_qubit,
     hamming_weights,
     interaction_energies,
     product_state,
@@ -363,10 +362,10 @@ def reference_mode_tables(model):
         ]
     )
 
-    rotated = model.input_component
+    rotated = model.input_component.amplitudes
     for k, kind in enumerate(model.input_spec.choices):
-        rotated = apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
-    input_probs = np.abs(rotated.amplitudes) ** 2
+        rotated = reference_apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
+    input_probs = np.abs(rotated) ** 2
 
     return (
         samp / samp.sum(),

@@ -124,7 +124,7 @@ def test_model_parameters_match_density_matrix_oracle(lattice, spec, noise):
     model = make_honest_model(lattice, spec, noise)
     analytic = exact_model_parameters(model)
     dense = exact_parameters(
-        DensityMatrix(5, model.to_density_matrix()), lattice, spec
+        DensityMatrix(5, depolarized_mixture_density(model)), lattice, spec
     )
     assert abs(analytic.f_in - dense.f_in) < 1e-10
     assert abs(analytic.p_samp - dense.p_samp) < 1e-10
@@ -147,10 +147,19 @@ def _depolarized_model(lattice, spec, rate):
 @pytest.mark.parametrize("rate", [0.1, 0.3, 1.0])
 @pytest.mark.parametrize("rows,cols", small_lattices())
 def test_density_matrix_matches_mixture_oracle(rows, cols, rate):
+    # The mixture oracle's 2^(n+1) + 1 pure states sum to the closed form
+    # (1-p)|psi><psi| + (p/2)|0,a><0,a| + (p/2^(n+1)) |1><1| x I, with psi the
+    # model's coherent statevector and a its input component.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     model = _depolarized_model(lat, spec, rate)
-    assert np.max(np.abs(model.to_density_matrix() - depolarized_mixture_density(model))) < 1e-14
+    dim = 1 << lat.num_qubits
+    psi = model.to_statevector().amplitudes
+    a = model.input_component.amplitudes
+    closed = (1.0 - rate) * np.outer(psi, psi.conj())
+    closed[:dim, :dim] += (rate / 2.0) * np.outer(a, a.conj())
+    closed[dim:, dim:] += (rate / (2 * dim)) * np.eye(dim)
+    assert np.max(np.abs(closed - depolarized_mixture_density(model))) < 1e-14
 
 
 @pytest.mark.parametrize("rows,cols", small_lattices())
@@ -160,7 +169,7 @@ def test_depolarized_parameters_match_density_matrix_oracle(rows, cols):
     model = _depolarized_model(lat, spec, 0.3)
     analytic = exact_model_parameters(model)
     dense = exact_parameters(
-        DensityMatrix(lat.num_qubits + 1, model.to_density_matrix()), lat, spec
+        DensityMatrix(lat.num_qubits + 1, depolarized_mixture_density(model)), lat, spec
     )
     assert abs(analytic.f_in - dense.f_in) < 1e-10
     assert abs(analytic.p_samp - dense.p_samp) < 1e-10
@@ -177,22 +186,20 @@ def test_depolarizing_mixture_weights(lattice, spec):
     assert np.array_equal(component.amplitudes, model.output_component.amplitudes)
     oracle = dense_history_vector(lattice, spec)[16:] * np.sqrt(2)
     assert np.max(np.abs(component.amplitudes - oracle)) < 1e-12
-    rho = model.to_density_matrix()
+    rho = depolarized_mixture_density(model)
     assert abs(np.trace(rho[:16, :16]) - 0.5) < 1e-12
     assert abs(np.trace(rho[16:, 16:]) - 0.5) < 1e-12
 
 
 def test_depolarizing_capacity_guard():
-    # Depolarizing costs nothing extra to build; only the dense density
-    # matrix is guarded.
+    # Depolarizing costs nothing extra to build: a 12-qubit model, past every
+    # dense guard, holds one coherent component and has exact parameters.
     lat = build_lattice(3, 4)
     spec = random_input(12, np.random.default_rng(0))
     model = make_honest_model(lat, spec, NoiseModel(depolarizing_rate=0.1))
     [(weight, component)] = model.components()
     assert weight == 0.9 and component.num_qubits == 12
     assert abs(exact_model_parameters(model).f_out - (0.9 + 0.1 / 4096)) < 1e-12
-    with pytest.raises(CapacityError):
-        model.to_density_matrix()
 
 
 def test_noise_model_validation():
@@ -229,14 +236,14 @@ def test_degraded_identity_targets(lattice, spec):
 
 def test_degraded_o10_target_against_oracle(lattice, spec):
     model = make_degraded_model(lattice, spec, 0.97, 1.0)
-    dense = exact_parameters(DensityMatrix(5, model.to_density_matrix()), lattice, spec)
+    dense = exact_parameters(DensityMatrix(5, depolarized_mixture_density(model)), lattice, spec)
     assert abs(4.0 * abs(dense.tr_rho_o10) ** 2 - 0.97) < 1e-6
     assert abs(dense.f_in - 1.0) < 1e-10
 
 
 def test_degraded_f_in_target_against_oracle(lattice, spec):
     model = make_degraded_model(lattice, spec, 1.0, 0.95)
-    dense = exact_parameters(DensityMatrix(5, model.to_density_matrix()), lattice, spec)
+    dense = exact_parameters(DensityMatrix(5, depolarized_mixture_density(model)), lattice, spec)
     assert abs(dense.f_in - 0.95) < 1e-6
     assert abs(4.0 * abs(dense.tr_rho_o10) ** 2 - 1.0) < 1e-6
 
@@ -483,7 +490,7 @@ def test_measurement_marginals_match_born_rule(kernel_transcripts, model_name, m
     # built from the model's density matrix. The propagation branches get
     # about 5e5 copies each, for an expected empirical TVD near 3e-3.
     model, transcript = kernel_transcripts(model_name)
-    dense = _dense_mode_joints(model.to_density_matrix(), model.input_spec)[mode]
+    dense = _dense_mode_joints(depolarized_mixture_density(model), model.input_spec)[mode]
     assert abs(dense.sum() - 1.0) < 1e-12
     tvd_emp = 0.5 * np.abs(_branch_histogram(transcript, mode) - dense).sum()
     assert tvd_emp < 0.01
@@ -496,7 +503,7 @@ def test_mode_distributions_match_dense_joints(rows, cols, rate):
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     model = _depolarized_model(lat, spec, rate)
     dists = mode_distributions(model)
-    joints = _dense_mode_joints(model.to_density_matrix(), spec)
+    joints = _dense_mode_joints(depolarized_mixture_density(model), spec)
     dim = 1 << lat.num_qubits
     assert abs(P_CLOCK_MINUS - joints["sample"][dim]) < 1e-12
     for table, joint in (
