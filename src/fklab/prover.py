@@ -28,6 +28,7 @@ from .simulator import (
     Distribution,
     HADAMARD,
     PAULI_X,
+    STRING_BLOCK,
     PureState,
     _apply_global_cz_inplace,
     _apply_single_qubit_inplace,
@@ -217,12 +218,26 @@ class ModelParameters:
 def _write_input(out: np.ndarray, spec: InputSpec, tilt: float) -> None:
     """Write the ideal product input of `spec` into `out` with a diagonal
     R_z(tilt) error on every qubit: unless tilt is 0, the state is multiplied
-    (amplitude first) by the R_z phase of every string."""
+    (amplitude first) by the R_z phase of every string.
+
+    The phase depends on the string's weight w alone, so the n+1 level
+    phases are built once, from the int8 levels 2w - n as the per-string
+    formula would build them, and gathered by hamming_weights one
+    STRING_BLOCK at a time: every amplitude is bit for bit the per-string
+    product.
+    """
     _write_product_state(out, spec)
     if tilt != 0.0:
         n = spec.num_qubits
         # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
-        out *= np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
+        levels = np.exp(1j * (tilt / 2.0) * (2 * np.arange(n + 1, dtype=np.int8) - n))
+        weights = hamming_weights(n)
+        block = min(out.size, STRING_BLOCK)
+        phases = np.empty(block, dtype=np.complex128)
+        for start in range(0, out.size, block):
+            part = out[start : start + block]
+            np.take(levels, weights[start : start + block], out=phases, mode="clip")
+            np.multiply(part, phases, out=part)
 
 
 def make_honest_model(

@@ -405,8 +405,14 @@ class Distribution:
 # Indices are formatted in blocks of this many, so the temporaries stay near
 # 1 MiB whatever the input size.
 FORMAT_BLOCK = 1 << 16
-# Row b holds the bits of byte b, least significant first, as ASCII '0'/'1'.
-_BYTE_BITS = (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0")).astype(np.uint8)
+# Entry b holds the bits of byte b, least significant first, as eight ASCII
+# '0'/'1' bytes in one uint64, so one gather formats a whole index byte.
+_BYTE_CHARS = (
+    (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint64)
+    .ravel()
+)
 
 
 def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
@@ -422,7 +428,7 @@ def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
         count = block.size
         index_bytes = block.view(np.uint8).reshape(count, 8)[:, :num_bytes]
         chars = np.empty((count, num_bits + 1), dtype=np.uint8)
-        chars[:, :num_bits] = _BYTE_BITS[index_bytes].reshape(count, 8 * num_bytes)[:, :num_bits]
+        chars[:, :num_bits] = _BYTE_CHARS[index_bytes].view(np.uint8)[:, :num_bits]
         chars[:, num_bits] = ord("\n")
         yield str(memoryview(chars.reshape(-1)[:-1]), "ascii")
 

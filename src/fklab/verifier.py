@@ -1,12 +1,13 @@
 """The verification protocol: branch selection, counters, estimators, decision.
 
 Copies are processed in fixed 65536-copy chunks. Chunk c draws all of its
-randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout,
-and counter reduction is numpy's pairwise sum within a chunk followed by a
-sequential merge in chunk order, so results are byte-identical for any thread
-count. The transcript is the one record a run produces: its three columns
-(6 B per copy) are allocated once, each chunk writes its own rows, and the
-report's counters and samples are ProtocolTranscript.recompute_counters() of it.
+randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout.
+Each chunk is measured into chunk-sized columns and reduced at once, while
+they are in cache, to its counters (numpy's pairwise sums) and its published
+samples; the chunks' partials are merged in chunk order, so results are
+byte-identical for any thread count. No per-copy record is kept: the
+transcript is the model's tables and the seed, and it re-measures chunk c from
+its substream whenever its records or counters are read.
 
 Draw layout of a chunk of `count` copies: first u = random((6, count)), then,
 only with a measurement flip rate eps > 0, flips = random((count, n + 1)).
@@ -39,13 +40,21 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
-from .prover import MODE_ORDER, P_CLOCK_MINUS, HistoryStateModel, NoiseModel, mode_distributions
+from .prover import (
+    MODE_ORDER,
+    P_CLOCK_MINUS,
+    HistoryStateModel,
+    ModeDistributions,
+    NoiseModel,
+    mode_distributions,
+)
 from .rng import TAG_COPIES, substream
 from .simulator import bitstring_blocks, bitstrings, interaction_energies, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
-# 768 MiB of transcript columns at 6 B per copy, within the memory the
-# 26-qubit statevector guard admits.
+# A run holds its published samples, about a quarter of the copies at 4 B
+# each: about 128 MiB at the guard, within the memory the 26-qubit
+# statevector guard admits.
 MAX_COPIES = 1 << 27
 
 
@@ -139,22 +148,24 @@ class EstimatorReport:
 
 @dataclass
 class ProtocolTranscript:
-    """Columnar per-copy records.
+    """The per-copy records of a run, re-measured from its seed, not stored.
 
-    code is the copy's branch code (module docstring), from which a record
-    decodes b_sampling, b_testtype and the basis; sys_idx is -1 when no
-    system measurement happened; clock holds the reported clock outcome. A
-    propagation copy's u = e^{-i pi E/4} is read, when it is needed, from
-    u_levels at the outcome's interaction energy E (energies, the cached
-    per-string array), rather than stored.
+    Chunk c of the num_copies copies is measured again from the substream
+    (master_seed, TAG_COPIES, c) with the model's tables (dists) and the
+    measurement flip rate eps, into three columns: the copy's branch code
+    (module docstring), from which a record decodes b_sampling, b_testtype
+    and the basis; the reported clock outcome; and the system outcome
+    sys_idx, -1 when no system measurement happened. A propagation copy's
+    u = e^{-i pi E/4} is read from u_levels at the outcome's interaction
+    energy E (energies, the cached per-string array).
     """
 
     num_copies: int
     num_system: int
     chunk_size: int
-    code: np.ndarray
-    clock: np.ndarray
-    sys_idx: np.ndarray
+    master_seed: int
+    eps: float
+    dists: ModeDistributions
     energies: np.ndarray
     u_levels: np.ndarray
 
@@ -163,19 +174,37 @@ class ProtocolTranscript:
         return self.u_levels[self.energies[outcomes] + self.u_levels.size // 2]
 
     def iter_records(self):
-        for start in range(0, self.num_copies, self.chunk_size):
-            yield from self._records(start, min(start + self.chunk_size, self.num_copies))
+        for c in self._chunks():
+            yield from self._records(c)
 
-    def _records(self, start: int, stop: int):
-        """JSON-ready records of copies start..stop-1, built from list columns."""
-        rows = slice(start, stop)
-        code = self.code[rows]
-        sys_idx = self.sys_idx[rows]
+    def _chunks(self) -> range:
+        """The chunk indices, in order."""
+        return range(-(-self.num_copies // self.chunk_size))
+
+    def _measure(self, chunk_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The code, clock and sys_idx columns of one chunk, measured anew."""
+        count = min(self.chunk_size, self.num_copies - chunk_index * self.chunk_size)
+        columns = (
+            np.empty(count, dtype=np.uint8),
+            np.empty(count, dtype=np.int8),
+            np.empty(count, dtype=np.int32),
+        )
+        _process_chunk(self.dists, self.master_seed, chunk_index, self.eps, columns)
+        return columns
+
+    def _reduce(self, chunk_index: int) -> tuple[Counters, np.ndarray]:
+        """Counters and published samples of one chunk, measured and reduced."""
+        return _chunk_counters(*self._measure(chunk_index), self.u_values)
+
+    def _records(self, chunk_index: int):
+        """JSON-ready records of one chunk, built from list columns."""
+        code, clock, sys_idx = self._measure(chunk_index)
+        start = chunk_index * self.chunk_size
         outcomes = bitstrings(sys_idx[sys_idx >= 0], self.num_system)
         u = self.u_values(sys_idx[(code >> 1) == 1])
         u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
-        for i, c, clock, z in zip(
-            range(start, stop), code.tolist(), self.clock[rows].tolist(), sys_idx.tolist()
+        for i, c, clock_outcome, z in zip(
+            range(start, start + code.size), code.tolist(), clock.tolist(), sys_idx.tolist()
         ):
             basis = _BASIS_NAMES.get(c)
             yield {
@@ -183,28 +212,25 @@ class ProtocolTranscript:
                 "b_sampling": c >> 2,
                 "b_testtype": (c >> 1) & 1,
                 "basis_choice": basis,
-                "clock_outcome": clock,
+                "clock_outcome": clock_outcome,
                 "system_outcomes": next(outcomes) if z >= 0 else None,
                 "u": None if basis is None else list(next(u_pairs)),
             }
 
-    def _chunk_rows(self, start: int) -> tuple[np.ndarray, ...]:
-        """Views of the three columns over the chunk that begins at copy `start`."""
-        rows = slice(start, start + self.chunk_size)
-        return self.code[rows], self.clock[rows], self.sys_idx[rows]
-
     def recompute_counters(self) -> tuple[Counters, np.ndarray]:
-        """Counters and samples: numpy sums per chunk, merged in chunk order."""
-        total = Counters()
-        samples = []
-        for start in range(0, self.num_copies, self.chunk_size):
-            counters, chunk_samples = _chunk_counters(*self._chunk_rows(start), self.u_values)
-            for f in fields(Counters):
-                setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
-            samples.append(chunk_samples)
-        if not samples:
-            return total, np.zeros(0, dtype=np.uint32)
-        return total, np.concatenate(samples)
+        """Counters and samples of the re-measured chunks, merged in chunk order."""
+        return _merge(map(self._reduce, self._chunks()))
+
+
+def _merge(partials) -> tuple[Counters, np.ndarray]:
+    """Sum per-chunk counters in chunk order and join their samples."""
+    total = Counters()
+    samples = [np.zeros(0, dtype=np.uint32)]
+    for counters, chunk_samples in partials:
+        for f in fields(Counters):
+            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+        samples.append(chunk_samples)
+    return total, np.concatenate(samples)
 
 
 def _chunk_counters(code, clock, sys_idx, u_values) -> tuple[Counters, np.ndarray]:
@@ -250,14 +276,14 @@ _BASIS_NAMES = {2: "X", 3: "Y"}
 _CLOCK_OF_MINUS = np.array([1, -1], dtype=np.int8)
 
 
-def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, rows) -> None:
-    """Measure one chunk of copies, writing every entry of its column views.
+def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, columns) -> None:
+    """Measure one chunk of copies, writing every entry of its three columns.
 
     Every copy draws from its own table in one pass over the chunk: its code
     selects the table's row of the (4, 2^n) alias buffer, and the pick is
     Distribution.pick's arithmetic on that row.
     """
-    code, clock, sys_idx = rows
+    code, clock, sys_idx = columns
     count = code.size
     n = dists.num_system
     rng = substream(master_seed, TAG_COPIES, chunk_index)
@@ -353,33 +379,23 @@ def run_protocol(
     if model.input_spec != input_spec:
         raise DimensionMismatchError("model input spec differs from the protocol input")
     dists = mode_distributions(model)
-    eps = noise.measurement_flip_rate if noise is not None else 0.0
-    n_m = config.num_copies
-
     transcript = ProtocolTranscript(
-        num_copies=n_m,
+        num_copies=config.num_copies,
         num_system=dists.num_system,
         chunk_size=CHUNK_SIZE,
-        code=np.empty(n_m, dtype=np.uint8),
-        clock=np.empty(n_m, dtype=np.int8),
-        sys_idx=np.empty(n_m, dtype=np.int32),
+        master_seed=config.master_seed,
+        eps=noise.measurement_flip_rate if noise is not None else 0.0,
+        dists=dists,
         energies=interaction_energies(lattice),
         u_levels=zz_phase_levels(lattice, 1.0),
     )
-    n_chunks = (n_m + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def worker(c: int) -> None:
-        _process_chunk(dists, config.master_seed, c, eps, transcript._chunk_rows(c * CHUNK_SIZE))
-
+    chunks = transcript._chunks()
     n_threads = resolve_threads(threads)
-    if n_threads > 1 and n_chunks > 1:
+    if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(worker, range(n_chunks)))
+            counters, samples = _merge(pool.map(transcript._reduce, chunks))
     else:
-        for c in range(n_chunks):
-            worker(c)
-
-    counters, samples = transcript.recompute_counters()
+        counters, samples = _merge(map(transcript._reduce, chunks))
     report = _build_report(counters, samples, config, dists.num_system)
     return transcript, report
 

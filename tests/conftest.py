@@ -45,6 +45,16 @@ def decode_code(code):
     return b_sampling, b_testtype, basis.astype(np.int8)
 
 
+def transcript_columns(transcript):
+    """The code, clock and sys_idx columns of a whole transcript: each chunk
+    re-measured from its seed, concatenated in chunk order."""
+    columns = ([np.zeros(0, np.uint8)], [np.zeros(0, np.int8)], [np.zeros(0, np.int32)])
+    for c in transcript._chunks():
+        for parts, part in zip(columns, transcript._measure(c)):
+            parts.append(part)
+    return tuple(np.concatenate(parts) for parts in columns)
+
+
 def brute_force_edges(rows, cols):
     """Enumerate nearest-neighbor pairs by scanning all cell coordinates."""
     def idx(r, c):

@@ -61,6 +61,7 @@ from conftest import (
     rotated_basis,
     small_lattices,
     spectral_expm,
+    transcript_columns,
     u_value,
 )
 
@@ -331,6 +332,28 @@ def test_history_state_peak_memory_is_one_buffer(build):
     assert peak <= 1.4 * state_bytes
 
 
+def test_tilted_statevector_peak_memory_is_one_buffer():
+    # The R_z phases of a tilted input are gathered by weight level one
+    # STRING_BLOCK at a time, bit for bit the whole-register formula: at 3x6
+    # (four blocks per half) the state peaks near 1.2 state sizes, as it does
+    # untilted; one 2^n phase array took it to 2.0.
+    lat = build_lattice(3, 6)
+    spec = random_input(lat.num_qubits, np.random.default_rng(36))
+    model = honest(lat, spec, input_tilt=0.05)
+    amps = model.to_statevector().amplitudes
+    assert np.array_equal(amps.view(np.uint64), reference_components(model)[2].view(np.uint64))
+    del amps
+    state_bytes = 16 << (lat.num_qubits + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.to_statevector()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state_bytes
+
+
 def test_echo_peak_memory_is_one_buffer_and_the_phases():
     # At 4x4 with warm caches the echo holds its 2^17-amplitude buffer, the
     # 2^16 half-time phases and block-sized temporaries: about 1.5 state
@@ -373,13 +396,14 @@ def _run(model, lattice, spec, num_copies, seed, noise=None):
 def test_input_test_perfect_state(lattice, spec):
     model = honest(lattice, spec)
     transcript, _ = _run(model, lattice, spec, 4_000, seed=17)
-    b_sampling, b_testtype, _ = decode_code(transcript.code)
+    code, clock, sys_idx = transcript_columns(transcript)
+    b_sampling, b_testtype, _ = decode_code(code)
     input_test = (b_sampling == 0) & (b_testtype == 0)
-    plus = input_test & (transcript.clock == 1)
+    plus = input_test & (clock == 1)
     assert plus.any()
     # A perfect input reads the input state itself (outcome 0) on every qubit.
-    assert np.all(transcript.sys_idx[plus] == 0)
-    assert np.all(transcript.sys_idx[input_test & (transcript.clock == -1)] == -1)
+    assert np.all(sys_idx[plus] == 0)
+    assert np.all(sys_idx[input_test & (clock == -1)] == -1)
 
 
 def test_sample_mode_record_shape(lattice, spec):
@@ -399,16 +423,17 @@ def test_flip_rate_one_negates_everything(lattice, spec):
     model = honest(lattice, spec)
     noise = NoiseModel(measurement_flip_rate=1.0)
     transcript, _ = _run(model, lattice, spec, 4_000, seed=19, noise=noise)
-    b_sampling, b_testtype, _ = decode_code(transcript.code)
+    code, clock, sys_idx = transcript_columns(transcript)
+    b_sampling, b_testtype, _ = decode_code(code)
     input_test = (b_sampling == 0) & (b_testtype == 0)
-    measured = input_test & (transcript.sys_idx >= 0)
+    measured = input_test & (sys_idx >= 0)
     assert measured.any()
     # True clock was +1 and perfect inputs give all +1, so every reported
     # value is now -1: clock -1 and every system bit set.
-    assert np.all(transcript.clock[measured] == -1)
-    assert np.all(transcript.sys_idx[measured] == (1 << 4) - 1)
-    sampled = (b_sampling == 1) & (transcript.sys_idx >= 0)
-    assert np.all(transcript.clock[sampled] == 1)
+    assert np.all(clock[measured] == -1)
+    assert np.all(sys_idx[measured] == (1 << 4) - 1)
+    sampled = (b_sampling == 1) & (sys_idx >= 0)
+    assert np.all(clock[sampled] == 1)
 
 
 def _dense_mode_joints(rho, spec):
@@ -441,12 +466,13 @@ def _dense_mode_joints(rho, spec):
     return joints
 
 
-def _branch_histogram(transcript, mode):
-    """Empirical version of one _dense_mode_joints entry from a transcript."""
-    n = transcript.num_system
+def _branch_histogram(columns, n, mode):
+    """Empirical version of one _dense_mode_joints entry from a transcript's
+    columns on n system qubits."""
+    code, clock, sys_idx = columns
     dim = 1 << n
-    sys_idx = transcript.sys_idx.astype(np.int64)
-    b_sampling, b_testtype, basis = decode_code(transcript.code)
+    sys_idx = sys_idx.astype(np.int64)
+    b_sampling, b_testtype, basis = decode_code(code)
     if mode in ("sample", "input"):
         samp = b_sampling == 1
         rows = samp if mode == "sample" else (~samp & (b_testtype == 0))
@@ -455,7 +481,7 @@ def _branch_histogram(transcript, mode):
         counts[dim] = (rows & (sys_idx < 0)).sum()
     else:
         rows = basis == (BASIS_X if mode == "x" else BASIS_Y)
-        joint = ((transcript.clock[rows] == -1).astype(np.int64) << n) | sys_idx[rows]
+        joint = ((clock[rows] == -1).astype(np.int64) << n) | sys_idx[rows]
         counts = np.bincount(joint, minlength=2 * dim).astype(np.float64)
     return counts / rows.sum()
 
@@ -468,7 +494,8 @@ KERNEL_MODELS = {
 
 @pytest.fixture(scope="module")
 def kernel_transcripts():
-    """One 4e6-copy transcript per model on a 2x2 lattice, built on first use."""
+    """The columns of one 4e6-copy transcript per model on a 2x2 lattice,
+    built on first use."""
     lattice = build_lattice(2, 2)
     spec = random_input(4, np.random.default_rng(20240811))
     cache = {}
@@ -477,7 +504,7 @@ def kernel_transcripts():
         if name not in cache:
             model = make_honest_model(lattice, spec, KERNEL_MODELS[name])
             transcript, _ = _run(model, lattice, spec, 4_000_000, seed=555)
-            cache[name] = (model, transcript)
+            cache[name] = (model, transcript_columns(transcript))
         return cache[name]
 
     return get
@@ -489,10 +516,10 @@ def test_measurement_marginals_match_born_rule(kernel_transcripts, model_name, m
     # Branch-conditioned histograms from one transcript against a dense joint
     # built from the model's density matrix. The propagation branches get
     # about 5e5 copies each, for an expected empirical TVD near 3e-3.
-    model, transcript = kernel_transcripts(model_name)
+    model, columns = kernel_transcripts(model_name)
     dense = _dense_mode_joints(depolarized_mixture_density(model), model.input_spec)[mode]
     assert abs(dense.sum() - 1.0) < 1e-12
-    tvd_emp = 0.5 * np.abs(_branch_histogram(transcript, mode) - dense).sum()
+    tvd_emp = 0.5 * np.abs(_branch_histogram(columns, model.num_system_qubits, mode) - dense).sum()
     assert tvd_emp < 0.01
 
 
@@ -712,6 +739,7 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
     seed, count = 606, 20_000
     transcript, _ = _run(model, lat, spec, count, seed=seed)
     u_rand = substream(seed, TAG_COPIES, 0).random((6, count))
+    code, clock, sys_idx = transcript_columns(transcript)
     for row, basis, ref in ((2, BASIS_X, reference[2]), (3, BASIS_Y, reference[3])):
         table = getattr(dists, MODE_ORDER[row])
         alias, accept = dists.alias[row], dists.accept[row]
@@ -721,10 +749,10 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
         law[alias] += (1.0 - accept) / dim
         assert np.array_equal(law, table.probabilities)
         assert np.max(np.abs(law - ref)) < 1e-14
-        sel = decode_code(transcript.code)[2] == basis
+        sel = decode_code(code)[2] == basis
         joint = table.pick(u_rand[4][sel], u_rand[5][sel])
-        assert np.array_equal(joint & (dim - 1), transcript.sys_idx[sel])
-        assert np.array_equal(np.where(joint >> n, -1, 1), transcript.clock[sel])
+        assert np.array_equal(joint & (dim - 1), sys_idx[sel])
+        assert np.array_equal(np.where(joint >> n, -1, 1), clock[sel])
 
 
 def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
@@ -737,10 +765,11 @@ def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
     exact = np.vdot(top, u_dense @ bot) + np.vdot(bot, u_dense @ top)
 
     transcript, _ = _run(model, lattice, spec, 800_000, seed=8)
-    prop_x = decode_code(transcript.code)[2] == BASIS_X
+    code, clock, sys_idx = transcript_columns(transcript)
+    prop_x = decode_code(code)[2] == BASIS_X
     u_vals = np.array([u_value([1 - 2 * ((z >> k) & 1) for k in range(4)], lattice)
                        for z in range(16)])
-    mean_bu = np.mean(transcript.clock[prop_x] * u_vals[transcript.sys_idx[prop_x]])
+    mean_bu = np.mean(clock[prop_x] * u_vals[sys_idx[prop_x]])
     assert abs(mean_bu - exact) < 0.02
 
 

@@ -629,6 +629,20 @@ def test_bitstring_formatting():
         assert list(bitstrings(indices, 16)) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
 
 
+@pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 16, 17, 26])
+def test_bitstring_blocks_match_format_per_index(num_bits):
+    # Each index byte is one uint64 gather of eight characters; the text must
+    # be format(i, "0{n}b") reversed, index by index, across a block boundary.
+    assert list(bitstring_blocks(np.zeros(0, dtype=np.uint32), num_bits)) == []
+    rng = np.random.default_rng(num_bits)
+    indices = rng.integers(0, 1 << num_bits, size=FORMAT_BLOCK + 3).astype(np.uint32)
+    indices[:2] = 0, (1 << num_bits) - 1
+    blocks = list(bitstring_blocks(indices, num_bits))
+    assert len(blocks) == 2 and blocks[1].count("\n") == 2
+    expected = [format(i, f"0{num_bits}b")[::-1] for i in indices.tolist()]
+    assert "\n".join(blocks).split("\n") == expected
+
+
 def _per_bit_text(indices, num_bits):
     """The sample-file text of `indices`, each bit shifted out on its own."""
     bits = (indices.astype(np.int64)[:, None] >> np.arange(num_bits)) & 1

@@ -35,6 +35,7 @@ from conftest import (
     decode_code,
     reference_chunk_counters,
     reference_process_chunk,
+    transcript_columns,
     u_value,
 )
 
@@ -137,10 +138,11 @@ def test_transcript_records_well_formed(setup_2x2):
 def test_u_column_matches_u_value(setup_2x2):
     lattice, spec, model = setup_2x2
     transcript, _ = run(model, lattice, spec, 2_000, seed=13)
-    prop = decode_code(transcript.code)[2] != BASIS_NONE
+    code, _, sys_idx = transcript_columns(transcript)
+    prop = decode_code(code)[2] != BASIS_NONE
     records = list(transcript.iter_records())
     for i in np.flatnonzero(prop)[:50]:
-        signs = [1 - 2 * ((int(transcript.sys_idx[i]) >> k) & 1) for k in range(4)]
+        signs = [1 - 2 * ((int(sys_idx[i]) >> k) & 1) for k in range(4)]
         assert abs(complex(*records[i]["u"]) - u_value(signs, lattice)) < 1e-10
 
 
@@ -148,22 +150,22 @@ def _old_bitstring(index, num_bits):
     return format(index, f"0{num_bits}b")[::-1]
 
 
-def _record_per_copy(transcript, i, u_table):
-    """One copy's record built by per-copy numpy indexing into the dense
-    2^n u table, the reference for the columnar iter_records."""
-    has_sys = transcript.sys_idx[i] >= 0
-    b_sampling, b_testtype, basis = decode_code(transcript.code[i])
+def _record_per_copy(columns, num_system, i, u_table):
+    """One copy's record built by per-copy numpy indexing into the
+    transcript's columns and the dense 2^n u table, the reference for the
+    columnar iter_records."""
+    code, clock, sys_idx = columns
+    has_sys = sys_idx[i] >= 0
+    b_sampling, b_testtype, basis = decode_code(code[i])
     prop = basis != BASIS_NONE
-    u = u_table[transcript.sys_idx[i]] if prop else None
+    u = u_table[sys_idx[i]] if prop else None
     return {
         "copy_index": i,
         "b_sampling": int(b_sampling),
         "b_testtype": int(b_testtype),
         "basis_choice": {0: "X", 1: "Y", -1: None}[int(basis)],
-        "clock_outcome": int(transcript.clock[i]),
-        "system_outcomes": (
-            _old_bitstring(int(transcript.sys_idx[i]), transcript.num_system) if has_sys else None
-        ),
+        "clock_outcome": int(clock[i]),
+        "system_outcomes": _old_bitstring(int(sys_idx[i]), num_system) if has_sys else None,
         "u": None if u is None else [u.real, u.imag],
     }
 
@@ -182,13 +184,14 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
     records = list(transcript.iter_records())
     lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
     u_table = zz_phases(lattice, 1.0)
+    columns, n = transcript_columns(transcript), transcript.num_system
     reference = [
-        json.dumps(_record_per_copy(transcript, i, u_table), sort_keys=True) + "\n"
+        json.dumps(_record_per_copy(columns, n, i, u_table), sort_keys=True) + "\n"
         for i in range(transcript.num_copies)
     ]
     assert "".join(lines) == "".join(reference)
     for i in (0, CHUNK_SIZE - 1, CHUNK_SIZE, transcript.num_copies - 1):
-        assert records[i] == _record_per_copy(transcript, i, u_table)
+        assert records[i] == _record_per_copy(columns, n, i, u_table)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,8 @@ def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
             transcript, report = run_protocol(
                 model, model.lattice, model.input_spec, config, noise=noise, threads=threads
             )
-            decoded = (*decode_code(transcript.code), transcript.clock, transcript.sys_idx)
+            code, clock, sys_idx = transcript_columns(transcript)
+            decoded = (*decode_code(code), clock, sys_idx)
             for name, got, column in zip(names, decoded, columns):
                 assert got.dtype == column.dtype
                 assert np.array_equal(got, column), (name, num, threads)
@@ -356,38 +360,60 @@ def test_decide_window_inclusive():
     assert decide(1.0, 1.0, 0.506, config)
 
 
-def test_run_protocol_memory_is_the_columns(setup_2x2):
-    # The three columns take 6 B per copy, and the published samples (about a
-    # quarter of the copies, 4 B each) are held twice at the end: per chunk
-    # and concatenated. Everything else a run allocates is per chunk.
-    lattice, spec, model = setup_2x2
-    num = 8_000_000
-    config = ProtocolConfig(num_copies=num, master_seed=17)
+def _run_protocol_peak(model, lattice, spec, num_copies):
+    """tracemalloc peak of one single-thread run_protocol, in bytes."""
+    config = ProtocolConfig(num_copies=num_copies, master_seed=17)
     tracemalloc.start()
     try:
-        _, report = run_protocol(model, lattice, spec, config, threads=1)
+        run_protocol(model, lattice, spec, config, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * num + 2 * report.samples.nbytes + 4 * 2**20
+    return peak
+
+
+def test_run_protocol_memory_grows_by_the_samples_only(setup_2x2):
+    # Each chunk is reduced as it is measured, so what a run holds per copy
+    # is its published samples: about a quarter of the copies at 4 B each,
+    # held per chunk and then joined. Per-copy columns would add 6 B.
+    lattice, spec, model = setup_2x2
+    small, large = 4 * CHUNK_SIZE, 16 * CHUNK_SIZE
+    _run_protocol_peak(model, lattice, spec, small)
+    growth = _run_protocol_peak(model, lattice, spec, large) - _run_protocol_peak(
+        model, lattice, spec, small
+    )
+    assert growth <= 2 * (large - small)
+
+
+def test_iter_records_replays_the_same_records(setup_2x2):
+    # Every drain re-measures the chunks from the seed: the same records.
+    lattice, spec, model = setup_2x2
+    transcript, _ = run(model, lattice, spec, CHUNK_SIZE + 333, seed=12)
+    first = list(transcript.iter_records())
+    assert len(first) == CHUNK_SIZE + 333
+    assert list(transcript.iter_records()) == first
 
 
 def test_transcript_columns_are_code_clock_sys_idx(setup_2x2):
+    # The transcript holds no per-copy array; its re-measured columns are
+    # the uint8 code, the int8 clock and the int32 system outcome.
     lattice, spec, model = setup_2x2
     num = 1000
     transcript, _ = run(model, lattice, spec, num, seed=3)
-    per_copy = {
-        f.name: getattr(transcript, f.name).dtype
-        for f in fields(transcript)
-        if isinstance(getattr(transcript, f.name), np.ndarray)
+    assert not any(
+        isinstance(getattr(transcript, f.name), np.ndarray)
         and getattr(transcript, f.name).shape == (num,)
-    }
+        for f in fields(transcript)
+    )
+    columns = transcript_columns(transcript)
+    per_copy = {name: column.dtype for name, column in zip(("code", "clock", "sys_idx"), columns)}
     assert per_copy == {
         "code": np.dtype(np.uint8),
         "clock": np.dtype(np.int8),
         "sys_idx": np.dtype(np.int32),
     }
-    assert set(np.unique(transcript.code).tolist()) == set(range(8))
+    assert all(column.shape == (num,) for column in columns)
+    assert set(np.unique(columns[0]).tolist()) == set(range(8))
 
 
 def test_config_validation():
@@ -413,8 +439,10 @@ def test_same_seed_reproduces_everything(setup_2x2):
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
         r2.to_json_dict(), sort_keys=True
     )
-    assert np.array_equal(t1.sys_idx, t2.sys_idx)
-    assert np.array_equal(t1.clock, t2.clock)
+    _, clock1, sys_idx1 = transcript_columns(t1)
+    _, clock2, sys_idx2 = transcript_columns(t2)
+    assert np.array_equal(sys_idx1, sys_idx2)
+    assert np.array_equal(clock1, clock2)
 
 
 def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
@@ -429,9 +457,10 @@ def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
         r8.to_json_dict(), sort_keys=True
     )
     assert r1.counters.s_xu == r8.counters.s_xu  # bitwise, not approximate
-    for column in ("code", "clock", "sys_idx"):
-        assert np.array_equal(getattr(t1, column), getattr(t8, column))
-    for got, expected in zip(decode_code(t8.code), decode_code(t1.code)):
+    columns1, columns8 = transcript_columns(t1), transcript_columns(t8)
+    for got, expected in zip(columns8, columns1):
+        assert np.array_equal(got, expected)
+    for got, expected in zip(decode_code(columns8[0]), decode_code(columns1[0])):
         assert np.array_equal(got, expected)
 
 
