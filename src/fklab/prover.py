@@ -52,7 +52,8 @@ MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
 
-# Each clock branch has weight 1/2 in every model, depolarized or not.
+# Each clock branch has weight 1/2 in every model, depolarized or not. The
+# verifier draws a copy's clock as one fair bit, which encodes this value.
 P_CLOCK_MINUS = 0.5
 
 # Config key of each NoiseModel field; a missing key means no noise of that kind.
@@ -178,7 +179,7 @@ class HistoryStateModel:
         """The four measurement distributions and their alias tables, built
         here, once, so that the threads of a run only read them."""
         dim = 1 << self.num_system_qubits
-        alias = np.empty((len(MODE_ORDER), dim), dtype=np.int64)
+        alias = np.empty((len(MODE_ORDER), dim), dtype=np.int32)
         accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
         return ModeDistributions(
             num_system=self.num_system_qubits,
@@ -440,7 +441,9 @@ class ModeDistributions:
     Precomputed once per model so copies sample in O(1). Joint propagation
     outcomes are indexed j = b_bit * 2^n + z with b_bit 0 meaning clock
     outcome +1. Every alias table has 2^n bins, and table t's is row t of
-    one (4, 2^n) (alias, accept) pair, in MODE_ORDER.
+    one (4, 2^n) (alias, accept) pair, in MODE_ORDER: int32 aliases (every
+    outcome is below 2^27 under the 26-qubit guard) and float64 accepts,
+    48 B per 2^n in all.
     """
 
     num_system: int

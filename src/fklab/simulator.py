@@ -295,8 +295,10 @@ def _vose_build(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias table (alias index J, acceptance threshold q) in closed form.
 
-    The table is written into `out`, an (int64, float64) pair of arrays of the
-    table's size, when one is given, and into new arrays otherwise.
+    The table is written into `out`, an (int32, float64) pair of arrays of the
+    table's size, when one is given, and into new arrays of those types
+    otherwise: every alias is a bin index, below 2^26 under the 26-qubit
+    guard.
 
     This is the sweep construction (Vose 1991): the smalls (scaled < 1) and
     the larges (scaled >= 1) are each taken in index order. With D_k the
@@ -317,7 +319,7 @@ def _vose_build(
     size = p.size
     scaled = p * size
     if out is None:
-        out = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.float64))
+        out = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.float64))
     alias, accept = out
     alias[...] = np.arange(size)
     accept[...] = 1.0
@@ -356,7 +358,8 @@ class Distribution:
 
     Sampling costs two uniforms per draw regardless of the support size.
     Outcomes are integer indices; bit k of an index is qubit k's bit. Bin i
-    keeps i with probability accept[i] and otherwise draws alias[i]. The
+    keeps i with probability accept[i] and otherwise draws alias[i]; alias
+    is int32 (an outcome below 2^27 under the 26-qubit guard). The
     table may have fewer bins than there are outcomes, when its aliases
     reach outcomes that no bin keeps: pick draws its bin among alias.size.
     """

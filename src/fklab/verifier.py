@@ -9,31 +9,36 @@ byte-identical for any thread count. No per-copy record is kept: the
 transcript is the model's tables and the seed, and it re-measures chunk c from
 its substream whenever its records or counters are read.
 
-Draw layout of a chunk of `count` copies: first u = random((6, count)), then,
-only with a measurement flip rate eps > 0, flips = random((count, n + 1)).
-Copy i reads uk = u[k, i]:
-  u0 < 0.5   b_sampling = 1 (the sampling branch);
-  u1 < 0.5   b_testtype = 1 (the propagation test; 0 is the input test),
-             read only when b_sampling = 0;
-  u2 < 0.5   basis X, else Y, read only by a propagation copy;
-  the three give the copy's branch code 4 b_sampling + 2 b_testtype +
-             (u2 >= 0.5): 0-1 the input test, 2 X propagation, 3 Y
-             propagation, 4-7 sampling;
-  u3 < P_CLOCK_MINUS (1/2)  the clock reads -1, for sampling and input-test
-             copies; a propagation copy's clock is bit n of its outcome;
-  u4, u5     the alias pick from the copy's table: bin int(u4 * 2^n), kept
-             when u5 < accept[bin], else alias[bin]. A sampling copy is
-             measured on clock -1, an input-test copy on clock +1, and a
-             propagation copy always; the others keep sys_idx -1.
-With eps > 0, flips[i, n] < eps negates the reported clock and flips[i, k] <
-eps flips outcome bit k of a measured copy.
+Draw layout of a chunk of `count` copies: first words =
+bit_generator.random_raw((2, count)), two raw 64-bit words per copy; then,
+only with a measurement flip rate eps > 0, one row random(count) per outcome
+bit k = 0..n-1, then one row random(count) for the clock. Copy i reads
+a = words[0, i] and b = words[1, i]:
+  a & 7      the copy's branch code 4 b_sampling + 2 b_testtype + y: bit 2
+             is b_sampling (the sampling branch), bit 1 is b_testtype (the
+             propagation test; 0 is the input test), read only when
+             b_sampling = 0, and bit 0 is y (basis Y, else X), read only by a
+             propagation copy. Codes 0-1 are the input test, 2 X
+             propagation, 3 Y propagation, 4-7 sampling;
+  bit 3 of a the clock reads -1 (one fair bit: P_CLOCK_MINUS = 1/2), for
+             sampling and input-test copies; a propagation copy's clock is
+             bit n of its outcome;
+  a >> 11, b >> 11   the alias pick from the copy's table on u_bin =
+             (a >> 11) 2^-53 and u_coin = (b >> 11) 2^-53, the doubles
+             random() makes from those words: bin int(u_bin * 2^n) =
+             a >> (64 - n), kept when u_coin < accept[bin], else
+             alias[bin]. Bins use the top n <= 26 bits of a, disjoint from
+             bits 0-3. A sampling copy is measured on clock -1, an input-test
+             copy on clock +1, and a propagation copy always; the others keep
+             sys_idx -1.
+With eps > 0, flip row k below eps flips outcome bit k of a measured copy,
+and the clock row below eps negates the reported clock.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,7 +47,6 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import (
     MODE_ORDER,
-    P_CLOCK_MINUS,
     HistoryStateModel,
     ModeDistributions,
     NoiseModel,
@@ -270,10 +274,10 @@ def _chunk_counters(code, clock, sys_idx, u_values) -> tuple[Counters, np.ndarra
 # propagation codes, its basis.
 _TABLE_OF_CODE = np.array(
     [MODE_ORDER.index(name) for name in ("input_given_plus",) * 2 + ("prop_x", "prop_y")]
-    + [MODE_ORDER.index("sample_given_minus")] * 4
+    + [MODE_ORDER.index("sample_given_minus")] * 4,
+    dtype=np.int64,
 )
 _BASIS_NAMES = {2: "X", 3: "Y"}
-_CLOCK_OF_MINUS = np.array([1, -1], dtype=np.int8)
 
 
 def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, columns) -> None:
@@ -281,44 +285,57 @@ def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, column
 
     Every copy draws from its own table in one pass over the chunk: its code
     selects the table's row of the (4, 2^n) alias buffer, and the pick is
-    Distribution.pick's arithmetic on that row.
+    Distribution.pick's arithmetic on that row, read off the copy's two raw
+    words (module docstring).
     """
     code, clock, sys_idx = columns
     count = code.size
     n = dists.num_system
     rng = substream(master_seed, TAG_COPIES, chunk_index)
-    u_rand = rng.random((6, count))
-    flips = rng.random((count, n + 1)) if eps > 0.0 else None
+    a, b = rng.bit_generator.random_raw((2, count))
 
-    samp = u_rand[0] < 0.5
-    branch = (samp.view(np.uint8) << 2) | ((u_rand[1] < 0.5).view(np.uint8) << 1)
-    np.bitwise_or(branch, u_rand[2] >= 0.5, out=code)
+    low = a.astype(np.uint8)
+    np.bitwise_and(low, 7, out=code)
     prop = (code >> 1) == 1
 
-    # Every table has 2^n bins, so u4 * 2^n is exact and below 2^n:
-    # Distribution.pick's clamp to 2^n - 1 never binds here.
-    local = (u_rand[4] * float(1 << n)).astype(np.int64)
-    entry = (np.take(_TABLE_OF_CODE, code) << n) | local
-    j = np.where(u_rand[5] < np.take(dists.accept, entry), local, np.take(dists.alias, entry))
+    # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of a:
+    # Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
+    # shifts take np.uint64 counts, which numpy 1.x needs to keep them uint64.
+    a >>= np.uint64(64 - n)
+    local = a.astype(np.int32)
+    entry = np.take(_TABLE_OF_CODE << n, code)
+    entry |= a.view(np.int64)
+    b >>= np.uint64(11)
+    u_coin = b.astype(np.float64)
+    u_coin *= 2.0**-53
+    # j = local where the coin is below the bin's accept, else its alias: an
+    # arithmetic select, far cheaper than np.where on a random condition.
+    alias = np.take(dists.alias, entry)
+    j = local - alias
+    j *= u_coin < np.take(dists.accept, entry)
+    j += alias
 
     # A propagation outcome carries its clock bit at bit n; a sampling or
-    # input-test outcome is below 2^n, and its clock is read from u3.
-    true_minus = u_rand[3] < P_CLOCK_MINUS
-    minus = j >> n
+    # input-test outcome is below 2^n, and its clock is bit 3 of a. The
+    # clock is 1 - 2 minus, computed in int8.
+    true_minus = (low >> 3) & 1
+    minus = (j >> n).astype(np.uint8)
     minus |= true_minus & ~prop
-    np.take(_CLOCK_OF_MINUS, minus, out=clock)
+    np.subtract(1, minus.view(np.int8) << 1, out=clock)
     # A sampling copy is measured on clock -1, an input-test copy on +1. An
     # unmeasured copy's outcome is ORed with measured - 1 = -1, which leaves
     # -1: cheaper than np.where on a random condition.
-    measured = prop | (true_minus == samp)
-    np.bitwise_and(j, (1 << n) - 1, out=sys_idx, casting="unsafe")
+    measured = prop | (true_minus == code >> 2)
+    np.bitwise_and(j, (1 << n) - 1, out=sys_idx)
     sys_idx |= measured.view(np.int8) - 1
 
-    if flips is not None:
-        clock[flips[:, n] < eps] *= -1
+    if eps > 0.0:
+        # Drawn one chunk-sized row of uniforms at a time, to keep the
+        # temporaries of a chunk small.
         flip_bits = np.zeros(count, dtype=np.int32)
-        for k, flipped in enumerate((flips[:, :n] < eps).T):
-            flip_bits |= flipped.astype(np.int32) << k
+        for k in range(n):
+            flip_bits |= (rng.random(count) < eps).astype(np.int32) << k
+        clock[rng.random(count) < eps] *= -1
         measured = sys_idx >= 0
         sys_idx[measured] ^= flip_bits[measured]
 
@@ -392,6 +409,9 @@ def run_protocol(
     chunks = transcript._chunks()
     n_threads = resolve_threads(threads)
     if n_threads > 1 and len(chunks) > 1:
+        # Imported here, so that a single-threaded run never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             counters, samples = _merge(pool.map(transcript._reduce, chunks))
     else:

@@ -6,13 +6,13 @@ fast diagonal-phase kernels.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
 from fklab.lattice import InputSpec, InputType, build_lattice
-from fklab.prover import P_CLOCK_MINUS
 from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import (
     MAX_STATE_QUBITS,
@@ -35,8 +35,8 @@ BASIS_X, BASIS_Y, BASIS_NONE = 0, 1, -1
 def decode_code(code):
     """The b_sampling, b_testtype and basis columns of a branch-code column,
     in the reference kernel's dtypes. A copy's code is 4 b_sampling + 2
-    b_testtype + (u2 >= 0.5); a propagation copy (b_sampling 0, b_testtype 1)
-    is measured in X when u2 < 0.5 and in Y otherwise."""
+    b_testtype + y; a propagation copy (b_sampling 0, b_testtype 1) is
+    measured in Y when y is 1 and in X otherwise."""
     code = np.asarray(code)
     b_sampling = (code // 4).astype(np.uint8)
     b_testtype = (code // 2 % 2).astype(np.uint8)
@@ -417,11 +417,49 @@ def dense_model_parameters(model):
     return f_in, complex(tr), f_out
 
 
+class ChunkDraws(NamedTuple):
+    """One chunk's draws, decoded as the verifier module docstring lays them
+    out: per copy, the branch bits, the clock bit (clock -1 for sampling and
+    input-test copies) and the pick's two uniforms; with a flip rate, the
+    (n, count) outcome-bit flips and the clock flips, else None."""
+
+    b_sampling: np.ndarray
+    b_testtype: np.ndarray
+    y_basis: np.ndarray
+    clock_minus: np.ndarray
+    u_bin: np.ndarray
+    u_coin: np.ndarray
+    bit_flips: np.ndarray | None
+    clock_flips: np.ndarray | None
+
+
+def decode_draws(master_seed, chunk_index, count, num_system, eps):
+    """Decode chunk `chunk_index`'s substream: two raw 64-bit words a, b per
+    copy; then, only with eps > 0, one uniform row per outcome bit and one
+    for the clock."""
+    rng = substream(master_seed, TAG_COPIES, chunk_index)
+    a, b = rng.bit_generator.random_raw((2, count))
+
+    def bit(words, k):
+        return (words >> np.uint64(k)) & np.uint64(1) == 1
+
+    def uniform(words):
+        return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    bit_flips = clock_flips = None
+    if eps > 0.0:
+        bit_flips = np.array([rng.random(count) < eps for _ in range(num_system)])
+        clock_flips = rng.random(count) < eps
+    return ChunkDraws(
+        bit(a, 2), bit(a, 1), bit(a, 0), bit(a, 3), uniform(a), uniform(b), bit_flips, clock_flips
+    )
+
+
 # Reference chunk kernel and counters: the verifier's earlier masked
-# formulation, kept verbatim so the mask-free kernel and the index-gather
-# counters can be checked column for column with np.array_equal and counter
-# for counter with ==. Each branch gathers its copies' uniforms under a
-# boolean mask and picks from its own Distribution.
+# formulation, kept so the mask-free kernel and the index-gather counters can
+# be checked column for column with np.array_equal and counter for counter
+# with ==. Each branch gathers its copies' uniforms under a boolean mask and
+# picks from its own Distribution.
 
 
 def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):
@@ -429,44 +467,42 @@ def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):
     b_sampling, b_testtype, basis, clock, sys_idx = rows
     count = b_sampling.size
     n = dists.num_system
-    rng = substream(master_seed, TAG_COPIES, chunk_index)
-    u_rand = rng.random((6, count))
-    flips = rng.random((count, n + 1)) if eps > 0.0 else None
+    draws = decode_draws(master_seed, chunk_index, count, n, eps)
 
-    b_sampling[:] = u_rand[0] < 0.5
-    b_testtype[:] = u_rand[1] < 0.5
+    b_sampling[:] = draws.b_sampling
+    b_testtype[:] = draws.b_testtype
     samp = b_sampling.astype(bool)
     prop = (~samp) & b_testtype.astype(bool)
     input_test = (~samp) & (~b_testtype.astype(bool))
     basis[:] = BASIS_NONE
-    basis[prop] = np.where(u_rand[2][prop] < 0.5, BASIS_X, BASIS_Y)
+    basis[prop] = np.where(draws.y_basis[prop], BASIS_Y, BASIS_X)
 
     sys_idx[:] = -1
 
     z_branch = samp | input_test
-    true_minus = z_branch & (u_rand[3] < P_CLOCK_MINUS)
+    true_minus = z_branch & draws.clock_minus
     clock[z_branch] = np.where(true_minus[z_branch], -1, 1)
 
     samp_measured = samp & true_minus
     if samp_measured.any():
         sys_idx[samp_measured] = dists.sample_given_minus.pick(
-            u_rand[4][samp_measured], u_rand[5][samp_measured]
+            draws.u_bin[samp_measured], draws.u_coin[samp_measured]
         )
     input_measured = input_test & ~true_minus
     if input_measured.any():
         sys_idx[input_measured] = dists.input_given_plus.pick(
-            u_rand[4][input_measured], u_rand[5][input_measured]
+            draws.u_bin[input_measured], draws.u_coin[input_measured]
         )
     for basis_code, joint in ((BASIS_X, dists.prop_x), (BASIS_Y, dists.prop_y)):
         sel = basis == basis_code
         if sel.any():
-            j = joint.pick(u_rand[4][sel], u_rand[5][sel])
+            j = joint.pick(draws.u_bin[sel], draws.u_coin[sel])
             clock[sel] = np.where(j >> n, -1, 1)
             sys_idx[sel] = j & ((1 << n) - 1)
 
-    if flips is not None:
-        clock[flips[:, n] < eps] *= -1
-        flip_bits = ((flips[:, :n] < eps) << np.arange(n)).sum(axis=1)
+    if eps > 0.0:
+        clock[draws.clock_flips] *= -1
+        flip_bits = (draws.bit_flips.T << np.arange(n)).sum(axis=1)
         measured = sys_idx >= 0
         sys_idx[measured] ^= flip_bits[measured]
 

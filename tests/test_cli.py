@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from fklab import analysis, cli
 from fklab.cli import main
 from fklab.simulator import FORMAT_BLOCK
 from fklab.verifier import MAX_COPIES, run_protocol
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def write_config(path, **overrides):
@@ -31,6 +37,15 @@ def write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return config
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # Only a multi-threaded run makes a pool, so the thread-pool module (and
+    # the logging it pulls in) is imported there, not by every command.
+    code = "import sys, fklab.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_run_writes_expected_files(tmp_path):

@@ -16,7 +16,6 @@ from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab import prover
-from fklab.rng import TAG_COPIES, substream
 from fklab.prover import (
     MODE_ORDER,
     P_CLOCK_MINUS,
@@ -46,6 +45,7 @@ from conftest import (
     BASIS_X,
     BASIS_Y,
     decode_code,
+    decode_draws,
     dense_coupling_hamiltonian,
     dense_hadamard_all,
     dense_history_vector,
@@ -738,7 +738,7 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
     n, dim = lat.num_qubits, 1 << lat.num_qubits
     seed, count = 606, 20_000
     transcript, _ = _run(model, lat, spec, count, seed=seed)
-    u_rand = substream(seed, TAG_COPIES, 0).random((6, count))
+    draws = decode_draws(seed, 0, count, n, 0.0)
     code, clock, sys_idx = transcript_columns(transcript)
     for row, basis, ref in ((2, BASIS_X, reference[2]), (3, BASIS_Y, reference[3])):
         table = getattr(dists, MODE_ORDER[row])
@@ -750,7 +750,7 @@ def test_propagation_alias_rows_are_closed_form(kind, rows, cols):
         assert np.array_equal(law, table.probabilities)
         assert np.max(np.abs(law - ref)) < 1e-14
         sel = decode_code(code)[2] == basis
-        joint = table.pick(u_rand[4][sel], u_rand[5][sel])
+        joint = table.pick(draws.u_bin[sel], draws.u_coin[sel])
         assert np.array_equal(joint & (dim - 1), sys_idx[sel])
         assert np.array_equal(np.where(joint >> n, -1, 1), clock[sel])
 

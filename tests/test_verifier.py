@@ -3,7 +3,9 @@
 import json
 import os
 import tracemalloc
+from concurrent import futures
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from fklab.analysis import hoeffding_bound
 from fklab.errors import CapacityError
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import (
+    P_CLOCK_MINUS,
     NoiseModel,
     exact_model_parameters,
     make_degraded_model,
     make_honest_model,
     mode_distributions,
 )
+from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import FORMAT_BLOCK, zz_phases
 from fklab import verifier
 from fklab.verifier import (
@@ -198,6 +202,63 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
 # the chunk kernel against the masked reference
 
 
+def test_clock_bit_encodes_p_clock_minus():
+    # Bit 3 of a copy's first word is one fair bit: the clock law it draws.
+    assert P_CLOCK_MINUS == 0.5
+
+
+def test_raw_words_are_the_uniforms_random_makes():
+    # u = (word >> 11) 2^-53 is the double random() makes from a raw word,
+    # and the uniforms drawn after the words continue the same stream.
+    words = substream(3, TAG_COPIES, 9).bit_generator.random_raw(1000)
+    expected = substream(3, TAG_COPIES, 9).random(1500)
+    assert np.array_equal((words >> np.uint64(11)).astype(np.float64) * 2.0**-53, expected[:1000])
+    rng = substream(3, TAG_COPIES, 9)
+    rng.bit_generator.random_raw(1000)
+    assert np.array_equal(rng.random(500), expected[1000:])
+
+
+def test_process_chunk_decodes_the_documented_words(monkeypatch):
+    # Every code, both clock bits, the first and last bin, and a coin equal
+    # to the bin's accept (which takes the alias) or one ulp below it (which
+    # keeps the bin), with every bit the layout does not read set.
+    n, dim = 3, 8
+    alias = np.array(
+        [(np.arange(dim) + shift) % dim + high for shift, high in ((3, 0), (5, 0), (1, dim), (2, 0))],
+        dtype=np.int32,
+    )
+    accept = np.full((4, dim), 0.625)
+    dists = SimpleNamespace(num_system=n, alias=alias, accept=accept)
+    table_of_code = (1, 1, 2, 3, 0, 0, 0, 0)
+    accept_units = int(0.625 * 2**53)
+    cases = [
+        (code, minus_bit, bin_, below)
+        for code in range(8)
+        for minus_bit in (0, 1)
+        for bin_ in (0, dim - 1)
+        for below in (False, True)
+    ]
+    middle = ((1 << (64 - n)) - 1) & ~0xF
+    a = [(bin_ << (64 - n)) | middle | (minus_bit << 3) | code for code, minus_bit, bin_, _ in cases]
+    b = [((accept_units - below) << 11) | 0x7FF for _, _, _, below in cases]
+    words = np.array([a, b], dtype=np.uint64)
+    stream = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda size: words.copy()))
+    monkeypatch.setattr(verifier, "substream", lambda *key: stream)
+
+    count = len(cases)
+    columns = (np.empty(count, np.uint8), np.empty(count, np.int8), np.empty(count, np.int32))
+    verifier._process_chunk(dists, 0, 0, 0.0, columns)
+    code, clock, sys_idx = columns
+    for i, (c, minus_bit, bin_, below) in enumerate(cases):
+        j = bin_ if below else int(alias[table_of_code[c], bin_])
+        if c in (2, 3):
+            expected = (-1 if j >> n else 1, j & (dim - 1))
+        else:
+            measured = minus_bit == (c >> 2)
+            expected = (-1 if minus_bit else 1, j if measured else -1)
+        assert (code[i], clock[i], sys_idx[i]) == (c, *expected), cases[i]
+
+
 def _kernel_model(kind, rows, cols):
     """A model and its measurement noise. A 1x1 lattice has no edge, so its
     propagation overlap is 1 at any evolution time: its degraded model keeps
@@ -360,12 +421,12 @@ def test_decide_window_inclusive():
     assert decide(1.0, 1.0, 0.506, config)
 
 
-def _run_protocol_peak(model, lattice, spec, num_copies):
+def _run_protocol_peak(model, lattice, spec, num_copies, noise=None):
     """tracemalloc peak of one single-thread run_protocol, in bytes."""
     config = ProtocolConfig(num_copies=num_copies, master_seed=17)
     tracemalloc.start()
     try:
-        run_protocol(model, lattice, spec, config, threads=1)
+        run_protocol(model, lattice, spec, config, noise=noise, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,6 +444,21 @@ def test_run_protocol_memory_grows_by_the_samples_only(setup_2x2):
         model, lattice, spec, small
     )
     assert growth <= 2 * (large - small)
+
+
+def test_flip_draws_add_no_per_chunk_block():
+    # The flips are drawn one row of uniforms at a time, so a flip rate adds
+    # a few chunk-sized rows to the peak, not a (count, n + 1) float64 block
+    # (8.5 MiB at 4x4).
+    lattice = build_lattice(4, 4)
+    spec = random_input(16, np.random.default_rng(5))
+    model = make_honest_model(lattice, spec, NoiseModel())
+    flips = NoiseModel(measurement_flip_rate=0.01)
+    num_copies = 3 * CHUNK_SIZE
+    _run_protocol_peak(model, lattice, spec, num_copies, noise=flips)
+    clean = _run_protocol_peak(model, lattice, spec, num_copies)
+    flipped = _run_protocol_peak(model, lattice, spec, num_copies, noise=flips)
+    assert flipped - clean <= 1.5 * 2**20, (clean, flipped)
 
 
 def test_iter_records_replays_the_same_records(setup_2x2):
@@ -483,12 +559,13 @@ def test_run_protocol_pool_is_capped_at_the_usable_cpus(setup_2x2, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pools = []
 
-    class RecordingPool(verifier.ThreadPoolExecutor):
+    class RecordingPool(futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(verifier, "ThreadPoolExecutor", RecordingPool)
+    # run_protocol imports the pool class where it makes the pool.
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
     config = ProtocolConfig(num_copies=4 * CHUNK_SIZE, master_seed=5)
     run_protocol(model, lattice, spec, config, threads=4096)
     assert pools == [2]
