@@ -4,7 +4,7 @@ the outcome distributions the verifier samples copies from.
 The honest prover is modeled analytically as clock-indexed input/output
 components plus a scalar depolarizing weight on the output, so copy
 measurement statistics and exact parameters have closed forms in each
-string's Hamming weight and interaction energy (simulator.level_counts),
+string's Hamming weight w and aligned-edge count k (simulator.level_counts),
 precomputed once and sampled in O(1) per shot. echo_prepare exists
 separately to certify that a gate-level device prepares the same state.
 """
@@ -28,16 +28,17 @@ from .simulator import (
     Distribution,
     HADAMARD,
     PAULI_X,
-    STRING_BLOCK,
     PureState,
     _apply_global_cz_inplace,
     _apply_single_qubit_inplace,
-    _apply_zz_phases_inplace,
+    _multiply_by_levels,
     _write_product_state,
+    aligned_edges,
     hamming_weights,
     level_counts,
     string_levels,
     walsh_hadamard,
+    zz_phase_levels,
 )
 
 MAX_ECHO_SYSTEM_QUBITS = 20
@@ -157,12 +158,6 @@ class HistoryStateModel:
         return self.lattice.num_qubits
 
     @property
-    def input_component(self) -> PureState:
-        amps = np.empty(1 << self.num_system_qubits, dtype=np.complex128)
-        _write_input(amps, self.input_spec, self.input_tilt)
-        return PureState(self.num_system_qubits, amps)
-
-    @property
     def output_component(self) -> PureState:
         amps = np.empty(1 << self.num_system_qubits, dtype=np.complex128)
         self._write_output(amps)
@@ -172,7 +167,8 @@ class HistoryStateModel:
         """Write b into `out`: the input (tilted if tilted_output), then the
         coupling phases of time 1 + evolution_scale, phases first."""
         _write_input(out, self.input_spec, self.input_tilt if self.tilted_output else 0.0)
-        _apply_zz_phases_inplace(out, self.lattice, 1.0 + self.evolution_scale, phases_first=True)
+        phases = zz_phase_levels(self.lattice, 1.0 + self.evolution_scale)
+        _multiply_by_levels(out, phases, aligned_edges(self.lattice), table_first=True)
 
     @cached_property
     def distributions(self) -> ModeDistributions:
@@ -223,22 +219,15 @@ def _write_input(out: np.ndarray, spec: InputSpec, tilt: float) -> None:
 
     The phase depends on the string's weight w alone, so the n+1 level
     phases are built once, from the int8 levels 2w - n as the per-string
-    formula would build them, and gathered by hamming_weights one
-    STRING_BLOCK at a time: every amplitude is bit for bit the per-string
-    product.
+    formula would build them, and _multiply_by_levels gathers them by
+    hamming_weights: every amplitude is bit for bit the per-string product.
     """
     _write_product_state(out, spec)
     if tilt != 0.0:
         n = spec.num_qubits
         # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
         levels = np.exp(1j * (tilt / 2.0) * (2 * np.arange(n + 1, dtype=np.int8) - n))
-        weights = hamming_weights(n)
-        block = min(out.size, STRING_BLOCK)
-        phases = np.empty(block, dtype=np.complex128)
-        for start in range(0, out.size, block):
-            part = out[start : start + block]
-            np.take(levels, weights[start : start + block], out=phases, mode="clip")
-            np.multiply(part, phases, out=part)
+        _multiply_by_levels(out, levels, hamming_weights(n), table_first=False)
 
 
 def make_honest_model(
@@ -376,7 +365,8 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     out-of-place gate sequence: phi_in is written into the upper half, and
     |+> (x) phi_in is taken from it in np.kron's operand order. Each
     half-time evolution multiplies both clock halves by the coupling phases
-    block by block (amplitude first), so no 2^n phase array is built.
+    block by block (amplitude first), gathered by aligned_edges from one
+    table of edges + 1 levels built per call, so no 2^n phase array is built.
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
@@ -398,9 +388,11 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
         kernel(a, *args)
         PureState(n + 1, a)  # the norm check every gate's output state passes
 
+    half_phases, aligned = zz_phase_levels(lattice, 0.5), aligned_edges(lattice)
+
     def evolve_half(amplitudes: np.ndarray) -> None:
         for part in (amplitudes[:dim], amplitudes[dim:]):
-            _apply_zz_phases_inplace(part, lattice, 0.5, phases_first=False)
+            _multiply_by_levels(part, half_phases, aligned, table_first=False)
 
     def controlled_flip_b() -> None:
         for q in sorted(lattice.partition_b):
@@ -466,7 +458,7 @@ def _mode_tables(
     w and energy E. A depolarized propagation half is 2^-n/2 (1 +- (1-p) cos phi)
     in X and the same with sin phi in Y. So a propagation alias table is closed
     form: bin z keeps z (clock +1) with accept (1 + (1-p) cos phi) / 2, gathered
-    from model.accept_levels at (w, E), and else aliases z + 2^n (clock -1), so
+    from model.accept_levels at (w, k), and else aliases z + 2^n (clock -1), so
     no dense joint is built. The input test reads back each qubit's
     input state with c = cos^2(t_in/2), so z has c^(n-w) s^w, s = sin^2(t_in/2);
     that product law and the sampling table get a Vose build.

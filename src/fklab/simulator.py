@@ -10,10 +10,16 @@ Conventions, fixed package-wide:
 The public operations return fresh states and never mutate their inputs.
 The `_`-prefixed kernels work in place on an amplitude array, so a state is
 built and evolved in one buffer: _write_product_state fills it by doubling,
-_apply_zz_phases_inplace multiplies it by the coupling phases 2^16 entries at
-a time, and the gate kernels sweep it one cache-sized block of amplitude
-pairs at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays for
-the analysis oracles.
+_multiply_by_levels multiplies it by per-string phases 2^16 entries at a
+time, and the gate kernels sweep it one cache-sized block of amplitude pairs
+at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays for the
+analysis oracles.
+
+A string z enters every diagonal phase through two small integers: its
+Hamming weight w (hamming_weights, int8) and its count k of aligned edges
+(aligned_edges, uint8), with interaction energy E = 2k - edges. A phase
+table has one entry per level, n + 1 by weight or edges + 1 by k, and
+_multiply_by_levels gathers it per string.
 """
 
 from __future__ import annotations
@@ -88,20 +94,21 @@ def _write_product_state(amps: np.ndarray, spec: InputSpec) -> None:
         np.multiply(state[0:1, None], amps[None, :m], out=amps[None, :m])
 
 
-# The energy and phase kernels sweep a register this many basis strings at a
+# The aligned-edge and phase kernels sweep a register this many basis strings at a
 # time, so their temporaries stay near 1 MiB whatever the register size.
 STRING_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=8)
-def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
-    """sum_{edges} z_i z_j for every basis string, as a read-only int16 array.
+def aligned_edges(lattice: LatticeGeometry) -> np.ndarray:
+    """k(z), the number of edges whose two bits agree, for every basis
+    string, as a read-only uint8 array (k <= 40 edges under the 26-qubit
+    guard). A string's interaction energy sum_{edges} z_i z_j is 2k - edges.
 
-    z_i z_j is 1 - 2 (b_i XOR b_j), so the sum starts at the edge count and
-    drops by 2 per anti-aligned edge. Each qubit's bit is held as 0 or 2 in
-    int8, so one XOR gives the drop. The bit columns are built for one
-    STRING_BLOCK of strings at a time: the low ones once, the high ones,
-    constant within a block, per block.
+    k starts at the edge count and drops by one per anti-aligned edge: each
+    qubit's bit is held as 0 or 1 in uint8, so one XOR gives the drop. The
+    bit columns are built for one STRING_BLOCK of strings at a time: the low
+    ones once, the high ones, constant within a block, per block.
     """
     n = lattice.num_qubits
     if n > MAX_STATE_QUBITS:
@@ -109,22 +116,22 @@ def interaction_energies(lattice: LatticeGeometry) -> np.ndarray:
     size = 1 << n
     block = min(size, STRING_BLOCK)
     low = block.bit_length() - 1
-    twice_bits = np.empty((n, block), dtype=np.int8)
-    doubled = np.arange(block, dtype=np.uint32) << 1
+    bits = np.empty((n, block), dtype=np.uint8)
+    index = np.arange(block, dtype=np.uint32)
     for k in range(low):
-        twice_bits[k] = (doubled >> k) & 2
-    del doubled
-    energy = np.full(size, len(lattice.edges), dtype=np.int16)
-    drop = np.empty(block, dtype=np.int8)
+        bits[k] = (index >> k) & 1
+    del index
+    aligned = np.full(size, len(lattice.edges), dtype=np.uint8)
+    drop = np.empty(block, dtype=np.uint8)
     for start in range(0, size, block):
         for k in range(low, n):
-            twice_bits[k] = 2 * (start >> k & 1)
-        part = energy[start : start + block]
+            bits[k] = start >> k & 1
+        part = aligned[start : start + block]
         for i, j in lattice.edges:
-            np.bitwise_xor(twice_bits[i], twice_bits[j], out=drop)
+            np.bitwise_xor(bits[i], bits[j], out=drop)
             part -= drop
-    energy.flags.writeable = False
-    return energy
+    aligned.flags.writeable = False
+    return aligned
 
 
 @lru_cache(maxsize=8)
@@ -141,8 +148,9 @@ def hamming_weights(num_qubits: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def level_counts(lattice: LatticeGeometry) -> np.ndarray:
-    """counts[w, k], the number of basis strings of weight w and interaction
-    energy 2k - edges: a read-only int64 (n+1, edges+1) grid."""
+    """counts[w, k], the number of basis strings of weight w and k aligned
+    edges (interaction energy 2k - edges): a read-only int64 (n+1, edges+1)
+    grid."""
     shape = (lattice.num_qubits + 1, lattice.num_edges + 1)
     counts = np.bincount(string_levels(lattice), minlength=shape[0] * shape[1]).reshape(shape)
     counts.flags.writeable = False
@@ -153,49 +161,47 @@ def string_levels(lattice: LatticeGeometry) -> np.ndarray:
     """Each basis string's flat index w (edges+1) + k into level_counts, as int16."""
     level = hamming_weights(lattice.num_qubits).astype(np.int16)
     level *= lattice.num_edges + 1
-    level += (interaction_energies(lattice) + lattice.num_edges) >> 1
+    level += aligned_edges(lattice)
     return level
 
 
 def zz_phases(lattice: LatticeGeometry, time: float) -> np.ndarray:
     """Diagonal of the time-t coupling evolution over the lattice register,
-    gathered from zz_phase_levels(lattice, time) at each string's energy."""
-    return zz_phase_levels(lattice, time)[interaction_energies(lattice) + lattice.num_edges]
+    gathered from zz_phase_levels(lattice, time) at each string's k."""
+    return zz_phase_levels(lattice, time)[aligned_edges(lattice)]
 
 
 def zz_phase_levels(lattice: LatticeGeometry, time: float) -> np.ndarray:
-    """The time-t coupling phases by energy: entry E + edges is
-    e^{-i t pi E/4}, the phase of every string of interaction energy E.
+    """The time-t coupling phases by aligned-edge count: entry k is
+    e^{-i t pi E/4} with E = 2k - edges, the phase of every string with k
+    aligned edges.
 
     The scalar is -1j * (t * pi/4), so a time near the float limit does not
-    overflow, and it multiplies the int16 level as it would the int16 energy
-    of one string: each phase is the per-string product, bit for bit.
+    overflow, and it multiplies the int16 energy level as it would the int16
+    energy of one string: each phase is the per-string product, bit for bit.
     """
     edges = lattice.num_edges
-    return np.exp((-1j * (time * (np.pi / 4))) * np.arange(-edges, edges + 1, dtype=np.int16))
+    return np.exp((-1j * (time * (np.pi / 4))) * np.arange(-edges, edges + 1, 2, dtype=np.int16))
 
 
-def _apply_zz_phases_inplace(
-    amps: np.ndarray, lattice: LatticeGeometry, time: float, phases_first: bool
+def _multiply_by_levels(
+    amps: np.ndarray, table: np.ndarray, index: np.ndarray, table_first: bool
 ) -> None:
-    """Multiply `amps` (2^n amplitudes) by zz_phases(lattice, time) in place,
-    one STRING_BLOCK at a time, each block's phases gathered from
-    zz_phase_levels. Complex products are not bitwise commutative, so the
-    caller fixes the operand order: phases first or amplitude first.
+    """Multiply `amps` in place by table[index], one STRING_BLOCK at a time:
+    each block's factors are gathered from the small per-level `table` at
+    the block's entries of the per-string `index` (aligned_edges or
+    hamming_weights). Complex products are not bitwise commutative, so the
+    caller fixes the operand order: table first or amplitude first.
     """
-    levels = zz_phase_levels(lattice, time)
-    energies = interaction_energies(lattice)
     block = min(amps.size, STRING_BLOCK)
-    level = np.empty(block, dtype=np.int16)
-    phases = np.empty(block, dtype=np.complex128)
+    factors = np.empty(block, dtype=np.complex128)
     for start in range(0, amps.size, block):
         part = amps[start : start + block]
-        np.add(energies[start : start + block], lattice.num_edges, out=level)
-        np.take(levels, level, out=phases, mode="clip")
-        if phases_first:
-            np.multiply(phases, part, out=part)
+        np.take(table, index[start : start + block], out=factors, mode="clip")
+        if table_first:
+            np.multiply(factors, part, out=part)
         else:
-            np.multiply(part, phases, out=part)
+            np.multiply(part, factors, out=part)
 
 
 # The gate kernels sweep a state this many amplitude pairs at a time, so

@@ -53,7 +53,7 @@ from .prover import (
     mode_distributions,
 )
 from .rng import TAG_COPIES, substream
-from .simulator import bitstring_blocks, bitstrings, interaction_energies, zz_phase_levels
+from .simulator import aligned_edges, bitstring_blocks, bitstrings, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
 # A run holds its published samples, about a quarter of the copies at 4 B
@@ -160,8 +160,9 @@ class ProtocolTranscript:
     (module docstring), from which a record decodes b_sampling, b_testtype
     and the basis; the reported clock outcome; and the system outcome
     sys_idx, -1 when no system measurement happened. A propagation copy's
-    u = e^{-i pi E/4} is read from u_levels at the outcome's interaction
-    energy E (energies, the cached per-string array).
+    u = e^{-i pi E/4}, E = 2k - edges, is read from u_levels, the edges + 1
+    unit-time phases, at the outcome's aligned-edge count k (levels, the
+    cached uint8 simulator.aligned_edges).
     """
 
     num_copies: int
@@ -170,12 +171,12 @@ class ProtocolTranscript:
     master_seed: int
     eps: float
     dists: ModeDistributions
-    energies: np.ndarray
+    levels: np.ndarray
     u_levels: np.ndarray
 
     def u_values(self, outcomes: np.ndarray) -> np.ndarray:
-        """u of each propagation outcome: entry E + edges of u_levels."""
-        return self.u_levels[self.energies[outcomes] + self.u_levels.size // 2]
+        """u of each propagation outcome: entry k of u_levels."""
+        return self.u_levels[self.levels[outcomes]]
 
     def iter_records(self):
         for c in self._chunks():
@@ -220,10 +221,6 @@ class ProtocolTranscript:
                 "system_outcomes": next(outcomes) if z >= 0 else None,
                 "u": None if basis is None else list(next(u_pairs)),
             }
-
-    def recompute_counters(self) -> tuple[Counters, np.ndarray]:
-        """Counters and samples of the re-measured chunks, merged in chunk order."""
-        return _merge(map(self._reduce, self._chunks()))
 
 
 def _merge(partials) -> tuple[Counters, np.ndarray]:
@@ -403,7 +400,7 @@ def run_protocol(
         master_seed=config.master_seed,
         eps=noise.measurement_flip_rate if noise is not None else 0.0,
         dists=dists,
-        energies=interaction_energies(lattice),
+        levels=aligned_edges(lattice),
         u_levels=zz_phase_levels(lattice, 1.0),
     )
     chunks = transcript._chunks()

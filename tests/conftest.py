@@ -6,6 +6,7 @@ fast diagonal-phase kernels.
 """
 
 import math
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +20,6 @@ from fklab.simulator import (
     X_STATE,
     Y_STATE,
     PureState,
-    hamming_weights,
-    interaction_energies,
     product_state,
     walsh_hadamard,
     zz_phases,
@@ -146,9 +145,9 @@ def depolarized_mixture_density(model):
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
-    a = model.input_component.amplitudes
+    a, b, _ = reference_components(model)
     phase = np.exp(1j * model.clock_phase)
-    terms = [(1.0 - p, np.concatenate([a, phase * model.output_component.amplitudes]))]
+    terms = [(1.0 - p, np.concatenate([a, phase * b]))]
     for z in range(dim):
         basis_z = np.zeros(dim, dtype=complex)
         basis_z[z] = 1.0
@@ -256,7 +255,8 @@ def reference_product_state(spec):
 def reference_components(model):
     """The input component, output component and statevector of a model from
     whole-register arrays: the np.kron product, the R_z phases of every
-    string, then zz_phases times the evolved input (phases first)."""
+    string from its per-bit weight, then the per-string coupling phases
+    (reference_zz_phases) times the evolved input (phases first)."""
     n = model.num_system_qubits
     ideal = reference_product_state(model.input_spec)
 
@@ -264,12 +264,12 @@ def reference_components(model):
         if tilt == 0.0:
             return ideal
         # Named, so that numpy does not reuse the temporary and swap operands.
-        phases = np.exp(1j * (tilt / 2.0) * (2 * hamming_weights(n) - n))
+        phases = np.exp(1j * (tilt / 2.0) * (2 * reference_hamming_weights(n) - n))
         return ideal * phases
 
     a = tilted(model.input_tilt)
     evolved = tilted(model.input_tilt if model.tilted_output else 0.0)
-    phases = zz_phases(model.lattice, 1.0 + model.evolution_scale)
+    phases = reference_zz_phases(model.lattice, 1.0 + model.evolution_scale)
     b = np.multiply(phases, evolved, out=phases)
     psi = np.empty(2 * a.size, dtype=np.complex128)
     psi[: a.size] = a
@@ -285,6 +285,21 @@ def reference_interaction_energies(lattice):
     for i, j in lattice.edges:
         energy += ((1 - 2 * ((idx >> i) & 1)) * (1 - 2 * ((idx >> j) & 1))).astype(np.int16)
     return energy
+
+
+def reference_hamming_weights(n):
+    """Set bits of every basis index, counted one int64 bit column at a time,
+    as int8 like the package's hamming_weights."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    weight = sum(((idx >> k) & 1 for k in range(n)), np.zeros(idx.size, dtype=np.int64))
+    return weight.astype(np.int8)
+
+
+def reference_zz_phases(lattice, time):
+    """e^{-i t (pi/4) E(z)} per basis string, one exp per string of its int16
+    reference energy, with the scalar the package takes: bit for bit the
+    coupling phase of every string."""
+    return np.exp((-1j * (time * (np.pi / 4))) * reference_interaction_energies(lattice))
 
 
 def reference_walsh_hadamard(amplitudes):
@@ -349,15 +364,15 @@ def reference_mode_tables(model):
     n = model.num_system_qubits
     dim = 1 << n
     p = model.depolarizing_rate
-    a = model.input_component.amplitudes
-    b = np.exp(1j * model.clock_phase) * model.output_component.amplitudes
+    a, output, _ = reference_components(model)
+    b = np.exp(1j * model.clock_phase) * output
 
     # A maximally mixed output reads uniform in any basis and, in each half
     # of a propagation test, (1/4)(|a_z|^2 + 2^-n).
     def depolarize(clean, mixed):
         return (1.0 - p) * clean + p * mixed
 
-    samp = depolarize(np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2, 1.0 / dim)
+    samp = depolarize(np.abs(walsh_hadamard(PureState(n, output)).amplitudes) ** 2, 1.0 / dim)
     mixed_half = 0.25 * (np.abs(a) ** 2 + 1.0 / dim)
     prop_x = np.concatenate(
         [
@@ -372,7 +387,7 @@ def reference_mode_tables(model):
         ]
     )
 
-    rotated = model.input_component.amplitudes
+    rotated = a
     for k, kind in enumerate(model.input_spec.choices):
         rotated = reference_apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
     input_probs = np.abs(rotated) ** 2
@@ -391,10 +406,10 @@ def reference_propagation_rows(model):
     replaced, with the same dtypes and operations."""
     n = model.num_system_qubits
     p = model.depolarizing_rate
-    weight = hamming_weights(n)
+    weight = reference_hamming_weights(n)
     t_in, t_out = model.input_tilt, model.input_tilt if model.tilted_output else 0.0
     phi = model.clock_phase + (t_out - t_in) * (weight - n / 2)
-    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * interaction_energies(model.lattice)
+    phi -= (np.pi / 4) * (1.0 + model.evolution_scale) * reference_interaction_energies(model.lattice)
     rows = np.empty((2, 1 << n))
     np.cos(phi, out=rows[0])
     np.sin(phi, out=rows[1])
@@ -407,10 +422,9 @@ def dense_model_parameters(model):
     """F_in, Tr[rho O10] and F_out of a model from 2^n inner products over its
     components: the dense route the level sums replaced."""
     p = model.depolarizing_rate
-    ideal = product_state(model.input_spec).amplitudes
-    a = model.input_component.amplitudes
-    b = model.output_component.amplitudes
-    u_diag = zz_phases(model.lattice, 1.0)
+    ideal = reference_product_state(model.input_spec)
+    a, b, _ = reference_components(model)
+    u_diag = reference_zz_phases(model.lattice, 1.0)
     f_in = float(np.abs(np.vdot(ideal, a)) ** 2)
     tr = (1.0 - p) * np.vdot(b, u_diag * a) * 0.5 * np.exp(-1j * model.clock_phase)
     f_out = (1.0 - p) * float(np.abs(np.vdot(b, u_diag * ideal)) ** 2) + p / a.size
@@ -533,6 +547,18 @@ def reference_chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_ta
             counters.s_yu = contrib
             counters.n_y = int(sel.sum())
     return counters, samples
+
+
+def reference_merge(partials):
+    """Sum per-chunk (counters, samples) in chunk order, field by field from
+    zero counters, and join the samples."""
+    total = Counters()
+    samples = [np.zeros(0, dtype=np.uint32)]
+    for counters, chunk_samples in partials:
+        for f in fields(Counters):
+            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+        samples.append(chunk_samples)
+    return total, np.concatenate(samples)
 
 
 @pytest.fixture

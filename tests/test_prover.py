@@ -32,8 +32,8 @@ from fklab.prover import (
 )
 from fklab.simulator import (
     Distribution,
+    aligned_edges,
     hamming_weights,
-    interaction_energies,
     level_counts,
     product_state,
     state_fidelity,
@@ -156,7 +156,7 @@ def test_density_matrix_matches_mixture_oracle(rows, cols, rate):
     model = _depolarized_model(lat, spec, rate)
     dim = 1 << lat.num_qubits
     psi = model.to_statevector().amplitudes
-    a = model.input_component.amplitudes
+    a = reference_components(model)[0]
     closed = (1.0 - rate) * np.outer(psi, psi.conj())
     closed[:dim, :dim] += (rate / 2.0) * np.outer(a, a.conj())
     closed[dim:, dim:] += (rate / (2 * dim)) * np.eye(dim)
@@ -594,7 +594,7 @@ def test_degraded_model_builds_no_component(monkeypatch, lattice, spec):
         raise AssertionError("a dense component was built")
 
     monkeypatch.setattr(prover, "_write_product_state", dense)
-    monkeypatch.setattr(prover, "_apply_zz_phases_inplace", dense)
+    monkeypatch.setattr(prover, "_multiply_by_levels", dense)
     model = make_degraded_model(lattice, spec, 0.97, 0.95)
     exact_model_parameters(model)
 
@@ -668,16 +668,13 @@ COMPONENT_MODELS = {
 @pytest.mark.parametrize("kind", sorted(COMPONENT_MODELS))
 def test_components_bit_identical_to_whole_register_formulas(kind, rows, cols):
     # The one-buffer builders against the kron product, whole-register tilt
-    # and zz_phases formulas, as uint64 views; 1x17 spans two phase blocks.
+    # and per-string coupling phase formulas, as uint64 views; 1x17 spans two
+    # phase blocks. The statevector's lower half is the input component.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
     model = COMPONENT_MODELS[kind](lat, spec)
-    built = (
-        model.input_component.amplitudes,
-        model.output_component.amplitudes,
-        model.to_statevector().amplitudes,
-    )
-    for amps, expected in zip(built, reference_components(model)):
+    built = (model.output_component.amplitudes, model.to_statevector().amplitudes)
+    for amps, expected in zip(built, reference_components(model)[1:]):
         assert np.array_equal(amps.view(np.uint64), expected.view(np.uint64))
 
 
@@ -712,7 +709,7 @@ def test_setup_holds_only_the_alias_buffer(kind):
     lat = build_lattice(4, 4)
     n = lat.num_qubits
     spec = random_input(n, np.random.default_rng(44))
-    hamming_weights(n), interaction_energies(lat), level_counts(lat)
+    hamming_weights(n), aligned_edges(lat), level_counts(lat)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -760,7 +757,7 @@ def test_prop_x_empirical_mean_matches_dense_expectation(lattice, spec):
     # dense time-1 evolution.
     model = honest(lattice, spec, clock_phase_theta=0.25)
     u_dense = spectral_expm(dense_coupling_hamiltonian(lattice))
-    top = model.input_component.amplitudes / np.sqrt(2)
+    top = reference_components(model)[0] / np.sqrt(2)
     bot = np.exp(1j * model.clock_phase) * model.output_component.amplitudes / np.sqrt(2)
     exact = np.vdot(top, u_dense @ bot) + np.vdot(bot, u_dense @ top)
 

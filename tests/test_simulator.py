@@ -19,11 +19,12 @@ from fklab.simulator import (
     STRING_BLOCK,
     _apply_global_cz_inplace,
     _apply_single_qubit_inplace,
+    _multiply_by_levels,
     _vose_build,
+    aligned_edges,
     bitstring_blocks,
     bitstrings,
     hamming_weights,
-    interaction_energies,
     level_counts,
     product_state,
     state_fidelity,
@@ -145,7 +146,7 @@ def test_zz_phases_bit_identical_to_time_pi_product(rng):
     # rounding, so every phase equals the former -1j * t * pi / 4 form bit
     # for bit wherever that form is finite.
     lat = build_lattice(3, 3)
-    energies = interaction_energies(lat)
+    energies = reference_interaction_energies(lat)
     times = np.concatenate([
         [0.0, 1.0, 0.5, 1.02, -1.3, 1e-300, 1e300, -1e300],
         rng.uniform(-50.0, 50.0, 200),
@@ -292,32 +293,33 @@ def test_global_cz_bit_identical_to_reference(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# interaction_energies
+# aligned_edges: a string's interaction energy is 2k - edges
 
 
 @pytest.mark.parametrize("rows,cols", small_lattices(12))
 def test_interaction_energies_match_per_edge_sum(rows, cols):
     lattice = build_lattice(rows, cols)
-    n = lattice.num_qubits
+    n, edges = lattice.num_qubits, len(lattice.edges)
     expected = []
     for index in range(1 << n):
         z = [1 - 2 * ((index >> k) & 1) for k in range(n)]
         expected.append(sum(z[i] * z[j] for i, j in lattice.edges))
-    energies = interaction_energies(lattice)
-    assert energies.dtype == np.int16
-    assert not energies.flags.writeable
-    assert energies.tolist() == expected
-    # zz_phases takes one exp per energy level and gathers it by energy; the
-    # phases are bit for bit one exp per string.
+    aligned = aligned_edges(lattice)
+    assert aligned.dtype == np.uint8
+    assert not aligned.flags.writeable
+    assert (2 * aligned.astype(np.int64) - edges).tolist() == expected
+    # zz_phase_levels takes one exp per level k and zz_phases gathers it by
+    # k; the phases are bit for bit one exp per string.
+    assert zz_phase_levels(lattice, 1.0).shape == (edges + 1,)
     for time in (0.5, 1.0, 1.37, 1e-3, 123.4):
         former = np.exp((-1j * time * np.pi / 4) * np.array(expected, dtype=np.int16))
         assert np.array_equal(zz_phases(lattice, time).view(np.uint64), former.view(np.uint64))
+        by_level = zz_phase_levels(lattice, time)[aligned]
+        assert np.array_equal(by_level.view(np.uint64), former.view(np.uint64))
     # The verifier's u table is the unit-time phase, bit for bit as it was
-    # once computed on its own, and the verifier reads it by energy level.
+    # once computed on its own, and the verifier reads it by level k.
     u_table = zz_phases(lattice, 1.0)
-    assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * energies))
-    by_level = zz_phase_levels(lattice, 1.0)[energies + len(lattice.edges)]
-    assert np.array_equal(by_level.view(np.uint64), u_table.view(np.uint64))
+    assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * np.array(expected, dtype=np.int16)))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 17), (3, 6), (1, 20)])
@@ -326,24 +328,44 @@ def test_interaction_energies_across_string_blocks(rows, cols):
     # from block to block, and 1x20 puts edges between two high qubits.
     lattice = build_lattice(rows, cols)
     assert 1 << lattice.num_qubits > STRING_BLOCK
-    energies = interaction_energies(lattice)
-    assert energies.dtype == np.int16 and not energies.flags.writeable
+    aligned = aligned_edges(lattice)
+    assert aligned.dtype == np.uint8 and not aligned.flags.writeable
+    energies = 2 * aligned.astype(np.int16) - len(lattice.edges)
     assert np.array_equal(energies, reference_interaction_energies(lattice))
 
 
 def test_interaction_energies_peak_memory_is_the_result_and_block_columns():
-    # Uncached at 4x5, the build holds its 2 MiB int16 result and one block of
-    # int8 bit columns; a whole-register int8 column per qubit peaked at 31 MiB.
+    # Uncached at 4x5, the build holds its 1 MiB uint8 result and one block of
+    # uint8 bit columns; a whole-register int8 column per qubit peaked at 31 MiB.
     lattice = build_lattice(4, 5)
-    result_bytes = 2 << lattice.num_qubits
+    result_bytes = 1 << lattice.num_qubits
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        interaction_energies.__wrapped__(lattice)
+        aligned_edges.__wrapped__(lattice)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= result_bytes + (4 << 20)
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+@pytest.mark.parametrize("n", [1, 15, 16, 17])
+def test_multiply_by_levels_bit_identical_to_whole_register_product(rng, n, table_first):
+    # One block (n <= 16) and two (n = 17), in both operand orders, by k and
+    # by weight: each amplitude is the whole-register product, bit for bit.
+    lattice = build_lattice(1, n)
+    amps = random_state_vector(n, rng)
+    by_weight = np.exp(1j * 0.05 * (2 * np.arange(n + 1, dtype=np.int8) - n))
+    for table, index in (
+        (zz_phase_levels(lattice, 1.37), aligned_edges(lattice)),
+        (by_weight, hamming_weights(n)),
+    ):
+        factors = table[index]
+        expected = np.multiply(factors, amps) if table_first else np.multiply(amps, factors)
+        out = amps.copy()
+        _multiply_by_levels(out, table, index, table_first)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(13))

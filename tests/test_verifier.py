@@ -27,7 +27,6 @@ from fklab import verifier
 from fklab.verifier import (
     CHUNK_SIZE,
     MAX_COPIES,
-    Counters,
     ProtocolConfig,
     decide,
     resolve_threads,
@@ -38,7 +37,9 @@ from conftest import (
     BASIS_NONE,
     decode_code,
     reference_chunk_counters,
+    reference_merge,
     reference_process_chunk,
+    reference_zz_phases,
     transcript_columns,
     u_value,
 )
@@ -108,8 +109,19 @@ def test_counter_invariants_and_books_balance(setup_2x2):
 
 def test_report_recomputable_from_transcript_bit_for_bit(setup_2x2):
     lattice, spec, model = setup_2x2
+    # Each re-measured chunk is reduced by the masked reference and the
+    # chunks are merged in order, independently of run_protocol's reduction.
     transcript, report = run(model, lattice, spec, 150_000, seed=21)
-    counters, samples = transcript.recompute_counters()
+    code, clock, sys_idx = transcript_columns(transcript)
+    u_table = reference_zz_phases(lattice, 1.0)
+    partials = []
+    for start in range(0, transcript.num_copies, transcript.chunk_size):
+        chunk = slice(start, start + transcript.chunk_size)
+        partials.append(
+            reference_chunk_counters(*decode_code(code[chunk]), clock[chunk], sys_idx[chunk], u_table)
+        )
+    counters, samples = reference_merge(partials)
+    assert len(partials) == 3
     assert counters == report.counters
     assert np.array_equal(samples, report.samples)
     o10_again = 4.0 * abs((counters.s_xu / counters.n_x - 1j * counters.s_yu / counters.n_y) / 2.0) ** 2
@@ -288,16 +300,12 @@ def _reference_run(model, num_copies, master_seed, eps):
         np.empty(num_copies, dtype=np.int8),
         np.empty(num_copies, dtype=np.int32),
     )
-    total = Counters()
-    samples = [np.zeros(0, dtype=np.uint32)]
+    partials = []
     for start in range(0, num_copies, CHUNK_SIZE):
         rows = tuple(column[start : start + CHUNK_SIZE] for column in columns)
         reference_process_chunk(dists, master_seed, start // CHUNK_SIZE, eps, rows)
-        counters, chunk_samples = reference_chunk_counters(*rows, zz_phases(model.lattice, 1.0))
-        for f in fields(Counters):
-            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
-        samples.append(chunk_samples)
-    return columns, total, np.concatenate(samples)
+        partials.append(reference_chunk_counters(*rows, zz_phases(model.lattice, 1.0)))
+    return (columns, *reference_merge(partials))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])
