@@ -154,9 +154,9 @@ class DensityMatrix:
 class ExactParameters:
     """Exact protocol parameters of a density matrix.
 
-    Construction re-checks the structural ceilings: |Tr rho O10|^2 <= 1/4
-    (a consequence of the Cauchy-Schwarz inequality) and unit ranges for the
-    fidelities, sampling probability, and purity.
+    Construction re-checks the unit ranges of the fidelities, sampling
+    probability, and purity. The ceiling |Tr rho O10|^2 <= 1/4 is not
+    checked here: suite_cauchy_schwarz counts its violations.
     """
 
     f_in: float
@@ -166,8 +166,6 @@ class ExactParameters:
     purity: float
 
     def __post_init__(self):
-        if abs(self.tr_rho_o10) ** 2 > 0.25 + 1e-10:
-            raise ValidationError("|Tr rho O10|^2 exceeds the 1/4 ceiling")
         for name in ("f_in", "p_samp", "f_out", "purity"):
             v = getattr(self, name)
             if not -1e-10 <= v <= 1.0 + 1e-10:
@@ -460,35 +458,33 @@ def xb_inversion_label(lattice: LatticeGeometry) -> str:
 # Random states for the bound suites
 
 
-def random_density_matrix(num_qubits: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Normalized Wishart (Ginibre) random state."""
+def random_density_matrix(num_qubits: int, rng: np.random.Generator) -> DensityMatrix:
+    """Normalized full-rank Wishart (Ginibre) random state."""
     dim = 1 << num_qubits
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(num_qubits, rho)
 
 
-def _random_two_qubit_rotation(num_qubits: int, rng: np.random.Generator, max_angle: float) -> tuple[int, int, np.ndarray]:
+def _random_two_qubit_rotation(num_qubits: int, rng: np.random.Generator) -> tuple[int, int, np.ndarray]:
+    """A random two-qubit unitary e^{-i angle G}, G Hermitian of unit norm,
+    angle uniform in [0, 0.05], on two distinct random qubits."""
     qi, qj = rng.choice(num_qubits, size=2, replace=False)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     g = 0.5 * (g + g.conj().T)
     g /= max(np.linalg.norm(g, 2), 1e-12)
-    angle = rng.uniform(0.0, max_angle)
+    angle = rng.uniform(0.0, 0.05)
     return int(qi), int(qj), expm_hermitian(g, angle)
 
 
 def near_ideal_history_density(
-    lattice: LatticeGeometry,
-    input_spec: InputSpec,
-    rng: np.random.Generator,
-    max_angle: float = 0.05,
-    max_depol: float = 0.004,
-    theta: float | None = None,
+    lattice: LatticeGeometry, input_spec: InputSpec, rng: np.random.Generator
 ) -> DensityMatrix:
-    """Perfect history state with small coherent and depolarizing admixtures.
+    """Perfect history state with small coherent and depolarizing admixtures:
+    a clock phase uniform in [0, 2 pi), two _random_two_qubit_rotation gates
+    and a depolarizing rate uniform in [0, 0.004].
 
     The perturbations are small, but they do not always stay inside the
     epsilon <= 0.02 regime of the first-order output-fidelity bound: a random
@@ -496,13 +492,12 @@ def near_ideal_history_density(
     about 0.027. Callers that need the regime must check each draw.
     """
     n = lattice.num_qubits
-    if theta is None:
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
     psi = ideal_history_state(lattice, input_spec, theta).amplitudes
     for _ in range(2):
-        qi, qj, gate = _random_two_qubit_rotation(n + 1, rng, max_angle)
+        qi, qj, gate = _random_two_qubit_rotation(n + 1, rng)
         psi = apply_two_qubit_dense(psi, n + 1, qi, qj, gate)
-    rate = float(rng.uniform(0.0, max_depol))
+    rate = float(rng.uniform(0.0, 0.004))
     dim = psi.size
     rho = (1.0 - rate) * np.outer(psi, psi.conj()) + rate * np.eye(dim) / dim
     return DensityMatrix(n + 1, rho)

@@ -23,12 +23,12 @@ from .prover import (
     MAX_ECHO_SYSTEM_QUBITS,
     MAX_SETUP_BYTES,
     NOISE_JSON_FIELDS,
+    SETUP_BYTES_PER_BASIS_STATE,
     NoiseModel,
     echo_prepare,
     ideal_history_state,
     make_degraded_model,
     make_honest_model,
-    setup_bytes,
 )
 from .rng import TAG_INPUT, TAG_REPETITION, child_seed, substream
 from .simulator import MAX_STATE_QUBITS, state_fidelity
@@ -137,7 +137,11 @@ def _read_json(path: str, what: str):
 
 
 def load_experiment_config(path: str) -> dict:
-    """Parse and validate a run config, returning ready-to-use objects."""
+    """Parse and validate a run config, returning ready-to-use objects.
+
+    Every section is checked before the model is built, so a malformed
+    config exits without paying for the model (a degraded one tunes eta
+    over the level grid)."""
     raw = _object(
         _read_json(path, "config"),
         "config",
@@ -149,14 +153,14 @@ def load_experiment_config(path: str) -> dict:
     cols = _int(_require(lattice_cfg, "cols", "lattice"), "lattice.cols")
     _check_shape(rows, cols, MAX_STATE_QUBITS)
     lattice = build_lattice(rows, cols)
-    if setup_bytes(lattice.num_qubits) > MAX_SETUP_BYTES:
+    setup_bytes = SETUP_BYTES_PER_BASIS_STATE << lattice.num_qubits
+    if setup_bytes > MAX_SETUP_BYTES:
         raise CapacityError(
-            f"{rows}x{cols} lattice needs {setup_bytes(lattice.num_qubits) / 2**30:.1f} GiB to set up, "
+            f"{rows}x{cols} lattice needs {setup_bytes / 2**30:.1f} GiB to set up, "
             f"over the {MAX_SETUP_BYTES / 2**30:.0f} GiB set-up guard"
         )
 
     input_seed = _seed(raw.get("input_seed", 0), "input_seed")
-    spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
 
     prover_cfg = raw.get("prover", {"type": "honest"})
     kind = prover_cfg.get("type", "honest") if isinstance(prover_cfg, dict) else "honest"
@@ -172,14 +176,8 @@ def load_experiment_config(path: str) -> dict:
     noise = NoiseModel.from_json_dict(
         {key: _float(value, f"prover.noise.{key}") for key, value in noise_cfg.items()}
     )
-    if kind == "honest":
-        model = make_honest_model(lattice, spec, noise)
-    else:
-        model = make_degraded_model(
-            lattice,
-            spec,
-            *(_float(_require(prover_cfg, key, "prover"), f"prover.{key}") for key in DEGRADED_TARGETS),
-        )
+    if kind == "degraded":
+        targets = [_float(_require(prover_cfg, key, "prover"), f"prover.{key}") for key in DEGRADED_TARGETS]
 
     proto_cfg = _object(
         _require(raw, "protocol", "config"),
@@ -199,6 +197,12 @@ def load_experiment_config(path: str) -> dict:
     repetitions = _int(raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+
+    spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
+    if kind == "honest":
+        model = make_honest_model(lattice, spec, noise)
+    else:
+        model = make_degraded_model(lattice, spec, *targets)
     return {
         "lattice": lattice,
         "input_spec": spec,

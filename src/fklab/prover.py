@@ -397,7 +397,7 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     def controlled_flip_b() -> None:
         for q in sorted(lattice.partition_b):
             gate(_apply_single_qubit_inplace, q, HADAMARD)
-        gate(_apply_global_cz_inplace, clock, range(n))
+        gate(_apply_global_cz_inplace)
         for q in sorted(lattice.partition_b):
             gate(_apply_single_qubit_inplace, q, HADAMARD)
 
@@ -414,11 +414,6 @@ def ideal_history_state(
 ) -> PureState:
     """(|0>|phi_in> + e^{i theta}|1>U|phi_in>)/sqrt(2), clock at the top bit."""
     return HistoryStateModel(lattice, input_spec, clock_phase=theta).to_statevector()
-
-
-def setup_bytes(num_system: int) -> int:
-    """Peak set-up memory of a run on n system qubits."""
-    return SETUP_BYTES_PER_BASIS_STATE << num_system
 
 
 # The order of the four outcome tables, which is the row order of

@@ -94,8 +94,8 @@ def _write_product_state(amps: np.ndarray, spec: InputSpec) -> None:
         np.multiply(state[0:1, None], amps[None, :m], out=amps[None, :m])
 
 
-# The aligned-edge and phase kernels sweep a register this many basis strings at a
-# time, so their temporaries stay near 1 MiB whatever the register size.
+# The phase kernel sweeps a register this many basis strings at a time, so
+# its temporaries stay near 1 MiB whatever the register size.
 STRING_BLOCK = 1 << 16
 
 
@@ -105,31 +105,22 @@ def aligned_edges(lattice: LatticeGeometry) -> np.ndarray:
     string, as a read-only uint8 array (k <= 40 edges under the 26-qubit
     guard). A string's interaction energy sum_{edges} z_i z_j is 2k - edges.
 
-    k starts at the edge count and drops by one per anti-aligned edge: each
-    qubit's bit is held as 0 or 1 in uint8, so one XOR gives the drop. The
-    bit columns are built for one STRING_BLOCK of strings at a time: the low
-    ones once, the high ones, constant within a block, per block.
+    Built by doubling, as hamming_weights is: with the first 2^q counts
+    holding the edges among qubits 0..q-1, the strings with qubit q set copy
+    them, and each edge (i, q), i < q, adds 1 where bit i equals bit q: in
+    the lower half where bit i is 0, in the upper half where it is 1.
     """
     n = lattice.num_qubits
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
-    size = 1 << n
-    block = min(size, STRING_BLOCK)
-    low = block.bit_length() - 1
-    bits = np.empty((n, block), dtype=np.uint8)
-    index = np.arange(block, dtype=np.uint32)
-    for k in range(low):
-        bits[k] = (index >> k) & 1
-    del index
-    aligned = np.full(size, len(lattice.edges), dtype=np.uint8)
-    drop = np.empty(block, dtype=np.uint8)
-    for start in range(0, size, block):
-        for k in range(low, n):
-            bits[k] = start >> k & 1
-        part = aligned[start : start + block]
+    aligned = np.zeros(1 << n, dtype=np.uint8)
+    for q in range(n):
+        lower, upper = aligned[: 1 << q], aligned[1 << q : 2 << q]
+        upper[...] = lower
         for i, j in lattice.edges:
-            np.bitwise_xor(bits[i], bits[j], out=drop)
-            part -= drop
+            if j == q:
+                lower.reshape(-1, 2, 1 << i)[:, 0] += 1
+                upper.reshape(-1, 2, 1 << i)[:, 1] += 1
     aligned.flags.writeable = False
     return aligned
 
@@ -266,22 +257,22 @@ def _apply_single_qubit_inplace(a: np.ndarray, qubit: int, g: np.ndarray) -> Non
         s0[...] = new0_block
 
 
-def _apply_global_cz_inplace(a: np.ndarray, control: int, targets) -> None:
-    """Controlled Z on every target qubit, controlled by one qubit, in `a`:
-    an amplitude flips sign iff the control bit is 1 and an odd number of
-    target bits are 1. Nothing is checked.
+def _apply_global_cz_inplace(a: np.ndarray) -> None:
+    """Controlled Z from the top qubit of `a` onto every other qubit: an
+    amplitude of the upper half flips sign iff its index in that half has
+    odd weight. Nothing is checked.
 
-    The target parity over the other qubits is built by doubling an int8
-    pattern one qubit at a time, and only the control-1 half is touched.
+    The odd-weight pattern over the lower qubits is built by doubling, one
+    qubit at a time, and only the upper half is touched.
     """
-    parity = np.zeros(1, dtype=np.int8)
-    for q in range(a.size.bit_length() - 1):
-        if q != control:
-            parity = np.concatenate((parity, parity ^ 1 if q in targets else parity))
-    on = a.reshape(-1, 2, 1 << control)[:, 1, :]
+    half = a.size >> 1
+    odd = np.zeros(half, dtype=np.bool_)
+    for q in range(half.bit_length() - 1):
+        np.logical_not(odd[: 1 << q], out=odd[1 << q : 2 << q])
+    upper = a[half:]
     # Multiplying by -1 rather than negating keeps every bit, signed zeros
     # included, equal to the int64-mask reference in tests/conftest.py.
-    np.multiply(on, -1, out=on, where=parity.view(np.bool_).reshape(on.shape))
+    np.multiply(upper, -1, out=upper, where=odd)
 
 
 def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,12 +431,6 @@ def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
         chars[:, :num_bits] = _BYTE_CHARS[index_bytes].view(np.uint8)[:, :num_bits]
         chars[:, num_bits] = ord("\n")
         yield str(memoryview(chars.reshape(-1)[:-1]), "ascii")
-
-
-def bitstrings(indices, num_bits: int) -> Iterator[str]:
-    """The bit strings of bitstring_blocks one by one."""
-    for block in bitstring_blocks(indices, num_bits):
-        yield from block.split("\n")
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> complex:

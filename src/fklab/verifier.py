@@ -53,7 +53,7 @@ from .prover import (
     mode_distributions,
 )
 from .rng import TAG_COPIES, substream
-from .simulator import aligned_edges, bitstring_blocks, bitstrings, zz_phase_levels
+from .simulator import aligned_edges, bitstring_blocks, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
 # A run holds its published samples, about a quarter of the copies at 4 B
@@ -128,7 +128,6 @@ class EstimatorReport:
     accepted: bool
     samples: np.ndarray
     counters: Counters
-    num_copies: int
     num_system: int
     undefined_reason: str | None = None
 
@@ -166,7 +165,6 @@ class ProtocolTranscript:
     """
 
     num_copies: int
-    num_system: int
     chunk_size: int
     master_seed: int
     eps: float
@@ -205,7 +203,8 @@ class ProtocolTranscript:
         """JSON-ready records of one chunk, built from list columns."""
         code, clock, sys_idx = self._measure(chunk_index)
         start = chunk_index * self.chunk_size
-        outcomes = bitstrings(sys_idx[sys_idx >= 0], self.num_system)
+        blocks = bitstring_blocks(sys_idx[sys_idx >= 0], self.dists.num_system)
+        outcomes = (z for block in blocks for z in block.split("\n"))
         u = self.u_values(sys_idx[(code >> 1) == 1])
         u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
         for i, c, clock_outcome, z in zip(
@@ -395,7 +394,6 @@ def run_protocol(
     dists = mode_distributions(model)
     transcript = ProtocolTranscript(
         num_copies=config.num_copies,
-        num_system=dists.num_system,
         chunk_size=CHUNK_SIZE,
         master_seed=config.master_seed,
         eps=noise.measurement_flip_rate if noise is not None else 0.0,
@@ -456,7 +454,6 @@ def _build_report(
         accepted=accepted,
         samples=samples,
         counters=counters,
-        num_copies=config.num_copies,
         num_system=num_system,
         undefined_reason=reason,
     )

@@ -278,12 +278,14 @@ def reference_components(model):
     return a, b, psi
 
 
-def reference_interaction_energies(lattice):
-    """sum_{edges} z_i z_j per basis string, from int64 spins."""
-    idx = np.arange(1 << lattice.num_qubits, dtype=np.int64)
+def reference_interaction_energies(lattice, start=0, stop=None):
+    """sum_{edges} z_i z_j per basis string, from spins read off int64
+    indices: of every string, or of the strings start..stop-1 only."""
+    idx = np.arange(start, 1 << lattice.num_qubits if stop is None else stop, dtype=np.int64)
+    spins = [1 - 2 * ((idx >> k) & 1).astype(np.int8) for k in range(lattice.num_qubits)]
     energy = np.zeros(idx.size, dtype=np.int16)
     for i, j in lattice.edges:
-        energy += ((1 - 2 * ((idx >> i) & 1)) * (1 - 2 * ((idx >> j) & 1))).astype(np.int16)
+        energy += spins[i] * spins[j]
     return energy
 
 

@@ -14,6 +14,8 @@ import pytest
 
 from fklab import analysis, cli
 from fklab.cli import main
+from fklab.lattice import InputSpec, InputType
+from fklab.prover import ideal_history_state
 from fklab.simulator import FORMAT_BLOCK
 from fklab.verifier import MAX_COPIES, run_protocol
 
@@ -583,6 +585,29 @@ def test_run_setup_memory_guard(tmp_path, monkeypatch, capsys, rows, cols, admit
         assert "set-up guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [("protocol.master_sed", 3), ("protocol.psamp_window", [0.6, 0.4]), ("repetitions", 0)],
+)
+@pytest.mark.parametrize("prover", ["honest", "degraded"])
+def test_run_config_is_checked_before_the_model_is_built(tmp_path, capsys, monkeypatch, prover, path, value):
+    # A config that is malformed after its prover section exits 2 without
+    # building a model: a degraded one would tune eta over the level grid.
+    def build(*args):
+        raise AssertionError("a model was built for a malformed config")
+
+    monkeypatch.setattr(cli, "make_honest_model", build)
+    monkeypatch.setattr(cli, "make_degraded_model", build)
+    config = _base_config()
+    if prover == "degraded":
+        config["prover"] = {"type": "degraded", "target_o10_sq": 0.97, "target_f_in": 0.99}
+    _set(config, path, value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_run_copy_budget_guard_exit_3(tmp_path):
     config = _base_config()
     config["protocol"]["num_copies"] = MAX_COPIES + 1
@@ -619,6 +644,31 @@ def test_verify_bounds_writes_csv(tmp_path):
     assert rows[0] == "test_name,instances,violations,max_margin"
     fields = rows[1].split(",")
     assert fields[0] == "cauchy_schwarz" and fields[2] == "0"
+
+
+def test_verify_bounds_counts_a_cauchy_schwarz_violation(tmp_path, monkeypatch):
+    # A faulted oracle whose u is 10% long reads |Tr rho O10|^2 = 0.55^2 on
+    # every pure history state. The suite must count each instance as a
+    # violation, write its row and exit 1, not stop at a raise (exit 2). The
+    # history state is that of the suite's input with every choice flipped,
+    # so F_in and F_out, which read the same u against the suite's input,
+    # stay inside [0, 1].
+    phases = analysis.zz_phases
+    monkeypatch.setattr(analysis, "zz_phases", lambda lattice, time: 1.1 * phases(lattice, time))
+    lattice, spec, _, _ = analysis._suite_setting(0, 0)
+    flipped = InputSpec(tuple(
+        InputType.Y_TYPE if kind is InputType.X_TYPE else InputType.X_TYPE for kind in spec.choices
+    ))
+    psi = ideal_history_state(lattice, flipped).amplitudes
+    history = analysis.DensityMatrix(lattice.num_qubits + 1, np.outer(psi, psi.conj()))
+    monkeypatch.setattr(analysis, "random_density_matrix", lambda num_qubits, rng: history)
+    argv = ["verify-bounds", "cauchy_schwarz", "--instances", "3", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    rows = (tmp_path / "bounds_cauchy_schwarz.csv").read_text().splitlines()
+    assert rows[0] == "test_name,instances,violations,max_margin"
+    name, instances, violations, margin = rows[1].split(",")
+    assert (name, instances, violations) == ("cauchy_schwarz", "3", "3")
+    assert abs(float(margin) - (0.55**2 - 0.25)) < 1e-9
 
 
 @pytest.mark.parametrize("suite", analysis.SUITE_NAMES)

@@ -23,7 +23,6 @@ from fklab.simulator import (
     _vose_build,
     aligned_edges,
     bitstring_blocks,
-    bitstrings,
     hamming_weights,
     level_counts,
     product_state,
@@ -207,10 +206,11 @@ def single_qubit(amplitudes, qubit, gate):
     return a
 
 
-def global_cz(amplitudes, control, targets):
-    """_apply_global_cz_inplace on a copy of `amplitudes`."""
+def global_cz(amplitudes):
+    """_apply_global_cz_inplace on a copy of `amplitudes`: controlled Z from
+    the top qubit onto every other qubit."""
     a = amplitudes.copy()
-    _apply_global_cz_inplace(a, control, targets)
+    _apply_global_cz_inplace(a)
     return a
 
 
@@ -256,13 +256,13 @@ def test_global_cz_control_zero_branch():
     # Control |0>: nothing happens.
     amps = np.zeros(8, dtype=complex)
     amps[0b011] = 1.0  # control qubit 2 is 0
-    assert np.allclose(global_cz(amps, 2, [0, 1]), amps, atol=1e-15)
+    assert np.allclose(global_cz(amps), amps, atol=1e-15)
 
 
 def test_global_cz_single_target_sign():
     amps = np.zeros(4, dtype=complex)
     amps[0b11] = 1.0  # control qubit 1 set, target qubit 0 in |1>
-    assert abs(global_cz(amps, 1, [0])[0b11] + 1.0) < 1e-15
+    assert abs(global_cz(amps)[0b11] + 1.0) < 1e-15
 
 
 def test_global_cz_matches_dense(rng):
@@ -273,23 +273,20 @@ def test_global_cz_matches_dense(rng):
     proj0 = dense_pauli_on(n, {control: np.diag([1, 0]).astype(complex)})
     proj1 = dense_pauli_on(n, {control: np.diag([0, 1]).astype(complex)})
     dense = (proj0 + proj1 @ z_all) @ amps
-    assert np.max(np.abs(global_cz(amps, control, targets) - dense)) < 1e-12
+    assert np.max(np.abs(global_cz(amps) - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
 def test_global_cz_bit_identical_to_reference(n, rng):
-    # The control takes every position, so it sits below some targets too.
+    # The echo's one shape: control on the top qubit n - 1, every other
+    # qubit a target. Zeros of either sign must flip as the reference's
+    # multiplication by -1 flips them, which np.negative would not.
     before = random_state_vector(n, rng)
-    for control in range(n):
-        others = [q for q in range(n) if q != control]
-        target_sets = [[], others]
-        for _ in range(4):
-            size = rng.integers(len(others) + 1)
-            target_sets.append(sorted(rng.choice(others, size=size, replace=False)))
-        for targets in target_sets:
-            out = global_cz(before, control, targets)
-            expected = reference_apply_global_cz(before, control, targets)
-            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    before[::3] = 0.0
+    before[1::3] = -0.0
+    out = global_cz(before)
+    expected = reference_apply_global_cz(before, n - 1, range(n - 1))
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +319,27 @@ def test_interaction_energies_match_per_edge_sum(rows, cols):
     assert np.array_equal(u_table, np.exp((-1j * np.pi / 4) * np.array(expected, dtype=np.int16)))
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 17), (3, 6), (1, 20)])
+@pytest.mark.parametrize("rows,cols", [(1, 17), (3, 6), (1, 20), (20, 1), (5, 5)])
 def test_interaction_energies_across_string_blocks(rows, cols):
-    # Several STRING_BLOCKs of bit columns: the high qubits' columns change
-    # from block to block, and 1x20 puts edges between two high qubits.
+    # Past one STRING_BLOCK of strings: 1x20 and 20x1 put every edge between
+    # neighbouring and between far-apart bits, and 5x5 is the largest lattice
+    # under the set-up guard. The uncached build is compared block by block,
+    # so the int64 reference stays small.
     lattice = build_lattice(rows, cols)
     assert 1 << lattice.num_qubits > STRING_BLOCK
-    aligned = aligned_edges(lattice)
+    aligned = aligned_edges.__wrapped__(lattice)
     assert aligned.dtype == np.uint8 and not aligned.flags.writeable
-    energies = 2 * aligned.astype(np.int16) - len(lattice.edges)
-    assert np.array_equal(energies, reference_interaction_energies(lattice))
+    block = 1 << 20
+    for start in range(0, aligned.size, block):
+        energies = 2 * aligned[start : start + block].astype(np.int16) - len(lattice.edges)
+        expected = reference_interaction_energies(lattice, start, min(aligned.size, start + block))
+        assert np.array_equal(energies, expected)
 
 
 def test_interaction_energies_peak_memory_is_the_result_and_block_columns():
-    # Uncached at 4x5, the build holds its 1 MiB uint8 result and one block of
-    # uint8 bit columns; a whole-register int8 column per qubit peaked at 31 MiB.
+    # Uncached at 4x5, the doubling build holds its 1 MiB uint8 result and
+    # nothing else of size; a whole-register int8 column per qubit peaked at
+    # 31 MiB, and block bit columns at 2.3 MiB.
     lattice = build_lattice(4, 5)
     result_bytes = 1 << lattice.num_qubits
     tracemalloc.start()
@@ -346,7 +349,7 @@ def test_interaction_energies_peak_memory_is_the_result_and_block_columns():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= result_bytes + (4 << 20)
+    assert peak <= result_bytes + (64 << 10)
 
 
 @pytest.mark.parametrize("table_first", [True, False])
@@ -635,20 +638,25 @@ def _bitstring_per_bit(index, num_bits):
     return "".join("1" if (index >> k) & 1 else "0" for k in range(num_bits))
 
 
+def _split_bitstrings(indices, num_bits):
+    """The bit strings of bitstring_blocks one by one, split at each "\\n"."""
+    return [z for block in bitstring_blocks(indices, num_bits) for z in block.split("\n")]
+
+
 def test_bitstring_formatting():
-    assert list(bitstrings([0b0110, 0b0001, 0], 4)) == ["0110", "1000", "0000"]
+    assert _split_bitstrings([0b0110, 0b0001, 0], 4) == ["0110", "1000", "0000"]
     for n in range(1, 11):
-        assert list(bitstrings(np.arange(1 << n), n)) == [
+        assert _split_bitstrings(np.arange(1 << n), n) == [
             _bitstring_per_bit(i, n) for i in range(1 << n)
         ]
     rng = np.random.default_rng(16)
     for n in (16, 20, 26):
         indices = rng.integers(0, 1 << n, size=2000)
-        assert list(bitstrings(indices, n)) == [_bitstring_per_bit(i, n) for i in indices.tolist()]
-    assert list(bitstrings(np.zeros(0, dtype=np.uint32), 16)) == []
+        assert _split_bitstrings(indices, n) == [_bitstring_per_bit(i, n) for i in indices.tolist()]
+    assert _split_bitstrings(np.zeros(0, dtype=np.uint32), 16) == []
     for count in (FORMAT_BLOCK - 1, FORMAT_BLOCK, FORMAT_BLOCK + 1):
         indices = rng.integers(0, 1 << 16, size=count).astype(np.uint32)
-        assert list(bitstrings(indices, 16)) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
+        assert _split_bitstrings(indices, 16) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
 
 
 @pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 16, 17, 26])

@@ -200,7 +200,7 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
     records = list(transcript.iter_records())
     lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
     u_table = zz_phases(lattice, 1.0)
-    columns, n = transcript_columns(transcript), transcript.num_system
+    columns, n = transcript_columns(transcript), transcript.dists.num_system
     reference = [
         json.dumps(_record_per_copy(columns, n, i, u_table), sort_keys=True) + "\n"
         for i in range(transcript.num_copies)
