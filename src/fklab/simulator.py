@@ -433,19 +433,14 @@ def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
         yield str(memoryview(chars.reshape(-1)[:-1]), "ascii")
 
 
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> summed in a fixed order in blocks of 2^16 amplitudes (1 MiB
-    temporaries), so it does not depend on the BLAS thread count as np.vdot's
-    order does."""
-    overlap = 0j
-    for start in range(0, a.size, 1 << 16):
-        block = slice(start, start + (1 << 16))
-        overlap += np.sum(np.conjugate(a[block]) * b[block])
-    return overlap
-
-
 def state_fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, global-phase invariant."""
+    """|<a|b>|^2, global-phase invariant. The overlap is summed in a fixed
+    order in blocks of 2^16 amplitudes (1 MiB temporaries), so it does not
+    depend on the BLAS thread count as np.vdot's order does."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatchError("states have different sizes")
-    return float(abs(inner_product(a.amplitudes, b.amplitudes)) ** 2)
+    overlap = 0j
+    for start in range(0, a.amplitudes.size, 1 << 16):
+        block = slice(start, start + (1 << 16))
+        overlap += np.sum(np.conjugate(a.amplitudes[block]) * b.amplitudes[block])
+    return float(abs(overlap) ** 2)

@@ -14,6 +14,7 @@ import pytest
 
 from fklab import analysis, cli
 from fklab.cli import main
+from fklab.errors import CapacityError
 from fklab.lattice import InputSpec, InputType
 from fklab.prover import ideal_history_state
 from fklab.simulator import FORMAT_BLOCK
@@ -669,6 +670,83 @@ def test_verify_bounds_counts_a_cauchy_schwarz_violation(tmp_path, monkeypatch):
     name, instances, violations, margin = rows[1].split(",")
     assert (name, instances, violations) == ("cauchy_schwarz", "3", "3")
     assert abs(float(margin) - (0.55**2 - 0.25)) < 1e-9
+
+
+def _bounds_row(out_dir, suite):
+    rows = (out_dir / f"bounds_{suite}.csv").read_text().splitlines()
+    assert rows[0] == "test_name,instances,violations,max_margin"
+    return rows[1].split(",")
+
+
+def test_verify_bounds_counts_a_faulted_lower_bound_oracle(tmp_path, monkeypatch):
+    # With the oracle's u 10% long, the first draw reads F_out about 1.2 and
+    # ExactParameters raises. That raise is a failed check: the suite counts
+    # it with margin inf, makes no further check, writes its row and exits 1.
+    phases = analysis.zz_phases
+    monkeypatch.setattr(analysis, "zz_phases", lambda lattice, time: 1.1 * phases(lattice, time))
+    assert main(["verify-bounds", "lower_bound", "--instances", "3", "--out", str(tmp_path)]) == 1
+    assert _bounds_row(tmp_path, "lower_bound") == ["lower_bound", "1", "1", "inf"]
+
+
+def test_verify_bounds_counts_a_tvd_chain_violation(tmp_path, monkeypatch):
+    # A ceiling of 0 claims the real and ideal laws are equal; every random
+    # state's law differs from the ideal one.
+    monkeypatch.setattr(analysis, "tvd_fidelity_bound", lambda f_out: 0.0)
+    assert main(["verify-bounds", "tvd_chain", "--instances", "3", "--out", str(tmp_path)]) == 1
+    name, instances, violations, margin = _bounds_row(tmp_path, "tvd_chain")
+    assert (name, instances, violations) == ("tvd_chain", "3", "3")
+    assert float(margin) > 0
+
+
+def test_verify_bounds_counts_a_faulted_stochastic_bound(tmp_path, monkeypatch):
+    # The bound reads every state as maximally impure (delta_p = 1), which no
+    # infidelity below 1 permits: the first instance raises
+    # InconsistentInputsError, counted as a failed check with margin inf.
+    bound = analysis.stochastic_trace_bound
+    monkeypatch.setattr(analysis, "stochastic_trace_bound", lambda delta_f, delta_p: bound(delta_f, 1.0))
+    assert main(["verify-bounds", "stochastic", "--instances", "3", "--out", str(tmp_path)]) == 1
+    assert _bounds_row(tmp_path, "stochastic") == ["stochastic", "1", "1", "inf"]
+
+
+def test_verify_bounds_counts_a_faulted_martingale_law(tmp_path, monkeypatch):
+    # A law with every trial +1: the IID deviation is 1 and the alternating
+    # one 0.2, both past 3.2/sqrt(N). The worst is IID at N = 10000.
+    monkeypatch.setattr(analysis, "chain_outcome_law", lambda trials, chain: np.eye(2, trials + 1, trials))
+    assert main(["verify-bounds", "martingale", "--out", str(tmp_path)]) == 1
+    name, instances, violations, margin = _bounds_row(tmp_path, "martingale")
+    assert (name, instances, violations) == ("martingale", "4", "4")
+    assert float(margin) == 1.0 - 3.2 / 100
+
+
+def test_verify_bounds_counts_a_failed_symbolic_php_check(tmp_path, monkeypatch):
+    # The symbolic check denies that P inverts H on the one 1x2 instance,
+    # against the dense algebra. The echoes run on the dense H and P, not on
+    # the symbolic answer, so both fidelities still pass: 3 checks, 1 violation.
+    monkeypatch.setattr(analysis, "php_negation_check", lambda terms, p: False)
+    assert main(["verify-bounds", "php_echo", "--instances", "4", "--out", str(tmp_path)]) == 1
+    assert _bounds_row(tmp_path, "php_echo") == ["php_echo", "3", "1", "1.0"]
+
+
+def test_verify_bounds_counts_a_faulted_noisy_measurement_bound(tmp_path, monkeypatch):
+    # The bound reads every state as ideal (delta_f = 0), leaving only the
+    # eps n = 0.01 flip term. That holds for instance 0, which is the ideal
+    # state, and fails for the two perturbed ones.
+    bound = analysis.noisy_measurement_tvd_bound
+    monkeypatch.setattr(analysis, "noisy_measurement_tvd_bound", lambda delta_f, eps, n: bound(0.0, eps, n))
+    assert main(["verify-bounds", "noisy_meas", "--instances", "3", "--out", str(tmp_path)]) == 1
+    name, instances, violations, margin = _bounds_row(tmp_path, "noisy_meas")
+    assert (name, instances, violations) == ("noisy_meas", "3", "2")
+    assert float(margin) > 0
+
+
+def test_verify_bounds_capacity_inside_a_suite_exit_3(tmp_path, monkeypatch):
+    # A capacity raise is not a failed check: it leaves the suite, and no row is written.
+    def refuse(num_qubits, rng):
+        raise CapacityError("refused")
+
+    monkeypatch.setattr(analysis, "random_density_matrix", refuse)
+    assert main(["verify-bounds", "cauchy_schwarz", "--instances", "3", "--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("suite", analysis.SUITE_NAMES)
