@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -514,8 +515,8 @@ class SuiteResult:
 def _tally(name: str, margins) -> SuiteResult:
     """Count the checks and the violations (margin > 0) of a stream of
     margins, and keep the worst margin (-inf when there is none). A
-    FklabError other than CapacityError raised by the stream is one more
-    check, violated with margin inf, and ends the stream."""
+    FklabError other than CapacityError that ends the stream is one more
+    check, violated with margin inf, and its text is printed to stderr."""
     counted = []
     try:
         for margin in margins:
@@ -523,6 +524,7 @@ def _tally(name: str, margins) -> SuiteResult:
     except FklabError as exc:
         if isinstance(exc, CapacityError):
             raise
+        print(f"{name}: a check raised, counted as a violation: {exc}", file=sys.stderr)
         counted.append(math.inf)
     violations = sum(margin > 0 for margin in counted)
     return SuiteResult(name, len(counted), violations, max(counted, default=-math.inf))

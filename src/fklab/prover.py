@@ -44,11 +44,12 @@ from .simulator import (
 MAX_ECHO_SYSTEM_QUBITS = 20
 # Peak set-up memory per basis state: the model, its four mode tables and
 # their (4, 2^n) alias buffer, as peak RSS above the baseline after lattice
-# and input, divided by 2^n. Measured at n = 18/20/22: honest 168.3/160.6/
-# 158.7 B, degraded 198.3/176.6/177.2 B (Python 3.11, numpy 2.4, x86-64).
-SETUP_BYTES_PER_BASIS_STATE = 224
-# Half of an 8 GB host, which leaves room for the copy columns (at most
-# 768 MiB) and the outputs. It admits n <= 24 (3.5 GiB); n = 25 needs 7 GiB.
+# and input, divided by 2^n: 79.7-90.7/76.1-77.4/75.3-75.6/75.1-75.2 B at
+# n = 18/20/22/24, honest and degraded (Python 3.11, numpy 2.4, x86-64),
+# plus 10% and rounded up to a multiple of 8.
+SETUP_BYTES_PER_BASIS_STATE = 104
+# Half of an 8 GB host, leaving room for the published samples (at most
+# 128 MiB) and the outputs. It admits n <= 25 (3.25 GiB), not n = 26.
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
@@ -462,7 +463,8 @@ def _mode_tables(
     dim = 1 << n
     p = model.depolarizing_rate
     samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
-    sample_given_minus = Distribution.from_probabilities(n, samp / samp.sum(), (alias[0], accept[0]))
+    samp /= samp.sum()
+    sample_given_minus = Distribution.from_probabilities(n, samp, (alias[0], accept[0]))
     del samp
 
     t_in = model.input_tilt

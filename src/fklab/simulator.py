@@ -275,18 +275,6 @@ def _apply_global_cz_inplace(a: np.ndarray) -> None:
     np.multiply(upper, -1, out=upper, where=odd)
 
 
-def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact prefix sums of non-negative multiples of 2^-53 that total below 2^31.
-
-    Each term splits into whole 2^-32 units and a remainder of fewer than
-    2^21 units of 2^-53; both parts are summed in int64 without rounding, so
-    prefix sum k is hi[k] * 2^-32 + lo[k] * 2^-53 exactly.
-    """
-    whole = np.floor(x * 2.0**32)
-    rest = (x - whole * 2.0**-32) * 2.0**53
-    return np.cumsum(whole.astype(np.int64)), np.cumsum(rest.astype(np.int64))
-
-
 def _vose_build(
     probabilities: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -309,39 +297,45 @@ def _vose_build(
     Every deficit and excess is a multiple of 2^-53, so 1 + S_j - D_k is
     taken from exact prefix sums: the mass large j keeps and the deficits
     it covers then add up to its scaled probability to within rounding of
-    q itself, however many smalls it covers. The pairing is decided on the
-    rounded prefix sums, which are non-decreasing.
+    q itself, however many smalls it covers. Each side is summed in uint64
+    as 2^-53 units (whole part << 53 plus fraction * 2^53), so modulo 2^64;
+    S_j - D_k lies within about +-2^53 units, so the wrapped difference
+    read as int64 is exact. The pairing is decided on the rounded prefix
+    sums, which are non-decreasing.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     size = p.size
-    scaled = p * size
     if out is None:
         out = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.float64))
     alias, accept = out
     alias[...] = np.arange(size)
-    accept[...] = 1.0
-    is_small = scaled < 1.0
-    small = np.flatnonzero(is_small)
-    large = np.flatnonzero(~is_small)
+    # The scaled law is built in accept, where the smalls keep it as q.
+    np.multiply(p, size, out=accept)
+    small = np.flatnonzero(accept < 1.0)
+    large = np.flatnonzero(accept >= 1.0)
     if small.size == 0 or large.size == 0:
+        accept[...] = 1.0
         return alias, accept
-    deficit = 1.0 - scaled[small]
-    excess = scaled[large] - 1.0
+    deficit = 1.0 - accept[small]
+    excess = accept[large] - 1.0
+    accept[large] = 1.0
     d_sum = np.cumsum(deficit)
     s_sum = np.cumsum(excess)
 
-    accept[small] = scaled[small]
-    d_before = np.concatenate(([0.0], d_sum[:-1]))
     # Rounding can leave D_{k-1} above S of the last large; it absorbs the rest.
-    donor = np.minimum(np.searchsorted(s_sum, d_before, side="left"), large.size - 1)
-    alias[small] = large[donor]
+    donor = np.searchsorted(s_sum, np.concatenate(([0.0], d_sum[:-1])), side="left")
+    alias[small] = large[np.minimum(donor, large.size - 1, out=donor)]
 
     tip = np.searchsorted(d_sum, s_sum[:-1], side="right")
     j = np.flatnonzero(tip < small.size)
     k = tip[j]
-    d_hi, d_lo = _exact_cumsum(deficit)
-    s_hi, s_lo = _exact_cumsum(excess)
-    kept = 1.0 + ((s_hi[j] - d_hi[k]) * 2.0**-32 + (s_lo[j] - d_lo[k]) * 2.0**-53)
+    # Freed before the exact sums are taken, which is where set-up peaks.
+    del donor, d_sum, s_sum, tip
+    d_units, s_units = (
+        np.cumsum((np.floor(x).astype(np.uint64) << np.uint64(53)) + ((x % 1.0) * 2.0**53).astype(np.uint64))
+        for x in (deficit, excess)
+    )
+    kept = 1.0 + (s_units[j] - d_units[k]).view(np.int64) * 2.0**-53
     # Where the rounded pairing and the exact sums disagree in the last bit,
     # kept can leave [0, 1] by that bit.
     accept[large[j]] = np.clip(kept, 0.0, 1.0)

@@ -56,6 +56,10 @@ from .rng import TAG_COPIES, substream
 from .simulator import aligned_edges, bitstring_blocks, zz_phase_levels
 
 CHUNK_SIZE = 1 << 16
+# A chunk is measured this many copies at a time, so that the allocator keeps
+# the kernel's temporaries (about 50 B a copy) from one chunk to the next
+# rather than returning them to the system and faulting them in again.
+MEASURE_BLOCK = 1 << 14
 # A run holds its published samples, about a quarter of the copies at 4 B
 # each: about 128 MiB at the guard, within the memory the 26-qubit
 # statevector guard admits.
@@ -279,55 +283,58 @@ _BASIS_NAMES = {2: "X", 3: "Y"}
 def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, columns) -> None:
     """Measure one chunk of copies, writing every entry of its three columns.
 
-    Every copy draws from its own table in one pass over the chunk: its code
-    selects the table's row of the (4, 2^n) alias buffer, and the pick is
-    Distribution.pick's arithmetic on that row, read off the copy's two raw
-    words (module docstring).
+    Every copy draws from its own table in one pass, MEASURE_BLOCK copies at
+    a time: its code selects the table's row of the (4, 2^n) alias buffer,
+    and the pick is Distribution.pick's arithmetic on that row, read off the
+    copy's two raw words (module docstring).
     """
-    code, clock, sys_idx = columns
-    count = code.size
+    count = columns[0].size
     n = dists.num_system
     rng = substream(master_seed, TAG_COPIES, chunk_index)
-    a, b = rng.bit_generator.random_raw((2, count))
+    words = rng.bit_generator.random_raw((2, count))
+    for start in range(0, count, MEASURE_BLOCK):
+        block = slice(start, start + MEASURE_BLOCK)
+        a, b = words[:, block]
+        code, clock, sys_idx = (column[block] for column in columns)
+        low = a.astype(np.uint8)
+        np.bitwise_and(low, 7, out=code)
+        prop = (code >> 1) == 1
 
-    low = a.astype(np.uint8)
-    np.bitwise_and(low, 7, out=code)
-    prop = (code >> 1) == 1
+        # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of a:
+        # Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
+        # shifts take np.uint64 counts, which numpy 1.x needs to keep them uint64.
+        a >>= np.uint64(64 - n)
+        local = a.astype(np.int32)
+        entry = np.take(_TABLE_OF_CODE << n, code)
+        entry |= a.view(np.int64)
+        b >>= np.uint64(11)
+        u_coin = b.astype(np.float64)
+        u_coin *= 2.0**-53
+        # j = local where the coin is below the bin's accept, else its alias: an
+        # arithmetic select, far cheaper than np.where on a random condition.
+        alias = np.take(dists.alias, entry)
+        j = local - alias
+        j *= u_coin < np.take(dists.accept, entry)
+        j += alias
 
-    # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of a:
-    # Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
-    # shifts take np.uint64 counts, which numpy 1.x needs to keep them uint64.
-    a >>= np.uint64(64 - n)
-    local = a.astype(np.int32)
-    entry = np.take(_TABLE_OF_CODE << n, code)
-    entry |= a.view(np.int64)
-    b >>= np.uint64(11)
-    u_coin = b.astype(np.float64)
-    u_coin *= 2.0**-53
-    # j = local where the coin is below the bin's accept, else its alias: an
-    # arithmetic select, far cheaper than np.where on a random condition.
-    alias = np.take(dists.alias, entry)
-    j = local - alias
-    j *= u_coin < np.take(dists.accept, entry)
-    j += alias
-
-    # A propagation outcome carries its clock bit at bit n; a sampling or
-    # input-test outcome is below 2^n, and its clock is bit 3 of a. The
-    # clock is 1 - 2 minus, computed in int8.
-    true_minus = (low >> 3) & 1
-    minus = (j >> n).astype(np.uint8)
-    minus |= true_minus & ~prop
-    np.subtract(1, minus.view(np.int8) << 1, out=clock)
-    # A sampling copy is measured on clock -1, an input-test copy on +1. An
-    # unmeasured copy's outcome is ORed with measured - 1 = -1, which leaves
-    # -1: cheaper than np.where on a random condition.
-    measured = prop | (true_minus == code >> 2)
-    np.bitwise_and(j, (1 << n) - 1, out=sys_idx)
-    sys_idx |= measured.view(np.int8) - 1
+        # A propagation outcome carries its clock bit at bit n; a sampling or
+        # input-test outcome is below 2^n, and its clock is bit 3 of a. The
+        # clock is 1 - 2 minus, computed in int8.
+        true_minus = (low >> 3) & 1
+        minus = (j >> n).astype(np.uint8)
+        minus |= true_minus & ~prop
+        np.subtract(1, minus.view(np.int8) << 1, out=clock)
+        # A sampling copy is measured on clock -1, an input-test copy on +1. An
+        # unmeasured copy's outcome is ORed with measured - 1 = -1, which leaves
+        # -1: cheaper than np.where on a random condition.
+        measured = prop | (true_minus == code >> 2)
+        np.bitwise_and(j, (1 << n) - 1, out=sys_idx)
+        sys_idx |= measured.view(np.int8) - 1
 
     if eps > 0.0:
         # Drawn one chunk-sized row of uniforms at a time, to keep the
         # temporaries of a chunk small.
+        _, clock, sys_idx = columns
         flip_bits = np.zeros(count, dtype=np.int32)
         for k in range(n):
             flip_bits |= (rng.random(count) < eps).astype(np.int32) << k

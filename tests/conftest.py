@@ -420,6 +420,84 @@ def reference_propagation_rows(model):
     return rows
 
 
+# The alias build as it was before its exact prefix sums became one uint64
+# sum per side, kept verbatim so the new build can be checked bit for bit.
+
+
+def _exact_cumsum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact prefix sums of non-negative multiples of 2^-53 that total below 2^31.
+
+    Each term splits into whole 2^-32 units and a remainder of fewer than
+    2^21 units of 2^-53; both parts are summed in int64 without rounding, so
+    prefix sum k is hi[k] * 2^-32 + lo[k] * 2^-53 exactly.
+    """
+    whole = np.floor(x * 2.0**32)
+    rest = (x - whole * 2.0**-32) * 2.0**53
+    return np.cumsum(whole.astype(np.int64)), np.cumsum(rest.astype(np.int64))
+
+
+def reference_vose_build(
+    probabilities: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias table (alias index J, acceptance threshold q) in closed form.
+
+    The table is written into `out`, an (int32, float64) pair of arrays of the
+    table's size, when one is given, and into new arrays of those types
+    otherwise: every alias is a bin index, below 2^26 under the 26-qubit
+    guard.
+
+    This is the sweep construction (Vose 1991): the smalls (scaled < 1) and
+    the larges (scaled >= 1) are each taken in index order. With D_k the
+    smalls' cumulative deficit 1 - scaled and S_j the larges' cumulative
+    excess scaled - 1, small k keeps q = scaled and aliases the first large
+    j with S_j >= D_{k-1}. Large j (all but the last) tips at the first
+    small k with D_k > S_j: it keeps q = 1 + S_j - D_k and aliases large
+    j+1. Every other bin keeps q = 1 and aliases itself. Bins alias only
+    larges, so a zero-probability bin (q = 0) is never drawn.
+
+    Every deficit and excess is a multiple of 2^-53, so 1 + S_j - D_k is
+    taken from exact prefix sums: the mass large j keeps and the deficits
+    it covers then add up to its scaled probability to within rounding of
+    q itself, however many smalls it covers. The pairing is decided on the
+    rounded prefix sums, which are non-decreasing.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    size = p.size
+    scaled = p * size
+    if out is None:
+        out = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.float64))
+    alias, accept = out
+    alias[...] = np.arange(size)
+    accept[...] = 1.0
+    is_small = scaled < 1.0
+    small = np.flatnonzero(is_small)
+    large = np.flatnonzero(~is_small)
+    if small.size == 0 or large.size == 0:
+        return alias, accept
+    deficit = 1.0 - scaled[small]
+    excess = scaled[large] - 1.0
+    d_sum = np.cumsum(deficit)
+    s_sum = np.cumsum(excess)
+
+    accept[small] = scaled[small]
+    d_before = np.concatenate(([0.0], d_sum[:-1]))
+    # Rounding can leave D_{k-1} above S of the last large; it absorbs the rest.
+    donor = np.minimum(np.searchsorted(s_sum, d_before, side="left"), large.size - 1)
+    alias[small] = large[donor]
+
+    tip = np.searchsorted(d_sum, s_sum[:-1], side="right")
+    j = np.flatnonzero(tip < small.size)
+    k = tip[j]
+    d_hi, d_lo = _exact_cumsum(deficit)
+    s_hi, s_lo = _exact_cumsum(excess)
+    kept = 1.0 + ((s_hi[j] - d_hi[k]) * 2.0**-32 + (s_lo[j] - d_lo[k]) * 2.0**-53)
+    # Where the rounded pairing and the exact sums disagree in the last bit,
+    # kept can leave [0, 1] by that bit.
+    accept[large[j]] = np.clip(kept, 0.0, 1.0)
+    alias[large[j]] = large[j + 1]
+    return alias, accept
+
+
 def dense_model_parameters(model):
     """F_in, Tr[rho O10] and F_out of a model from 2^n inner products over its
     components: the dense route the level sums replaced."""

@@ -579,17 +579,10 @@ def test_suite_php_echo_clean():
 
 def test_suite_tally_counts_php_disagreements(monkeypatch):
     # The suite's own symbolic check disagrees with the dense algebra; the
-    # echo preparation keeps the true check, so its fidelities still pass.
+    # echo circuit runs on the operators the suite built, so its fidelities
+    # still pass.
     true_check = analysis.php_negation_check
-    true_prepare = analysis.generalized_echo_prepare
-
-    def prepare(*args):
-        with monkeypatch.context() as patch:
-            patch.setattr(analysis, "php_negation_check", true_check)
-            return true_prepare(*args)
-
     monkeypatch.setattr(analysis, "php_negation_check", lambda terms, p: not true_check(terms, p))
-    monkeypatch.setattr(analysis, "generalized_echo_prepare", prepare)
     res = suite_php_echo(12, seed=0)
     assert (res.instances, res.violations, res.max_margin) == (7, 3, 1.0)
 

@@ -567,7 +567,7 @@ class _ModelBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("rows,cols,admitted", [(4, 5, True), (4, 6, True), (5, 5, False)])
+@pytest.mark.parametrize("rows,cols,admitted", [(4, 5, True), (4, 6, True), (5, 5, True), (2, 13, False)])
 def test_run_setup_memory_guard(tmp_path, monkeypatch, capsys, rows, cols, admitted):
     """The guard acts at config load, before any model is built."""
 
@@ -678,14 +678,17 @@ def _bounds_row(out_dir, suite):
     return rows[1].split(",")
 
 
-def test_verify_bounds_counts_a_faulted_lower_bound_oracle(tmp_path, monkeypatch):
+def test_verify_bounds_counts_a_faulted_lower_bound_oracle(tmp_path, monkeypatch, capsys):
     # With the oracle's u 10% long, the first draw reads F_out about 1.2 and
     # ExactParameters raises. That raise is a failed check: the suite counts
     # it with margin inf, makes no further check, writes its row and exits 1.
+    # The error's text names the cause on stderr.
     phases = analysis.zz_phases
     monkeypatch.setattr(analysis, "zz_phases", lambda lattice, time: 1.1 * phases(lattice, time))
     assert main(["verify-bounds", "lower_bound", "--instances", "3", "--out", str(tmp_path)]) == 1
     assert _bounds_row(tmp_path, "lower_bound") == ["lower_bound", "1", "1", "inf"]
+    err = capsys.readouterr().err
+    assert "lower_bound" in err and "outside [0, 1]" in err
 
 
 def test_verify_bounds_counts_a_tvd_chain_violation(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from fklab.analysis import DensityMatrix, exact_parameters
 from fklab.cli import ECHO_FIDELITY_FLOOR
 from fklab.errors import CapacityError, SearchFailureError, ValidationError
 from fklab.lattice import build_lattice, random_input
-from fklab import prover
+from fklab import prover, simulator
 from fklab.prover import (
     MODE_ORDER,
     P_CLOCK_MINUS,
@@ -58,6 +58,7 @@ from conftest import (
     reference_interaction_energies,
     reference_mode_tables,
     reference_propagation_rows,
+    reference_vose_build,
     rotated_basis,
     small_lattices,
     spectral_expm,
@@ -570,6 +571,42 @@ def test_mode_tables_match_amplitude_reference(kind, rows, cols):
     assert np.array_equal(dists.accept[0].view(np.uint64), built.accept.view(np.uint64))
     for name, law in zip(MODE_ORDER, reference):
         assert np.max(np.abs(getattr(dists, name).probabilities - law)) < 1e-14
+
+
+@pytest.mark.parametrize("rows,cols", small_lattices(16))
+@pytest.mark.parametrize("kind", sorted(REFERENCE_MODELS))
+def test_mode_tables_bit_identical_to_reference_vose_build(monkeypatch, kind, rows, cols):
+    # The alias buffer of a fresh model, built once with the reference alias
+    # build (hi/lo int64 prefix sums) and once with the package's.
+    lat = build_lattice(rows, cols)
+    spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_vose_build", reference_vose_build)
+        reference = mode_distributions(REFERENCE_MODELS[kind](lat, spec))
+    dists = mode_distributions(REFERENCE_MODELS[kind](lat, spec))
+    assert np.array_equal(dists.alias, reference.alias)
+    assert np.array_equal(dists.accept.view(np.uint64), reference.accept.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["honest", "degraded"])
+def test_mode_tables_peak_memory(kind):
+    # At 4x5 with warm per-lattice caches, set-up holds the 48 B (4, 2^n)
+    # alias buffer and peaks at 96 B per 2^n: the scaled law is built in the
+    # accept row and the pairing's temporaries are freed before the exact
+    # prefix sums, one uint64 sum per side. The hi/lo int64 sums and a second
+    # copy of the sampling law peaked at 145 B.
+    lat = build_lattice(4, 5)
+    spec = random_input(lat.num_qubits, np.random.default_rng(45))
+    mode_distributions(REFERENCE_MODELS[kind](lat, spec))
+    model = REFERENCE_MODELS[kind](lat, spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mode_distributions(model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 << lat.num_qubits
 
 
 def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice, spec):

@@ -47,6 +47,7 @@ from conftest import (
     reference_interaction_energies,
     reference_mode_tables,
     reference_product_state,
+    reference_vose_build,
     reference_walsh_hadamard,
     small_lattices,
     spectral_expm,
@@ -571,6 +572,10 @@ def _random_table(kind, size, rng):
 def test_alias_table_exact(kind, size):
     p = _random_table(kind, size, np.random.default_rng(size))
     alias, accept = _vose_build(p)
+    # Bit for bit the table of the hi/lo int64 prefix sums the build replaced.
+    ref_alias, ref_accept = reference_vose_build(p)
+    assert np.array_equal(alias, ref_alias)
+    assert np.array_equal(accept.view(np.uint64), ref_accept.view(np.uint64))
     assert np.all((accept >= 0.0) & (accept <= 1.0))
     assert np.all((alias >= 0) & (alias < size))
     # No bin hands its leftover to a zero-probability outcome, and a zero bin

@@ -27,6 +27,7 @@ from fklab import verifier
 from fklab.verifier import (
     CHUNK_SIZE,
     MAX_COPIES,
+    MEASURE_BLOCK,
     ProtocolConfig,
     decide,
     resolve_threads,
@@ -314,7 +315,8 @@ def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
     model, noise = _kernel_model(kind, rows, cols)
     eps = noise.measurement_flip_rate if noise is not None else 0.0
     names = ("b_sampling", "b_testtype", "basis", "clock", "sys_idx")
-    for num in (0, 1, CHUNK_SIZE, 3 * CHUNK_SIZE + 777):
+    # MEASURE_BLOCK + 5 ends a chunk inside its second measurement block.
+    for num in (0, 1, MEASURE_BLOCK + 5, CHUNK_SIZE, 3 * CHUNK_SIZE + 777):
         columns, counters, samples = _reference_run(model, num, 4242, eps)
         config = ProtocolConfig(num_copies=num, master_seed=4242)
         for threads in (1, 2):
