@@ -2,12 +2,14 @@
 
 Copies are processed in fixed 65536-copy chunks. Chunk c draws all of its
 randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout.
-Each chunk is measured into chunk-sized columns and reduced at once, while
-they are in cache, to its counters (numpy's pairwise sums) and its published
-samples; the chunks' partials are merged in chunk order, so results are
-byte-identical for any thread count. No per-copy record is kept: the
-transcript is the model's tables and the seed, and it re-measures chunk c from
-its substream whenever its records or counters are read.
+One kernel measures a chunk MEASURE_BLOCK copies at a time, picking outcomes
+only for the copies a branch measures, grouped by the table they draw from. A
+run reduces the picks at once to counters (a basis's sum of clock * u is one
+numpy pairwise sum per chunk, in copy order) and published samples, and merges
+the chunks' partials in chunk order, so results are byte-identical for any
+thread count. No per-copy record is kept: the transcript is the model's tables
+and the seed, and it re-measures chunk c, scattering the same picks into
+per-copy columns, whenever its records are read.
 
 Draw layout of a chunk of `count` copies: first words =
 bit_generator.random_raw((2, count)), two raw 64-bit words per copy; then,
@@ -40,18 +42,13 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
-from .prover import (
-    MODE_ORDER,
-    HistoryStateModel,
-    ModeDistributions,
-    NoiseModel,
-    mode_distributions,
-)
+from .prover import HistoryStateModel, ModeDistributions, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
 from .simulator import aligned_edges, bitstring_blocks, zz_phase_levels
 
@@ -61,7 +58,10 @@ CHUNK_SIZE = 1 << 16
 # rather than returning them to the system and faulting them in again.
 MEASURE_BLOCK = 1 << 14
 # A run holds its published samples, about a quarter of the copies at 4 B
-# each: about 128 MiB at the guard, within the memory the 26-qubit
+# each, and _merge joins the per-chunk parts into a second array: a
+# tracemalloc peak of 2.0 B per copy in run_protocol (2^22 copies, 2x2), and
+# 3.0 B while cmd_run keeps the previous repetition's report. So about 256 MiB
+# at the guard, 384 MiB across repetitions, within what the 26-qubit
 # statevector guard admits.
 MAX_COPIES = 1 << 27
 
@@ -136,7 +136,9 @@ class EstimatorReport:
     undefined_reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report's JSON fields; undefined_reason appears only when set,
+        so a report whose estimators are all defined keeps its bytes."""
+        data = {
             "f_in_m": self.f_in_m,
             "p_samp_m": self.p_samp_m,
             "o10_re": None if self.o10_m is None else self.o10_m.real,
@@ -145,6 +147,9 @@ class EstimatorReport:
             "accepted": self.accepted,
             "counters": self.counters.to_json_dict(),
         }
+        if self.undefined_reason is not None:
+            data["undefined_reason"] = self.undefined_reason
+        return data
 
     def sample_bitstrings(self) -> Iterator[str]:
         """The published samples as text blocks of up to FORMAT_BLOCK bit
@@ -188,20 +193,118 @@ class ProtocolTranscript:
         """The chunk indices, in order."""
         return range(-(-self.num_copies // self.chunk_size))
 
-    def _measure(self, chunk_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The code, clock and sys_idx columns of one chunk, measured anew."""
+    def _picks(self, chunk_index: int):
+        """The one kernel: measure one chunk MEASURE_BLOCK copies at a time,
+        picking outcomes only for the copies a branch measures.
+
+        Each block yields (start, key, idx, picks, bounds). key is a & 15 of
+        every copy: its code and, at bit 3, the reported clock of a sampling
+        or input-test copy. idx holds the block offsets of the measured
+        copies, split at the three bounds into four groups in copy order:
+        sampling on true clock -1, input test on true clock +1, X and Y
+        propagation. Group r draws from row r of the (4, 2^n) tables
+        (MODE_ORDER): picks holds its outcomes j, Distribution.pick's
+        arithmetic read off the copies' two raw words. With eps > 0, j also
+        carries the flipped outcome bits and, at bit n, the clock flip: a
+        propagation copy's reported clock; for the others, a flag that the
+        reported clock is not the true one.
+        """
         count = min(self.chunk_size, self.num_copies - chunk_index * self.chunk_size)
-        columns = (
-            np.empty(count, dtype=np.uint8),
-            np.empty(count, dtype=np.int8),
-            np.empty(count, dtype=np.int32),
-        )
-        _process_chunk(self.dists, self.master_seed, chunk_index, self.eps, columns)
-        return columns
+        n = self.dists.num_system
+        rng = substream(self.master_seed, TAG_COPIES, chunk_index)
+        words = rng.bit_generator.random_raw((2, count))
+        if self.eps > 0.0:
+            # Drawn one chunk-sized row of uniforms at a time, to keep the
+            # temporaries of a chunk small.
+            flips = np.zeros(count, dtype=np.int32)
+            for k in range(n):
+                flips |= (rng.random(count) < self.eps).astype(np.int32) << k
+            clock_flips = rng.random(count) < self.eps
+            flips |= clock_flips.astype(np.int32) << n
+        alias, accept = self.dists.alias.reshape(-1), self.dists.accept.reshape(-1)
+        for start in range(0, count, MEASURE_BLOCK):
+            a, b = words[:, start : start + MEASURE_BLOCK]
+            key = a.astype(np.uint8)
+            key &= 15
+            code = key & 7
+            groups = [np.flatnonzero(g) for g in (key >= 12, key < 2, code == 2, code == 3)]
+            idx = np.concatenate(groups)
+            bounds = list(accumulate(g.size for g in groups[:3]))
+
+            # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of
+            # a: Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
+            # shifts take np.uint64 counts, which numpy 1.x needs to keep them
+            # uint64. Each bound adds 2^n to the entries after it, so group r
+            # reads row r.
+            entry = (a[idx] >> np.uint64(64 - n)).view(np.int64)
+            local = entry.astype(np.int32)
+            for bound in bounds:
+                entry[bound:] += 1 << n
+            u_coin = (b[idx] >> np.uint64(11)).astype(np.float64)
+            u_coin *= 2.0**-53
+            # j = local where the coin is below the bin's accept, else its
+            # alias: an arithmetic select, far cheaper than np.where on a
+            # random condition.
+            j = np.take(alias, entry)
+            local -= j
+            local *= u_coin < np.take(accept, entry)
+            j += local
+            if self.eps > 0.0:
+                j ^= flips[idx + start]
+                key ^= clock_flips[start : start + MEASURE_BLOCK].view(np.uint8) << 3
+            yield start, key, idx, j, bounds
+
+    def _measure(self, chunk_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The code, clock and sys_idx columns of one chunk, with each block's
+        picks scattered into them."""
+        count = min(self.chunk_size, self.num_copies - chunk_index * self.chunk_size)
+        n = self.dists.num_system
+        code = np.empty(count, dtype=np.uint8)
+        clock = np.empty(count, dtype=np.int8)
+        sys_idx = np.full(count, -1, dtype=np.int32)
+        for start, key, idx, picks, bounds in self._picks(chunk_index):
+            block = slice(start, start + key.size)
+            np.bitwise_and(key, 7, out=code[block])
+            # The clock is 1 - 2 minus, computed in int8; a propagation copy's
+            # minus is bit n of its pick.
+            np.subtract(1, (key >> 3).view(np.int8) << 1, out=clock[block])
+            idx += start
+            prop = slice(bounds[1], None)
+            clock[idx[prop]] = 1 - ((picks[prop] >> n) << 1)
+            sys_idx[idx] = picks & ((1 << n) - 1)
+        return code, clock, sys_idx
 
     def _reduce(self, chunk_index: int) -> tuple[Counters, np.ndarray]:
-        """Counters and published samples of one chunk, measured and reduced."""
-        return _chunk_counters(*self._measure(chunk_index), self.u_values)
+        """Counters and published samples of one chunk, reduced from each
+        block's picks. A sampling copy is stored, and an input-test copy
+        counts toward N_in+0, only while bit n of its pick (a flipped
+        reported clock) is clear."""
+        n = self.dists.num_system
+        counters = Counters()
+        samples, x_picks, y_picks = [], [], []
+        for _, key, _, picks, (s, p, x) in self._picks(chunk_index):
+            sampled, in_plus = picks[:s], picks[s:p]
+            n_sampling = int(np.count_nonzero(key & 4))
+            n_in_plus = int(np.count_nonzero(key < 2))
+            counters.n_total_sampling += n_sampling
+            counters.n_in_plus += n_in_plus
+            counters.n_clock_minus += key.size - n_sampling - n_in_plus - (picks.size - p)
+            counters.n_in_plus_0 += int(np.count_nonzero(in_plus == 0))
+            if self.eps > 0.0:
+                sampled = sampled[(sampled >> n) == 0]
+            samples.append(sampled.astype(np.uint32))
+            x_picks.append(picks[p:x].copy())
+            y_picks.append(picks[x:].copy())
+        # Row m of signed_u is (1 - 2m) u, made by the same float64-by-complex
+        # multiply as a copy's clock * u, so each sum, in copy order, is bit for
+        # bit the sum of the per-copy products.
+        signed_u = np.multiply.outer((1.0, -1.0), self.u_levels).reshape(-1)
+        for (total, size), parts in ((("s_xu", "n_x"), x_picks), (("s_yu", "n_y"), y_picks)):
+            j = np.concatenate(parts)
+            entry = (j >> n) * self.u_levels.size + np.take(self.levels, j & ((1 << n) - 1))
+            setattr(counters, total, complex(np.sum(np.take(signed_u, entry))))
+            setattr(counters, size, j.size)
+        return counters, np.concatenate(samples)
 
     def _records(self, chunk_index: int):
         """JSON-ready records of one chunk, built from list columns."""
@@ -226,6 +329,9 @@ class ProtocolTranscript:
             }
 
 
+_BASIS_NAMES = {2: "X", 3: "Y"}
+
+
 def _merge(partials) -> tuple[Counters, np.ndarray]:
     """Sum per-chunk counters in chunk order and join their samples."""
     total = Counters()
@@ -235,112 +341,6 @@ def _merge(partials) -> tuple[Counters, np.ndarray]:
             setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
         samples.append(chunk_samples)
     return total, np.concatenate(samples)
-
-
-def _chunk_counters(code, clock, sys_idx, u_values) -> tuple[Counters, np.ndarray]:
-    """Counters and published samples of one chunk of transcript columns.
-
-    Rows are selected through index arrays rather than boolean masks: the
-    gathered values, and so every sum, are the same, and an index gather is
-    faster than a masked one on a random mask.
-    """
-    samp = code >= 4
-    input_test = code < 2
-    has_sys = sys_idx >= 0
-
-    stored = samp & (clock == -1) & has_sys
-    samples = sys_idx[np.flatnonzero(stored)].astype(np.uint32)
-
-    in_plus = input_test & (clock == 1)
-    counters = Counters(
-        n_total_sampling=int(np.count_nonzero(samp)),
-        n_clock_minus=int(np.count_nonzero(input_test & (clock == -1))),
-        n_in_plus=int(np.count_nonzero(in_plus)),
-        n_in_plus_0=int(np.count_nonzero(in_plus & has_sys & (sys_idx == 0))),
-    )
-    for prop_code in (2, 3):
-        sel = np.flatnonzero(code == prop_code)
-        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_values(sys_idx[sel])))
-        if prop_code == 2:
-            counters.s_xu = contrib
-            counters.n_x = sel.size
-        else:
-            counters.s_yu = contrib
-            counters.n_y = sel.size
-    return counters, samples
-
-
-# A branch code's outcome table (an index into MODE_ORDER) and, for the two
-# propagation codes, its basis.
-_TABLE_OF_CODE = np.array(
-    [MODE_ORDER.index(name) for name in ("input_given_plus",) * 2 + ("prop_x", "prop_y")]
-    + [MODE_ORDER.index("sample_given_minus")] * 4,
-    dtype=np.int64,
-)
-_BASIS_NAMES = {2: "X", 3: "Y"}
-
-
-def _process_chunk(dists, master_seed: int, chunk_index: int, eps: float, columns) -> None:
-    """Measure one chunk of copies, writing every entry of its three columns.
-
-    Every copy draws from its own table in one pass, MEASURE_BLOCK copies at
-    a time: its code selects the table's row of the (4, 2^n) alias buffer,
-    and the pick is Distribution.pick's arithmetic on that row, read off the
-    copy's two raw words (module docstring).
-    """
-    count = columns[0].size
-    n = dists.num_system
-    rng = substream(master_seed, TAG_COPIES, chunk_index)
-    words = rng.bit_generator.random_raw((2, count))
-    for start in range(0, count, MEASURE_BLOCK):
-        block = slice(start, start + MEASURE_BLOCK)
-        a, b = words[:, block]
-        code, clock, sys_idx = (column[block] for column in columns)
-        low = a.astype(np.uint8)
-        np.bitwise_and(low, 7, out=code)
-        prop = (code >> 1) == 1
-
-        # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of a:
-        # Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
-        # shifts take np.uint64 counts, which numpy 1.x needs to keep them uint64.
-        a >>= np.uint64(64 - n)
-        local = a.astype(np.int32)
-        entry = np.take(_TABLE_OF_CODE << n, code)
-        entry |= a.view(np.int64)
-        b >>= np.uint64(11)
-        u_coin = b.astype(np.float64)
-        u_coin *= 2.0**-53
-        # j = local where the coin is below the bin's accept, else its alias: an
-        # arithmetic select, far cheaper than np.where on a random condition.
-        alias = np.take(dists.alias, entry)
-        j = local - alias
-        j *= u_coin < np.take(dists.accept, entry)
-        j += alias
-
-        # A propagation outcome carries its clock bit at bit n; a sampling or
-        # input-test outcome is below 2^n, and its clock is bit 3 of a. The
-        # clock is 1 - 2 minus, computed in int8.
-        true_minus = (low >> 3) & 1
-        minus = (j >> n).astype(np.uint8)
-        minus |= true_minus & ~prop
-        np.subtract(1, minus.view(np.int8) << 1, out=clock)
-        # A sampling copy is measured on clock -1, an input-test copy on +1. An
-        # unmeasured copy's outcome is ORed with measured - 1 = -1, which leaves
-        # -1: cheaper than np.where on a random condition.
-        measured = prop | (true_minus == code >> 2)
-        np.bitwise_and(j, (1 << n) - 1, out=sys_idx)
-        sys_idx |= measured.view(np.int8) - 1
-
-    if eps > 0.0:
-        # Drawn one chunk-sized row of uniforms at a time, to keep the
-        # temporaries of a chunk small.
-        _, clock, sys_idx = columns
-        flip_bits = np.zeros(count, dtype=np.int32)
-        for k in range(n):
-            flip_bits |= (rng.random(count) < eps).astype(np.int32) << k
-        clock[rng.random(count) < eps] *= -1
-        measured = sys_idx >= 0
-        sys_idx[measured] ^= flip_bits[measured]
 
 
 def decide(

@@ -550,10 +550,10 @@ def decode_draws(master_seed, chunk_index, count, num_system, eps):
 
 
 # Reference chunk kernel and counters: the verifier's earlier masked
-# formulation, kept so the mask-free kernel and the index-gather counters can
-# be checked column for column with np.array_equal and counter for counter
-# with ==. Each branch gathers its copies' uniforms under a boolean mask and
-# picks from its own Distribution.
+# formulation, kept so the per-branch kernel's columns and counters can be
+# checked column for column with np.array_equal and counter for counter with
+# ==. Each branch gathers its copies' uniforms under a boolean mask and picks
+# from its own Distribution.
 
 
 def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):

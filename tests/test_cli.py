@@ -144,6 +144,27 @@ def test_run_seed_override_changes_results(tmp_path):
     assert (out1 / "report_rep000.json").read_bytes() != (out2 / "report_rep000.json").read_bytes()
 
 
+@pytest.mark.parametrize("num_copies", [0, 1])
+def test_run_report_names_why_it_is_undefined(tmp_path, capsys, num_copies):
+    # A starved run rejects, and its report says which branch ran dry.
+    cfg = tmp_path / "config.json"
+    write_config(cfg, repetitions=1, protocol={"num_copies": num_copies, "master_seed": 3})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "accepted=False" in capsys.readouterr().out
+    report = json.loads((out / "report_rep000.json").read_text())
+    counters = report["counters"]
+    assert report["accepted"] is False
+    starved = {
+        "no X-propagation copies": counters["n_x"] == 0,
+        "no Y-propagation copies": counters["n_y"] == 0,
+        "no clock +1 input-test copies": counters["n_in_plus"] == 0,
+        "no input-test copies": counters["n_in_plus"] + counters["n_clock_minus"] == 0,
+    }
+    assert report["undefined_reason"] == "; ".join(r for r, dry in starved.items() if dry)
+    assert sum(starved.values()) >= 3
+
+
 def test_run_degraded_prover_config(tmp_path):
     cfg = tmp_path / "config.json"
     write_config(

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import conftest
 from fklab.analysis import hoeffding_bound
 from fklab.errors import CapacityError
 from fklab.lattice import build_lattice, random_input
@@ -234,7 +235,9 @@ def test_raw_words_are_the_uniforms_random_makes():
 def test_process_chunk_decodes_the_documented_words(monkeypatch):
     # Every code, both clock bits, the first and last bin, and a coin equal
     # to the bin's accept (which takes the alias) or one ulp below it (which
-    # keeps the bin), with every bit the layout does not read set.
+    # keeps the bin), with every bit the layout does not read set. The
+    # per-branch kernel's picks, scattered into the transcript's columns and
+    # reduced to a run's counters, both decode them as documented.
     n, dim = 3, 8
     alias = np.array(
         [(np.arange(dim) + shift) % dim + high for shift, high in ((3, 0), (5, 0), (1, dim), (2, 0))],
@@ -259,9 +262,10 @@ def test_process_chunk_decodes_the_documented_words(monkeypatch):
     monkeypatch.setattr(verifier, "substream", lambda *key: stream)
 
     count = len(cases)
-    columns = (np.empty(count, np.uint8), np.empty(count, np.int8), np.empty(count, np.int32))
-    verifier._process_chunk(dists, 0, 0, 0.0, columns)
-    code, clock, sys_idx = columns
+    levels = np.arange(dim, dtype=np.uint8) % 3
+    u_levels = np.exp(1j * np.arange(3.0))
+    transcript = verifier.ProtocolTranscript(count, count, 0, 0.0, dists, levels, u_levels)
+    code, clock, sys_idx = transcript._measure(0)
     for i, (c, minus_bit, bin_, below) in enumerate(cases):
         j = bin_ if below else int(alias[table_of_code[c], bin_])
         if c in (2, 3):
@@ -270,6 +274,11 @@ def test_process_chunk_decodes_the_documented_words(monkeypatch):
             measured = minus_bit == (c >> 2)
             expected = (-1 if minus_bit else 1, j if measured else -1)
         assert (code[i], clock[i], sys_idx[i]) == (c, *expected), cases[i]
+    counters, samples = transcript._reduce(0)
+    expected = reference_chunk_counters(*decode_code(code), clock, sys_idx, u_levels[levels])
+    assert counters == expected[0]
+    assert samples.dtype == expected[1].dtype
+    assert np.array_equal(samples, expected[1])
 
 
 def _kernel_model(kind, rows, cols):
@@ -315,8 +324,9 @@ def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
     model, noise = _kernel_model(kind, rows, cols)
     eps = noise.measurement_flip_rate if noise is not None else 0.0
     names = ("b_sampling", "b_testtype", "basis", "clock", "sys_idx")
-    # MEASURE_BLOCK + 5 ends a chunk inside its second measurement block.
-    for num in (0, 1, MEASURE_BLOCK + 5, CHUNK_SIZE, 3 * CHUNK_SIZE + 777):
+    # 1-3 copies leave some branch groups empty; MEASURE_BLOCK + 5 ends a
+    # chunk inside its second measurement block.
+    for num in (0, 1, 2, 3, MEASURE_BLOCK + 5, CHUNK_SIZE, 3 * CHUNK_SIZE + 777):
         columns, counters, samples = _reference_run(model, num, 4242, eps)
         config = ProtocolConfig(num_copies=num, master_seed=4242)
         for threads in (1, 2):
@@ -332,6 +342,41 @@ def test_chunk_kernel_bit_identical_to_reference(kind, rows, cols):
             assert json.dumps(report.counters.to_json_dict()) == json.dumps(counters.to_json_dict())
             assert report.samples.dtype == samples.dtype
             assert np.array_equal(report.samples, samples)
+
+
+@pytest.mark.parametrize("kind", ["honest", "degraded_flip"])
+@pytest.mark.parametrize("key", range(16))
+def test_chunk_kernel_on_blocks_of_one_key(monkeypatch, kind, key):
+    # Every copy carries the same low four bits of a (its code and clock
+    # bit), so at most one branch group of each block is nonempty; the
+    # kernel, its columns and its counters must still equal the reference.
+    model, noise = _kernel_model(kind, 2, 3)
+    eps = noise.measurement_flip_rate if noise is not None else 0.0
+
+    def one_key_substream(*seed):
+        rng = substream(*seed)
+
+        def random_raw(size):
+            words = rng.bit_generator.random_raw(size)
+            words[0] = (words[0] & ~np.uint64(15)) | np.uint64(key)
+            return words
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw), random=rng.random)
+
+    monkeypatch.setattr(verifier, "substream", one_key_substream)
+    monkeypatch.setattr(conftest, "substream", one_key_substream)
+    num = MEASURE_BLOCK + 5
+    columns, counters, samples = _reference_run(model, num, 808, eps)
+    config = ProtocolConfig(num_copies=num, master_seed=808)
+    transcript, report = run_protocol(model, model.lattice, model.input_spec, config, noise=noise)
+    code, clock, sys_idx = transcript_columns(transcript)
+    assert np.unique(code).tolist() == [key & 7]
+    for got, column in zip((*decode_code(code), clock, sys_idx), columns):
+        assert got.dtype == column.dtype
+        assert np.array_equal(got, column)
+    assert report.counters == counters
+    assert report.samples.dtype == samples.dtype
+    assert np.array_equal(report.samples, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +576,14 @@ def test_same_seed_reproduces_everything(setup_2x2):
     assert np.array_equal(clock1, clock2)
 
 
-def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
+def _assert_same_at_one_and_eight_threads(model, monkeypatch, noise=None):
     # Eight usable CPUs, so that eight threads run whatever this host has.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    lattice, spec, model = setup_2x2
+    lattice, spec = model.lattice, model.input_spec
     num = 3 * CHUNK_SIZE + 777  # multiple chunks plus a partial one
     config = ProtocolConfig(num_copies=num, master_seed=314)
-    t1, r1 = run_protocol(model, lattice, spec, config, threads=1)
-    t8, r8 = run_protocol(model, lattice, spec, config, threads=8)
+    t1, r1 = run_protocol(model, lattice, spec, config, noise=noise, threads=1)
+    t8, r8 = run_protocol(model, lattice, spec, config, noise=noise, threads=8)
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
         r8.to_json_dict(), sort_keys=True
     )
@@ -548,6 +593,17 @@ def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
         assert np.array_equal(got, expected)
     for got, expected in zip(decode_code(columns8[0]), decode_code(columns1[0])):
         assert np.array_equal(got, expected)
+
+
+def test_thread_count_does_not_change_results(setup_2x2, monkeypatch):
+    _assert_same_at_one_and_eight_threads(setup_2x2[2], monkeypatch)
+
+
+def test_thread_count_does_not_change_flipped_degraded_results(monkeypatch):
+    # The flip rows are drawn per chunk, so the thread count must not move
+    # them either.
+    model, noise = _kernel_model("degraded_flip", 3, 3)
+    _assert_same_at_one_and_eight_threads(model, monkeypatch, noise)
 
 
 def test_thread_count_is_capped_at_the_usable_cpus(monkeypatch):
