@@ -26,12 +26,11 @@ from .errors import (
 from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
-    HADAMARD,
-    PAULI_X,
     PureState,
     _apply_global_cz_inplace,
-    _apply_single_qubit_inplace,
+    _hadamard_butterflies,
     _multiply_by_levels,
+    _swap_halves_inplace,
     _write_product_state,
     aligned_edges,
     hamming_weights,
@@ -362,12 +361,14 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     conjugation turns it into a controlled bit-flip on sublattice B while the
     stray controlled-Z phases on sublattice A cancel between the two blocks.
 
-    Every step runs in place on one 2^(n+1) buffer, bit for bit as the
-    out-of-place gate sequence: phi_in is written into the upper half, and
-    |+> (x) phi_in is taken from it in np.kron's operand order. Each
-    half-time evolution multiplies both clock halves by the coupling phases
-    block by block (amplitude first), gathered by aligned_edges from one
-    table of edges + 1 levels built per call, so no 2^n phase array is built.
+    Every step runs in place on one 2^(n+1) buffer, and the norm check
+    follows the input and each step: phi_in is written into the upper half,
+    and |+> (x) phi_in is taken from it in np.kron's operand order. An H_B
+    layer is the Hadamard butterflies over sorted(B) and then one multiply by
+    2^(-|B|/2); the X on the clock swaps the two halves. Each half-time
+    evolution multiplies both clock halves by the coupling phases block by
+    block (amplitude first), gathered by aligned_edges from one table of
+    edges + 1 levels built per call, so no 2^n phase array is built.
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
@@ -376,7 +377,7 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
         raise CapacityError(
             f"echo statevector needs {n}+1 qubits, over the {MAX_ECHO_SYSTEM_QUBITS}-qubit guard"
         )
-    clock, dim = n, 1 << n
+    dim = 1 << n
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2)
     a = np.empty(2 * dim, dtype=np.complex128)
     lower, upper = a[None, :dim], a[None, dim:]
@@ -385,29 +386,23 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     np.multiply(plus[1:2, None], upper, out=upper)
     PureState(n + 1, a)  # the norm check the input state passes
 
-    def gate(kernel, *args) -> None:
-        kernel(a, *args)
-        PureState(n + 1, a)  # the norm check every gate's output state passes
-
+    b_qubits = sorted(lattice.partition_b)
+    b_scale = 2.0 ** (-0.5 * len(b_qubits))
     half_phases, aligned = zz_phase_levels(lattice, 0.5), aligned_edges(lattice)
+
+    def hadamard_b(amplitudes: np.ndarray) -> None:
+        _hadamard_butterflies(amplitudes, b_qubits)
+        amplitudes *= b_scale
 
     def evolve_half(amplitudes: np.ndarray) -> None:
         for part in (amplitudes[:dim], amplitudes[dim:]):
             _multiply_by_levels(part, half_phases, aligned, table_first=False)
 
-    def controlled_flip_b() -> None:
-        for q in sorted(lattice.partition_b):
-            gate(_apply_single_qubit_inplace, q, HADAMARD)
-        gate(_apply_global_cz_inplace)
-        for q in sorted(lattice.partition_b):
-            gate(_apply_single_qubit_inplace, q, HADAMARD)
-
-    controlled_flip_b()
-    gate(evolve_half)
-    controlled_flip_b()
-    gate(_apply_single_qubit_inplace, clock, PAULI_X)
-    gate(evolve_half)
-    return PureState(n + 1, a)
+    flip_b = (hadamard_b, _apply_global_cz_inplace, hadamard_b)
+    for step in (*flip_b, evolve_half, *flip_b, _swap_halves_inplace, evolve_half):
+        step(a)
+        state = PureState(n + 1, a)  # the norm check every step's output passes
+    return state
 
 
 def ideal_history_state(

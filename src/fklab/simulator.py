@@ -11,9 +11,9 @@ The public operations return fresh states and never mutate their inputs.
 The `_`-prefixed kernels work in place on an amplitude array, so a state is
 built and evolved in one buffer: _write_product_state fills it by doubling,
 _multiply_by_levels multiplies it by per-string phases 2^16 entries at a
-time, and the gate kernels sweep it one cache-sized block of amplitude pairs
-at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays for the
-analysis oracles.
+time, and the Hadamard butterflies and the half swap sweep it one
+cache-sized block of amplitude pairs at a time (_pair_blocks). zz_phases,
+the whole 2^n diagonal, stays for the analysis oracles.
 
 A string z enters every diagonal phase through two small integers: its
 Hamming weight w (hamming_weights, int8) and its count k of aligned edges
@@ -24,7 +24,6 @@ _multiply_by_levels gathers it per string.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,9 +45,6 @@ X_STATE = np.array([0.5 * (1 + 1j), 0.5 * (1 - 1j)], dtype=np.complex128)
 Y_STATE = np.array([0.5 * (1 + 1j), np.exp(-1j * np.pi / 4) * 0.5 * (1 - 1j)], dtype=np.complex128)
 
 _SINGLE_QUBIT_STATES = {InputType.X_TYPE: X_STATE, InputType.Y_TYPE: Y_STATE}
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 @dataclass
@@ -195,8 +191,8 @@ def _multiply_by_levels(
             np.multiply(part, factors, out=part)
 
 
-# The gate kernels sweep a state this many amplitude pairs at a time, so
-# each temporary is 256 KiB and a block's working set stays in a core's cache.
+# The pair kernels sweep a state this many amplitude pairs at a time, so
+# their temporary is 256 KiB and a block's working set stays in a core's cache.
 PAIR_BLOCK = 1 << 14
 
 
@@ -215,46 +211,44 @@ def _pair_blocks(a: np.ndarray, qubit: int) -> Iterator[tuple[np.ndarray, np.nda
             yield block[:, 0], block[:, 1]
 
 
-def _block_temporaries(a: np.ndarray, count: int) -> list[np.ndarray]:
-    """`count` complex temporaries of one _pair_blocks block of `a`, flat."""
-    return list(np.empty((count, min(a.size >> 1, PAIR_BLOCK)), dtype=np.complex128))
+def _block_temporary(a: np.ndarray) -> np.ndarray:
+    """One complex temporary of one _pair_blocks block of `a`, flat."""
+    return np.empty(min(a.size >> 1, PAIR_BLOCK), dtype=np.complex128)
 
 
-def walsh_hadamard(state: PureState) -> PureState:
-    """Apply H on every qubit (O(n 2^n)): one copy of the state, then at each
-    qubit the butterfly (e + o, e - o) in place, block by block, and the
-    2^(-n/2) scale last."""
-    n = state.num_qubits
-    a = state.amplitudes.copy()
-    (total,) = _block_temporaries(a, 1)
-    for k in range(n):
+def _hadamard_butterflies(a: np.ndarray, qubits) -> None:
+    """At each of `qubits`, in order, overwrite each amplitude pair (e, o) of
+    `a` with (e + o, e - o), block by block through one block temporary.
+    Nothing is scaled: H on m qubits is these butterflies times 2^(-m/2).
+    """
+    total = _block_temporary(a)
+    for k in qubits:
         for even, odd in _pair_blocks(a, k):
             both = total.reshape(even.shape)
             np.add(even, odd, out=both)
             np.subtract(even, odd, out=odd)
             even[...] = both
+
+
+def _swap_halves_inplace(a: np.ndarray) -> None:
+    """X on the top qubit of `a`: the two halves trade places block by block
+    through one block temporary, an exact permutation."""
+    held = _block_temporary(a)
+    for lower, upper in _pair_blocks(a, a.size.bit_length() - 2):
+        block = held.reshape(lower.shape)
+        block[...] = lower
+        lower[...] = upper
+        upper[...] = block
+
+
+def walsh_hadamard(state: PureState) -> PureState:
+    """Apply H on every qubit (O(n 2^n)): one copy of the state, the
+    butterflies at every qubit in place, and the 2^(-n/2) scale last."""
+    n = state.num_qubits
+    a = state.amplitudes.copy()
+    _hadamard_butterflies(a, range(n))
     a *= 2.0 ** (-0.5 * n)
     return PureState(n, a)
-
-
-def _apply_single_qubit_inplace(a: np.ndarray, qubit: int, g: np.ndarray) -> None:
-    """Overwrite each amplitude pair (s0, s1) of `a` at `qubit` with
-    (g00 s0 + g01 s1, g10 s0 + g11 s1), block by block, through two
-    block-sized temporaries. `g` is a complex128 2x2 array; nothing is checked.
-
-    Each product takes the gate entry first and each sum the s0 term first,
-    so every amplitude is bit for bit that of the out-of-place formula.
-    """
-    new0, term = _block_temporaries(a, 2)
-    for s0, s1 in _pair_blocks(a, qubit):
-        new0_block, term_block = new0.reshape(s0.shape), term.reshape(s0.shape)
-        np.multiply(g[0, 0], s0, out=new0_block)
-        np.multiply(g[0, 1], s1, out=term_block)
-        new0_block += term_block
-        np.multiply(g[1, 0], s0, out=term_block)
-        np.multiply(g[1, 1], s1, out=s1)
-        np.add(term_block, s1, out=s1)
-        s0[...] = new0_block
 
 
 def _apply_global_cz_inplace(a: np.ndarray) -> None:

@@ -165,12 +165,6 @@ def random_state_vector(n, rng):
     return v / np.linalg.norm(v)
 
 
-def random_unitary(rng):
-    """2x2 unitary from the QR decomposition of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 # Scalar and whole-state oracles the protocol itself does not use.
 
 
@@ -218,17 +212,6 @@ def u_value(z_outcomes, lattice):
 # Reference gate kernels: the package's earlier formulas, kept verbatim so the
 # copy-free kernels can be checked bit for bit (np.array_equal), not to a
 # tolerance.
-
-
-def reference_apply_single_qubit(amplitudes, qubit, gate):
-    """Copy the state, copy both halves, then overwrite each half."""
-    g = np.asarray(gate, dtype=np.complex128)
-    a = np.asarray(amplitudes, dtype=np.complex128).copy().reshape(-1, 2, 1 << qubit)
-    s0 = a[:, 0, :].copy()
-    s1 = a[:, 1, :].copy()
-    a[:, 0, :] = g[0, 0] * s0 + g[0, 1] * s1
-    a[:, 1, :] = g[1, 0] * s0 + g[1, 1] * s1
-    return a.reshape(-1)
 
 
 def reference_apply_global_cz(amplitudes, control, targets):
@@ -304,49 +287,56 @@ def reference_zz_phases(lattice, time):
     return np.exp((-1j * (time * (np.pi / 4))) * reference_interaction_energies(lattice))
 
 
-def reference_walsh_hadamard(amplitudes):
-    """H on every qubit: copy the state, then at each qubit copy both halves
-    and overwrite them with their sum and difference; scale last."""
-    n = amplitudes.size.bit_length() - 1
+def reference_hadamard_butterflies(amplitudes, qubits):
+    """Unscaled H on each of `qubits`, in order: copy the state, then at each
+    qubit copy both halves and overwrite them with their sum and difference."""
     a = np.asarray(amplitudes, dtype=np.complex128).copy()
-    for k in range(n):
+    for k in qubits:
         a = a.reshape(-1, 2, 1 << k)
         even = a[:, 0, :].copy()
         odd = a[:, 1, :].copy()
         a[:, 0, :] = even + odd
         a[:, 1, :] = even - odd
-    return a.reshape(-1) * 2.0 ** (-0.5 * n)
+    return a.reshape(-1)
+
+
+def reference_walsh_hadamard(amplitudes):
+    """H on every qubit: the butterflies at every qubit, scaled last."""
+    n = amplitudes.size.bit_length() - 1
+    return reference_hadamard_butterflies(amplitudes, range(n)) * 2.0 ** (-0.5 * n)
+
+
+def reference_swap_halves(amplitudes):
+    """X on the top qubit: the two halves, concatenated in swapped order."""
+    half = amplitudes.size // 2
+    return np.concatenate((amplitudes[half:], amplitudes[:half]))
 
 
 def reference_echo_prepare(lattice, input_amplitudes):
     """The echo circuit of prover.echo_prepare, out of place: one fresh state
-    per gate from the reference kernels above, on |+> (x) the given input
-    amplitudes, with the half-time phases tiled over both clock halves."""
+    per step from the reference kernels above, on |+> (x) the given input
+    amplitudes, with the half-time phases tiled over both clock halves. An
+    H_B layer is the butterflies over sorted(B) times 2^(-|B|/2)."""
     n = lattice.num_qubits
-    clock = n
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    b_qubits = sorted(lattice.partition_b)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
     energies = reference_interaction_energies(lattice)
     half = np.tile(np.exp((-1j * 0.5 * np.pi / 4) * energies), 2)
 
+    def hadamard_b(a):
+        return reference_hadamard_butterflies(a, b_qubits) * 2.0 ** (-0.5 * len(b_qubits))
+
     def controlled_flip_b(a):
-        for q in sorted(lattice.partition_b):
-            a = reference_apply_single_qubit(a, q, h)
-        a = reference_apply_global_cz(a, clock, range(n))
-        for q in sorted(lattice.partition_b):
-            a = reference_apply_single_qubit(a, q, h)
-        return a
+        return hadamard_b(reference_apply_global_cz(hadamard_b(a), n, range(n)))
 
     a = controlled_flip_b(np.kron(plus, input_amplitudes))
     a = controlled_flip_b(a * half)
-    a = reference_apply_single_qubit(a, clock, x)
-    return a * half
+    return reference_swap_halves(a) * half
 
 
-# Reference mode tables: the prover's earlier amplitude formulas, kept
-# verbatim (input-test table by one full-state gate per qubit) so the
-# closed-form tables can be checked against them.
+# Reference mode tables: the prover's earlier amplitude formulas (input-test
+# table by one full-state rotation per qubit), so the closed-form tables can
+# be checked against them.
 
 # The orthogonal complements of the two input states; with the states they
 # form the rotated measurement bases of the input test.
@@ -391,7 +381,8 @@ def reference_mode_tables(model):
 
     rotated = a
     for k, kind in enumerate(model.input_spec.choices):
-        rotated = reference_apply_single_qubit(rotated, k, rotated_basis(kind).conj().T)
+        gate = rotated_basis(kind).conj().T
+        rotated = np.einsum("ij,ajb->aib", gate, rotated.reshape(-1, 2, 1 << k)).reshape(-1)
     input_probs = np.abs(rotated) ** 2
 
     return (

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fklab import analysis, cli
+from fklab import analysis, cli, prover
 from fklab.cli import main
 from fklab.errors import CapacityError
 from fklab.lattice import InputSpec, InputType
@@ -643,6 +643,18 @@ def test_echo_check_small_lattices(capsys):
     assert main(["echo-check", "2", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "echo fidelity" in out
+
+
+def test_echo_check_fails_the_floor_on_a_faulted_clock_x(monkeypatch, capsys):
+    # A clock X that copies the lower half into both halves keeps the norm,
+    # since each clock half holds half of it, so only the fidelity floor can
+    # catch it.
+    def copy_lower(a):
+        a[a.size // 2 :] = a[: a.size // 2]
+
+    monkeypatch.setattr(prover, "_swap_halves_inplace", copy_lower)
+    assert main(["echo-check", "2", "2"]) == 1
+    assert "echo fidelity 2x2" in capsys.readouterr().out
 
 
 def test_echo_check_capacity_exit_3():

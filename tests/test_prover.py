@@ -292,7 +292,7 @@ def test_echo_sweep_random_inputs(rows, cols):
 
 
 def test_echo_4x4_fidelity_and_reference_amplitudes():
-    # n = 16: the largest echo in the suite, composed gate by gate.
+    # n = 16: the largest echo in the suite, composed step by step.
     lat = build_lattice(4, 4)
     spec = random_input(lat.num_qubits, np.random.default_rng(44))
     prepared = echo_prepare(lat, spec)
@@ -304,7 +304,7 @@ def test_echo_4x4_fidelity_and_reference_amplitudes():
 @pytest.mark.parametrize("rows,cols", small_lattices(12) + [(1, 17), (3, 6)])
 def test_echo_bit_identical_to_out_of_place_reference(rows, cols):
     # The in-place echo on one buffer equals, as uint64 views, the sequence
-    # that builds a fresh state per gate and tiles the half-time phases. At
+    # that builds a fresh state per step and tiles the half-time phases. At
     # 1x17 and 3x6 each clock half spans 2 and 4 blocks of the phase kernel.
     lat = build_lattice(rows, cols)
     spec = random_input(lat.num_qubits, np.random.default_rng(rows * 10 + cols))
@@ -377,6 +377,18 @@ def test_echo_clock_balance(lattice, spec):
     state = echo_prepare(lattice, spec)
     p_minus = float(np.sum(np.abs(state.amplitudes[16:]) ** 2))
     assert abs(p_minus - 0.5) < 1e-10
+
+
+def test_echo_norm_check_catches_a_skipped_butterfly(monkeypatch, lattice, spec):
+    # A layer that skips one of its qubits is still scaled by 2^(-|B|/2), so
+    # it leaves norm^2 1/2, and the check right after it raises: the global
+    # CZ that follows never runs.
+    butterflies, ran = prover._hadamard_butterflies, []
+    monkeypatch.setattr(prover, "_hadamard_butterflies", lambda a, qubits: butterflies(a, qubits[1:]))
+    monkeypatch.setattr(prover, "_apply_global_cz_inplace", ran.append)
+    with pytest.raises(ValidationError, match="norm"):
+        echo_prepare(lattice, spec)
+    assert ran == []
 
 
 def test_echo_capacity_guard():
@@ -618,8 +630,9 @@ def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice
     def gate_kernel(*args):
         raise AssertionError("a gate kernel ran during set-up")
 
-    monkeypatch.setattr(prover, "_apply_single_qubit_inplace", gate_kernel)
+    monkeypatch.setattr(prover, "_hadamard_butterflies", gate_kernel)
     monkeypatch.setattr(prover, "_apply_global_cz_inplace", gate_kernel)
+    monkeypatch.setattr(prover, "_swap_halves_inplace", gate_kernel)
     mode_distributions(make_degraded_model(lattice, spec, 0.97, 0.95))
     mode_distributions(honest(lattice, spec, input_tilt=0.05, depolarizing_rate=0.1))
 

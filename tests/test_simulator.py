@@ -18,8 +18,9 @@ from fklab.simulator import (
     FORMAT_BLOCK,
     STRING_BLOCK,
     _apply_global_cz_inplace,
-    _apply_single_qubit_inplace,
+    _hadamard_butterflies,
     _multiply_by_levels,
+    _swap_halves_inplace,
     _vose_build,
     aligned_edges,
     bitstring_blocks,
@@ -41,12 +42,12 @@ from conftest import (
     ideal_output_distribution,
     PAULI,
     random_state_vector,
-    random_unitary,
     reference_apply_global_cz,
-    reference_apply_single_qubit,
+    reference_hadamard_butterflies,
     reference_interaction_energies,
     reference_mode_tables,
     reference_product_state,
+    reference_swap_halves,
     reference_vose_build,
     reference_walsh_hadamard,
     small_lattices,
@@ -197,13 +198,22 @@ def test_walsh_bit_identical_to_reference(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# the in-place gate kernels
+# the in-place pair kernels and the global CZ
 
 
-def single_qubit(amplitudes, qubit, gate):
-    """_apply_single_qubit_inplace on a copy of `amplitudes`."""
+def hadamard(amplitudes, qubits):
+    """H on each of `qubits` of a copy of `amplitudes`: the butterflies, then
+    the 2^(-m/2) scale, as echo_prepare applies a layer."""
     a = amplitudes.copy()
-    _apply_single_qubit_inplace(a, qubit, np.asarray(gate, dtype=np.complex128))
+    _hadamard_butterflies(a, qubits)
+    a *= 2.0 ** (-0.5 * len(qubits))
+    return a
+
+
+def swap_halves(amplitudes):
+    """_swap_halves_inplace on a copy of `amplitudes`: X on the top qubit."""
+    a = amplitudes.copy()
+    _swap_halves_inplace(a)
     return a
 
 
@@ -217,29 +227,28 @@ def global_cz(amplitudes):
 
 def test_single_qubit_identity(rng):
     amps = random_state_vector(3, rng)
-    assert np.allclose(single_qubit(amps, 1, np.eye(2)), amps, atol=1e-15)
+    assert np.array_equal(hadamard(amps, ()), amps)
+    assert np.allclose(hadamard(hadamard(amps, (1,)), (1,)), amps, atol=1e-15)
 
 
 def test_single_qubit_x_flip():
-    out = single_qubit(np.array([1, 0], dtype=complex), 0, PAULI["X"])
+    out = swap_halves(np.array([1, 0], dtype=complex))
     assert np.allclose(out, [0, 1], atol=1e-15)
 
 
 def test_hzh_equals_x(rng):
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    # On the top qubit, where the half swap is X.
     amps = random_state_vector(3, rng)
-    via_hzh = single_qubit(single_qubit(single_qubit(amps, 0, h), 0, PAULI["Z"]), 0, h)
-    direct = single_qubit(amps, 0, PAULI["X"])
-    assert np.max(np.abs(via_hzh - direct)) < 1e-12
+    via_hzh = hadamard(amps, (2,))
+    via_hzh[4:] *= -1
+    via_hzh = hadamard(via_hzh, (2,))
+    assert np.max(np.abs(via_hzh - swap_halves(amps))) < 1e-12
 
 
 @pytest.mark.parametrize("qubit", range(4))
 def test_gates_preserve_norm(qubit, rng):
     amps = random_state_vector(4, rng)
-    gate = spectral_expm(
-        0.5 * (lambda g: g + g.conj().T)(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    )
-    out = single_qubit(amps, qubit, gate)
+    out = hadamard(amps, (qubit,))
     assert abs(np.sum(np.abs(out) ** 2) - 1) < 1e-10
 
 
@@ -247,10 +256,42 @@ def test_gates_preserve_norm(qubit, rng):
 def test_single_qubit_bit_identical_to_reference(n, rng):
     before = random_state_vector(n, rng)
     for qubit in range(n):
-        for gate in (np.array([[1, 1], [1, -1]]) / np.sqrt(2), PAULI["X"], random_unitary(rng)):
-            out = single_qubit(before, qubit, gate)
-            expected = reference_apply_single_qubit(before, qubit, gate)
-            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        out = before.copy()
+        _hadamard_butterflies(out, (qubit,))
+        expected = reference_hadamard_butterflies(before, (qubit,))
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _butterfly_qubit_sets(n):
+    """No qubit, the sublattice-B set of every lattice of n qubits with up to
+    5 rows, and all qubits in both orders."""
+    shapes = [(rows, n // rows) for rows in range(1, 6) if n % rows == 0]
+    return [
+        (),
+        *(sorted(build_lattice(*shape).partition_b) for shape in shapes),
+        tuple(range(n)),
+        tuple(reversed(range(n))),
+    ]
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
+def test_hadamard_butterflies_bit_identical_to_reference(n, rng):
+    before = random_state_vector(n, rng)
+    for qubits in _butterfly_qubit_sets(n):
+        out = before.copy()
+        _hadamard_butterflies(out, qubits)
+        expected = reference_hadamard_butterflies(before, qubits)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), qubits
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
+def test_swap_halves_bit_identical_to_reference(n, rng):
+    # An exact permutation: zeros of either sign keep their sign bit.
+    before = random_state_vector(n, rng)
+    before[::3] = 0.0
+    before[1::3] = -0.0
+    expected = reference_swap_halves(before)
+    assert np.array_equal(swap_halves(before).view(np.uint64), expected.view(np.uint64))
 
 
 def test_global_cz_control_zero_branch():
