@@ -36,6 +36,9 @@ from .verifier import ProtocolConfig, run_protocol
 
 ECHO_FIDELITY_FLOOR = 1.0 - 1e-10
 DEGRADED_TARGETS = ("target_o10_sq", "target_f_in")
+# A run writes a report and a sample file per repetition, so the count is
+# capped: fifty times the 20 repetitions of the README example.
+MAX_REPETITIONS = 1000
 
 
 class ConfigError(FklabError, ValueError):
@@ -88,6 +91,12 @@ def _check_shape(rows: int, cols: int, max_qubits: int) -> None:
         raise ConfigError(f"lattice dimensions must be at least 1, got {rows}x{cols}")
     if rows * cols > max_qubits:
         raise CapacityError(f"{rows}x{cols} lattice exceeds the {max_qubits}-qubit guard")
+
+
+def _check_repetitions(reps: int, context: str) -> None:
+    """Exit 3 above MAX_REPETITIONS, before any output is written."""
+    if reps > MAX_REPETITIONS:
+        raise CapacityError(f"{context} {reps} exceeds the {MAX_REPETITIONS}-repetition guard")
 
 
 def _positive_int(text: str) -> int:
@@ -197,6 +206,7 @@ def load_experiment_config(path: str) -> dict:
     repetitions = _int(raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+    _check_repetitions(repetitions, "repetitions")
 
     spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
     if kind == "honest":
@@ -265,6 +275,13 @@ def cmd_run(args) -> int:
     return 0
 
 
+def guarded_run(args) -> int:
+    """cmd_run, after a --reps override passes the repetition guard."""
+    if args.reps is not None:
+        _check_repetitions(args.reps, "--reps")
+    return cmd_run(args)
+
+
 def cmd_echo_check(args) -> int:
     lattice = build_lattice(args.rows, args.cols)
     spec = random_input(lattice.num_qubits, substream(args.seed or 0, TAG_INPUT))
@@ -311,9 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=_out_dir, default=None, help="output directory")
     p_run.add_argument("--transcript", action="store_true", help="also write per-copy JSONL")
     p_run.add_argument(
-        "--reps", type=_positive_int, default=None, help="override the repetition count (>= 1)"
+        "--reps",
+        type=_positive_int,
+        default=None,
+        help=f"override the repetition count (1 to {MAX_REPETITIONS})",
     )
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=guarded_run)
 
     p_echo = sub.add_parser("echo-check", help="check the gate-level preparation fidelity")
     p_echo.add_argument("rows", type=int)

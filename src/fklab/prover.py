@@ -27,7 +27,6 @@ from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
     PureState,
-    _apply_global_cz_inplace,
     _hadamard_butterflies,
     _multiply_by_levels,
     _swap_halves_inplace,
@@ -43,12 +42,13 @@ from .simulator import (
 MAX_ECHO_SYSTEM_QUBITS = 20
 # Peak set-up memory per basis state: the model, its four mode tables and
 # their (4, 2^n) alias buffer, as peak RSS above the baseline after lattice
-# and input, divided by 2^n: 79.7-90.7/76.1-77.4/75.3-75.6/75.1-75.2 B at
-# n = 18/20/22/24, honest and degraded (Python 3.11, numpy 2.4, x86-64),
-# plus 10% and rounded up to a multiple of 8.
-SETUP_BYTES_PER_BASIS_STATE = 104
+# and input, divided by 2^n: 76.2-77.4/75.3-75.6/75.1-75.2 B at
+# n = 20/22/24, honest and degraded, 3 runs each (Python 3.11, numpy 2.4,
+# x86-64), plus 10% and rounded up to a multiple of 8. n = 18 is left out:
+# its 79.7-90.7 B are allocator noise plus a fixed ~1 MB of model building.
+SETUP_BYTES_PER_BASIS_STATE = 88
 # Half of an 8 GB host, leaving room for the published samples (at most
-# 128 MiB) and the outputs. It admits n <= 25 (3.25 GiB), not n = 26.
+# 128 MiB) and the outputs. It admits n <= 25 (2.75 GiB), not n = 26.
 MAX_SETUP_BYTES = 4 << 30
 
 TARGET_TOL = 1e-6
@@ -365,10 +365,13 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     follows the input and each step: phi_in is written into the upper half,
     and |+> (x) phi_in is taken from it in np.kron's operand order. An H_B
     layer is the Hadamard butterflies over sorted(B) and then one multiply by
-    2^(-|B|/2); the X on the clock swaps the two halves. Each half-time
-    evolution multiplies both clock halves by the coupling phases block by
-    block (amplitude first), gathered by aligned_edges from one table of
-    edges + 1 levels built per call, so no 2^n phase array is built.
+    2^(-|B|/2); the X on the clock swaps the two halves. The other steps are
+    diagonal, and each is one _multiply_by_levels sweep (amplitude first)
+    over a small table built once per call, so no 2^n phase or mask array
+    is built: the global CZ multiplies the clock-1 half by the sign table
+    +1, -1, +1, ... gathered by hamming_weights, and each half-time
+    evolution multiplies both clock halves by the coupling phases of
+    edges + 1 levels gathered by aligned_edges.
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
@@ -389,6 +392,7 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     b_qubits = sorted(lattice.partition_b)
     b_scale = 2.0 ** (-0.5 * len(b_qubits))
     half_phases, aligned = zz_phase_levels(lattice, 0.5), aligned_edges(lattice)
+    signs = np.resize(np.array([1, -1], dtype=np.complex128), n + 1)
 
     def hadamard_b(amplitudes: np.ndarray) -> None:
         _hadamard_butterflies(amplitudes, b_qubits)
@@ -398,7 +402,10 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
         for part in (amplitudes[:dim], amplitudes[dim:]):
             _multiply_by_levels(part, half_phases, aligned, table_first=False)
 
-    flip_b = (hadamard_b, _apply_global_cz_inplace, hadamard_b)
+    def global_cz(amplitudes: np.ndarray) -> None:
+        _multiply_by_levels(amplitudes[dim:], signs, hamming_weights(n), table_first=False)
+
+    flip_b = (hadamard_b, global_cz, hadamard_b)
     for step in (*flip_b, evolve_half, *flip_b, _swap_halves_inplace, evolve_half):
         step(a)
         state = PureState(n + 1, a)  # the norm check every step's output passes

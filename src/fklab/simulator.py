@@ -19,7 +19,9 @@ A string z enters every diagonal phase through two small integers: its
 Hamming weight w (hamming_weights, int8) and its count k of aligned edges
 (aligned_edges, uint8), with interaction energy E = 2k - edges. A phase
 table has one entry per level, n + 1 by weight or edges + 1 by k, and
-_multiply_by_levels gathers it per string.
+_multiply_by_levels gathers it per string. That one kernel applies every
+diagonal in place: the coupling phases by k, the input tilt by w, and the
+echo's global controlled Z, a sign table (-1)^w on the clock-1 half.
 """
 
 from __future__ import annotations
@@ -249,24 +251,6 @@ def walsh_hadamard(state: PureState) -> PureState:
     _hadamard_butterflies(a, range(n))
     a *= 2.0 ** (-0.5 * n)
     return PureState(n, a)
-
-
-def _apply_global_cz_inplace(a: np.ndarray) -> None:
-    """Controlled Z from the top qubit of `a` onto every other qubit: an
-    amplitude of the upper half flips sign iff its index in that half has
-    odd weight. Nothing is checked.
-
-    The odd-weight pattern over the lower qubits is built by doubling, one
-    qubit at a time, and only the upper half is touched.
-    """
-    half = a.size >> 1
-    odd = np.zeros(half, dtype=np.bool_)
-    for q in range(half.bit_length() - 1):
-        np.logical_not(odd[: 1 << q], out=odd[1 << q : 2 << q])
-    upper = a[half:]
-    # Multiplying by -1 rather than negating keeps every bit, signed zeros
-    # included, equal to the int64-mask reference in tests/conftest.py.
-    np.multiply(upper, -1, out=upper, where=odd)
 
 
 def _vose_build(

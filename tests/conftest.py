@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
-from fklab.lattice import InputSpec, InputType, build_lattice
+from fklab.lattice import InputSpec, InputType
 from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import (
     MAX_STATE_QUBITS,
@@ -635,11 +635,6 @@ def reference_merge(partials):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-@pytest.fixture
-def lattice_2x2():
-    return build_lattice(2, 2)
 
 
 @pytest.fixture

@@ -638,6 +638,32 @@ def test_run_copy_budget_guard_exit_3(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("route", ["config", "--reps"])
+def test_run_repetition_guard_exit_3_before_any_output(tmp_path, capsys, monkeypatch, route):
+    def build(*args):
+        raise AssertionError("a model was built past the repetition guard")
+
+    monkeypatch.setattr(cli, "make_honest_model", build)
+    config = _base_config()
+    argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    if route == "config":
+        config["repetitions"] = cli.MAX_REPETITIONS + 1
+    else:
+        argv += ["--reps", str(cli.MAX_REPETITIONS + 1)]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(argv) == 3
+    assert "repetition guard" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_repetition_guard_admits_the_cap(tmp_path):
+    config = _base_config()
+    config["repetitions"] = cli.MAX_REPETITIONS
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.load_experiment_config(str(cfg))["repetitions"] == cli.MAX_REPETITIONS
+
+
 def test_echo_check_small_lattices(capsys):
     assert main(["echo-check", "1", "2"]) == 0
     assert main(["echo-check", "2", "2", "--seed", "3"]) == 0

@@ -382,10 +382,10 @@ def test_echo_clock_balance(lattice, spec):
 def test_echo_norm_check_catches_a_skipped_butterfly(monkeypatch, lattice, spec):
     # A layer that skips one of its qubits is still scaled by 2^(-|B|/2), so
     # it leaves norm^2 1/2, and the check right after it raises: the global
-    # CZ that follows never runs.
+    # CZ and both half-time evolutions, which all come after it, never run.
     butterflies, ran = prover._hadamard_butterflies, []
     monkeypatch.setattr(prover, "_hadamard_butterflies", lambda a, qubits: butterflies(a, qubits[1:]))
-    monkeypatch.setattr(prover, "_apply_global_cz_inplace", ran.append)
+    monkeypatch.setattr(prover, "_multiply_by_levels", lambda *args: ran.append(args))
     with pytest.raises(ValidationError, match="norm"):
         echo_prepare(lattice, spec)
     assert ran == []
@@ -631,7 +631,6 @@ def test_model_is_its_scalars_and_setup_runs_no_gate_kernel(monkeypatch, lattice
         raise AssertionError("a gate kernel ran during set-up")
 
     monkeypatch.setattr(prover, "_hadamard_butterflies", gate_kernel)
-    monkeypatch.setattr(prover, "_apply_global_cz_inplace", gate_kernel)
     monkeypatch.setattr(prover, "_swap_halves_inplace", gate_kernel)
     mode_distributions(make_degraded_model(lattice, spec, 0.97, 0.95))
     mode_distributions(honest(lattice, spec, input_tilt=0.05, depolarizing_rate=0.1))

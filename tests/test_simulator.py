@@ -17,7 +17,6 @@ from fklab.simulator import (
     PureState,
     FORMAT_BLOCK,
     STRING_BLOCK,
-    _apply_global_cz_inplace,
     _hadamard_butterflies,
     _multiply_by_levels,
     _swap_halves_inplace,
@@ -218,10 +217,14 @@ def swap_halves(amplitudes):
 
 
 def global_cz(amplitudes):
-    """_apply_global_cz_inplace on a copy of `amplitudes`: controlled Z from
-    the top qubit onto every other qubit."""
+    """The echo's global CZ on a copy of `amplitudes`: controlled Z from the
+    top qubit onto every other qubit, as echo_prepare applies it, by
+    _multiply_by_levels on the top qubit's 1 half with the sign table +1, -1,
+    +1, ... gathered at each string's Hamming weight, amplitude first."""
     a = amplitudes.copy()
-    _apply_global_cz_inplace(a)
+    n = a.size.bit_length() - 2
+    signs = np.resize(np.array([1, -1], dtype=np.complex128), n + 1)
+    _multiply_by_levels(a[a.size >> 1 :], signs, hamming_weights(n), table_first=False)
     return a
 
 
@@ -318,11 +321,13 @@ def test_global_cz_matches_dense(rng):
     assert np.max(np.abs(global_cz(amps) - dense)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
+@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES, 18, 19])
 def test_global_cz_bit_identical_to_reference(n, rng):
     # The echo's one shape: control on the top qubit n - 1, every other
     # qubit a target. Zeros of either sign must flip as the reference's
-    # multiplication by -1 flips them, which np.negative would not.
+    # multiplication by -1 flips them, which np.negative would not, and the
+    # product by +1 must keep them. At n = 18 and 19 the top qubit's 1 half
+    # spans 2 and 4 STRING_BLOCKs.
     before = random_state_vector(n, rng)
     before[::3] = 0.0
     before[1::3] = -0.0
