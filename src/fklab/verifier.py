@@ -4,9 +4,8 @@ Copies are processed in fixed 65536-copy chunks. Chunk c draws all of its
 randomness from the substream (master_seed, TAG_COPIES, c) in a fixed layout.
 One kernel measures a chunk MEASURE_BLOCK copies at a time, picking outcomes
 only for the copies a branch measures, grouped by the table they draw from. A
-run reduces the picks at once to counters (a basis's sum of clock * u is one
-numpy pairwise sum per chunk, in copy order) and published samples, and merges
-the chunks' partials in chunk order, so results are byte-identical for any
+run reduces the picks at once to integer counters, exact in any order, and
+published samples, joined in chunk order, so results are byte-identical for any
 thread count. No per-copy record is kept: the transcript is the model's tables
 and the seed, and it re-measures chunk c, scattering the same picks into
 per-copy columns, whenever its records are read.
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -50,7 +49,7 @@ from .errors import CapacityError, DimensionMismatchError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import HistoryStateModel, ModeDistributions, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
-from .simulator import aligned_edges, bitstring_blocks, zz_phase_levels
+from .simulator import aligned_edges, bitstring_blocks
 
 CHUNK_SIZE = 1 << 16
 # A chunk is measured this many copies at a time, so that the allocator keeps
@@ -92,7 +91,9 @@ class ProtocolConfig:
 
 @dataclass
 class Counters:
-    """Protocol accumulators."""
+    """Protocol accumulators. prop_counts counts the propagation copies by
+    basis y (1 for Y), reported clock (minus for -1) and aligned-edge count k
+    at 8 y + 4 minus + (k & 3); s_xu, s_yu, n_x and n_y come from it (_merge)."""
 
     s_xu: complex = 0.0 + 0.0j
     s_yu: complex = 0.0 + 0.0j
@@ -102,6 +103,7 @@ class Counters:
     n_in_plus_0: int = 0
     n_total_sampling: int = 0
     n_clock_minus: int = 0
+    prop_counts: tuple[int, ...] = (0,) * 16
 
     @property
     def n_input_test(self) -> int:
@@ -168,9 +170,8 @@ class ProtocolTranscript:
     (module docstring), from which a record decodes b_sampling, b_testtype
     and the basis; the reported clock outcome; and the system outcome
     sys_idx, -1 when no system measurement happened. A propagation copy's
-    u = e^{-i pi E/4}, E = 2k - edges, is read from u_levels, the edges + 1
-    unit-time phases, at the outcome's aligned-edge count k (levels, the
-    cached uint8 simulator.aligned_edges).
+    u = e^{-i pi E/4}, E = 2k - edges, is g (-i)^k (_times_g), read at the
+    outcome's aligned-edge count k (levels, the cached simulator.aligned_edges).
     """
 
     num_copies: int
@@ -179,11 +180,7 @@ class ProtocolTranscript:
     eps: float
     dists: ModeDistributions
     levels: np.ndarray
-    u_levels: np.ndarray
-
-    def u_values(self, outcomes: np.ndarray) -> np.ndarray:
-        """u of each propagation outcome: entry k of u_levels."""
-        return self.u_levels[self.levels[outcomes]]
+    edges: int
 
     def iter_records(self):
         for c in self._chunks():
@@ -281,29 +278,23 @@ class ProtocolTranscript:
         reported clock) is clear."""
         n = self.dists.num_system
         counters = Counters()
-        samples, x_picks, y_picks = [], [], []
+        samples, prop_counts = [], np.zeros(16, dtype=np.int64)
         for _, key, _, picks, (s, p, x) in self._picks(chunk_index):
-            sampled, in_plus = picks[:s], picks[s:p]
+            sampled, in_plus, prop = picks[:s], picks[s:p], picks[p:]
             n_sampling = int(np.count_nonzero(key & 4))
             n_in_plus = int(np.count_nonzero(key < 2))
             counters.n_total_sampling += n_sampling
             counters.n_in_plus += n_in_plus
-            counters.n_clock_minus += key.size - n_sampling - n_in_plus - (picks.size - p)
+            counters.n_clock_minus += key.size - n_sampling - n_in_plus - prop.size
             counters.n_in_plus_0 += int(np.count_nonzero(in_plus == 0))
             if self.eps > 0.0:
                 sampled = sampled[(sampled >> n) == 0]
             samples.append(sampled.astype(np.uint32))
-            x_picks.append(picks[p:x].copy())
-            y_picks.append(picks[x:].copy())
-        # Row m of signed_u is (1 - 2m) u, made by the same float64-by-complex
-        # multiply as a copy's clock * u, so each sum, in copy order, is bit for
-        # bit the sum of the per-copy products.
-        signed_u = np.multiply.outer((1.0, -1.0), self.u_levels).reshape(-1)
-        for (total, size), parts in ((("s_xu", "n_x"), x_picks), (("s_yu", "n_y"), y_picks)):
-            j = np.concatenate(parts)
-            entry = (j >> n) * self.u_levels.size + np.take(self.levels, j & ((1 << n) - 1))
-            setattr(counters, total, complex(np.sum(np.take(signed_u, entry))))
-            setattr(counters, size, j.size)
+            cell = np.take(self.levels, prop & ((1 << n) - 1)) & 3
+            cell |= (prop >> n << 2).astype(np.uint8)
+            cell[x - p :] |= 8
+            prop_counts += np.bincount(cell, minlength=16)
+        counters.prop_counts = tuple(prop_counts.tolist())
         return counters, np.concatenate(samples)
 
     def _records(self, chunk_index: int):
@@ -312,8 +303,8 @@ class ProtocolTranscript:
         start = chunk_index * self.chunk_size
         blocks = bitstring_blocks(sys_idx[sys_idx >= 0], self.dists.num_system)
         outcomes = (z for block in blocks for z in block.split("\n"))
-        u = self.u_values(sys_idx[(code >> 1) == 1])
-        u_pairs = iter(zip(u.real.tolist(), u.imag.tolist()))
+        pairs = [(u.real, u.imag) for u in (_times_g(self.edges, *z) for z in _MINUS_I_POWERS)]
+        u_pairs = map(pairs.__getitem__, (self.levels[sys_idx[(code >> 1) == 1]] & 3).tolist())
         for i, c, clock_outcome, z in zip(
             range(start, start + code.size), code.tolist(), clock.tolist(), sys_idx.tolist()
         ):
@@ -330,16 +321,33 @@ class ProtocolTranscript:
 
 
 _BASIS_NAMES = {2: "X", 3: "Y"}
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^r, r = 0..3, as (re, im)
 
 
-def _merge(partials) -> tuple[Counters, np.ndarray]:
-    """Sum per-chunk counters in chunk order and join their samples."""
-    total = Counters()
+def _times_g(edges: int, re: int, im: int) -> complex:
+    """g (re + i im), g = e^{i pi edges/4}, from integer components: exact
+    for even edges (g = 1, i, -1, -i), one product by sqrt(1/2) for odd."""
+    re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[edges // 2 % 4]
+    if edges % 2:
+        return complex(np.sqrt(0.5) * (re - im), np.sqrt(0.5) * (re + im))
+    return complex(re, im)
+
+
+def _merge(partials, edges: int) -> tuple[Counters, np.ndarray]:
+    """Sum per-chunk counters, all integers, so exact in any order, and join
+    their samples in chunk order. s_xu, s_yu, n_x and n_y, zero in a partial,
+    come from the merged counts: g times the sum of clock (-i)^k per basis."""
+    total, counts = Counters(), np.zeros(16, dtype=np.int64)
     samples = [np.zeros(0, dtype=np.uint32)]
     for counters, chunk_samples in partials:
-        for f in fields(Counters):
-            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+        for name in ("n_in_plus", "n_in_plus_0", "n_total_sampling", "n_clock_minus"):
+            setattr(total, name, getattr(total, name) + getattr(counters, name))
+        counts += counters.prop_counts
         samples.append(chunk_samples)
+    total.prop_counts = tuple(counts.tolist())
+    plus, minus = counts.reshape(2, 2, 4).transpose(1, 0, 2)  # [clock][basis, k & 3]
+    total.n_x, total.n_y = (plus + minus).sum(axis=1).tolist()
+    total.s_xu, total.s_yu = (_times_g(edges, *z) for z in (plus - minus) @ _MINUS_I_POWERS)
     return total, np.concatenate(samples)
 
 
@@ -406,7 +414,7 @@ def run_protocol(
         eps=noise.measurement_flip_rate if noise is not None else 0.0,
         dists=dists,
         levels=aligned_edges(lattice),
-        u_levels=zz_phase_levels(lattice, 1.0),
+        edges=lattice.num_edges,
     )
     chunks = transcript._chunks()
     n_threads = resolve_threads(threads)
@@ -415,11 +423,10 @@ def run_protocol(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            counters, samples = _merge(pool.map(transcript._reduce, chunks))
+            counters, samples = _merge(pool.map(transcript._reduce, chunks), transcript.edges)
     else:
-        counters, samples = _merge(map(transcript._reduce, chunks))
-    report = _build_report(counters, samples, config, dists.num_system)
-    return transcript, report
+        counters, samples = _merge(map(transcript._reduce, chunks), transcript.edges)
+    return transcript, _build_report(counters, samples, config, dists.num_system)
 
 
 def _build_report(
@@ -435,8 +442,7 @@ def _build_report(
     if counters.n_input_test == 0:
         reasons.append("no input-test copies")
 
-    o10_m = None
-    o10_sq = None
+    o10_m = o10_sq = None
     if counters.n_x > 0 and counters.n_y > 0:
         h_x = counters.s_xu / counters.n_x
         h_y = counters.s_yu / counters.n_y
@@ -446,21 +452,14 @@ def _build_report(
     p_samp_m = (
         counters.n_clock_minus / counters.n_input_test if counters.n_input_test > 0 else None
     )
-
-    if reasons:
-        accepted = False
-        reason = "; ".join(reasons)
-    else:
-        accepted = decide(o10_sq, f_in_m, p_samp_m, config)
-        reason = None
     return EstimatorReport(
         f_in_m=f_in_m,
         p_samp_m=p_samp_m,
         o10_m=o10_m,
         o10_sq_scaled=o10_sq,
-        accepted=accepted,
+        accepted=not reasons and decide(o10_sq, f_in_m, p_samp_m, config),
         samples=samples,
         counters=counters,
         num_system=num_system,
-        undefined_reason=reason,
+        undefined_reason="; ".join(reasons) or None,
     )

@@ -7,6 +7,7 @@ fast diagonal-phase kernels.
 
 import math
 from dataclasses import fields
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -592,8 +593,31 @@ def reference_process_chunk(dists, master_seed, chunk_index, eps, rows):
         sys_idx[measured] ^= flip_bits[measured]
 
 
-def reference_chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_table):
-    """Counters and published samples of one chunk, from boolean masks."""
+def reference_aligned_edges(lattice):
+    """k per basis string, its count of aligned edges, as (E + edges) / 2 from
+    its reference interaction energy E = 2k - edges, in int64."""
+    return (reference_interaction_energies(lattice).astype(np.int64) + lattice.num_edges) // 2
+
+
+# (-i)^r for r = 0..3, as Gaussian integers (re, im) of Python ints.
+REFERENCE_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def reference_times_g(edges, re, im):
+    """g (re + i im) for Python ints re and im, g = e^{i pi edges/4}, in
+    rationals: g's components are 0, +-1 or +-c, c the double nearest
+    sqrt(1/2), and each component of the product is the double nearest its
+    exact value."""
+    c = Fraction(math.sqrt(0.5))
+    g_re, g_im = ((1, 0), (c, c), (0, 1), (-c, c), (-1, 0), (-c, -c), (0, -1), (c, -c))[edges % 8]
+    return complex(float(g_re * re - g_im * im), float(g_re * im + g_im * re))
+
+
+def reference_chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, aligned):
+    """Counters and published samples of one chunk, from boolean masks. A
+    propagation copy with outcome z counts at 8 y + 4 minus + aligned[z] % 4
+    of prop_counts; as in the verifier's partial, s_xu, s_yu, n_x and n_y
+    stay zero."""
     samp = b_sampling.astype(bool)
     input_test = (~samp) & (~b_testtype.astype(bool))
     has_sys = sys_idx >= 0
@@ -602,33 +626,45 @@ def reference_chunk_counters(b_sampling, b_testtype, basis, clock, sys_idx, u_ta
     samples = sys_idx[stored].astype(np.uint32)
 
     in_plus = input_test & (clock == 1)
+    prop_counts = []
+    for basis_code in (BASIS_X, BASIS_Y):
+        sel = basis == basis_code
+        residue = aligned[sys_idx[sel]] % 4
+        for clock_outcome in (1, -1):
+            for r in range(4):
+                prop_counts.append(int(np.count_nonzero((clock[sel] == clock_outcome) & (residue == r))))
     counters = Counters(
         n_total_sampling=int(samp.sum()),
         n_clock_minus=int((input_test & (clock == -1)).sum()),
         n_in_plus=int(in_plus.sum()),
         n_in_plus_0=int((in_plus & has_sys & (sys_idx == 0)).sum()),
+        prop_counts=tuple(prop_counts),
     )
-    for basis_code in (BASIS_X, BASIS_Y):
-        sel = basis == basis_code
-        contrib = complex(np.sum(clock[sel].astype(np.float64) * u_table[sys_idx[sel]]))
-        if basis_code == BASIS_X:
-            counters.s_xu = contrib
-            counters.n_x = int(sel.sum())
-        else:
-            counters.s_yu = contrib
-            counters.n_y = int(sel.sum())
     return counters, samples
 
 
-def reference_merge(partials):
+def reference_merge(partials, edges):
     """Sum per-chunk (counters, samples) in chunk order, field by field from
-    zero counters, and join the samples."""
+    zero counters, and join the samples. Each basis's n and its sum of
+    clock * u = g clock (-i)^k then come from the summed counts: the sum of
+    clock (-i)^k as a Gaussian integer of Python ints, times g once."""
     total = Counters()
     samples = [np.zeros(0, dtype=np.uint32)]
     for counters, chunk_samples in partials:
         for f in fields(Counters):
-            setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+            if f.name != "prop_counts":
+                setattr(total, f.name, getattr(total, f.name) + getattr(counters, f.name))
+        total.prop_counts = tuple(a + b for a, b in zip(total.prop_counts, counters.prop_counts))
         samples.append(chunk_samples)
+    for y, (size, name) in enumerate((("n_x", "s_xu"), ("n_y", "s_yu"))):
+        re = im = 0
+        for minus, sign in ((0, 1), (1, -1)):
+            for r, (unit_re, unit_im) in enumerate(REFERENCE_MINUS_I_POWERS):
+                count = total.prop_counts[8 * y + 4 * minus + r]
+                re += sign * count * unit_re
+                im += sign * count * unit_im
+        setattr(total, size, sum(total.prop_counts[8 * y : 8 * y + 8]))
+        setattr(total, name, reference_times_g(edges, re, im))
     return total, np.concatenate(samples)
 
 

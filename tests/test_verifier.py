@@ -1,10 +1,13 @@
 """Protocol state-machine tests: counters, estimators, decision, determinism."""
 
 import json
+import math
 import os
+import re
 import tracemalloc
 from concurrent import futures
 from dataclasses import fields
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +26,7 @@ from fklab.prover import (
     mode_distributions,
 )
 from fklab.rng import TAG_COPIES, substream
-from fklab.simulator import FORMAT_BLOCK, zz_phases
+from fklab.simulator import FORMAT_BLOCK
 from fklab import verifier
 from fklab.verifier import (
     CHUNK_SIZE,
@@ -37,11 +40,15 @@ from fklab.verifier import (
 
 from conftest import (
     BASIS_NONE,
+    BASIS_X,
+    BASIS_Y,
+    REFERENCE_MINUS_I_POWERS,
     decode_code,
+    reference_aligned_edges,
     reference_chunk_counters,
     reference_merge,
     reference_process_chunk,
-    reference_zz_phases,
+    reference_times_g,
     transcript_columns,
     u_value,
 )
@@ -115,16 +122,20 @@ def test_report_recomputable_from_transcript_bit_for_bit(setup_2x2):
     # chunks are merged in order, independently of run_protocol's reduction.
     transcript, report = run(model, lattice, spec, 150_000, seed=21)
     code, clock, sys_idx = transcript_columns(transcript)
-    u_table = reference_zz_phases(lattice, 1.0)
+    aligned = reference_aligned_edges(lattice)
     partials = []
     for start in range(0, transcript.num_copies, transcript.chunk_size):
         chunk = slice(start, start + transcript.chunk_size)
         partials.append(
-            reference_chunk_counters(*decode_code(code[chunk]), clock[chunk], sys_idx[chunk], u_table)
+            reference_chunk_counters(*decode_code(code[chunk]), clock[chunk], sys_idx[chunk], aligned)
         )
-    counters, samples = reference_merge(partials)
+    counters, samples = reference_merge(partials, lattice.num_edges)
     assert len(partials) == 3
+    # Every counter, the 16 propagation counts among them, and s_xu and s_yu:
+    # 2x2 has 4 edges, so g = -1 and the sums are Gaussian integers, exactly.
     assert counters == report.counters
+    for s in (report.counters.s_xu, report.counters.s_yu):
+        assert s.real.is_integer() and s.imag.is_integer()
     assert np.array_equal(samples, report.samples)
     o10_again = 4.0 * abs((counters.s_xu / counters.n_x - 1j * counters.s_yu / counters.n_y) / 2.0) ** 2
     assert o10_again == report.o10_sq_scaled
@@ -164,6 +175,58 @@ def test_u_column_matches_u_value(setup_2x2):
         assert abs(complex(*records[i]["u"]) - u_value(signs, lattice)) < 1e-10
 
 
+def test_odd_edge_sums_are_g_times_the_per_copy_gaussian_integer():
+    # 2x3 has 7 edges, so g = (1 - i) / sqrt(2). Each basis's sum of
+    # clock (-i)^k is summed copy by copy in Python ints, with k = (E + edges)
+    # / 2 from the reference energies. The reported sum is g times it, rounded
+    # as documented, and within two ulps of the exact value, in rationals.
+    model, _ = _kernel_model("honest", 2, 3)
+    lattice = model.lattice
+    assert lattice.num_edges == 7
+    config = ProtocolConfig(num_copies=CHUNK_SIZE + 999, master_seed=17)
+    transcript, report = run_protocol(model, lattice, model.input_spec, config)
+    code, clock, sys_idx = transcript_columns(transcript)
+    basis = decode_code(code)[2]
+    aligned = reference_aligned_edges(lattice).tolist()
+    for basis_code, s in ((BASIS_X, report.counters.s_xu), (BASIS_Y, report.counters.s_yu)):
+        sel = basis == basis_code
+        re_sum = im_sum = 0
+        for c, z in zip(clock[sel].tolist(), sys_idx[sel].tolist()):
+            unit_re, unit_im = REFERENCE_MINUS_I_POWERS[aligned[z] % 4]
+            re_sum += c * unit_re
+            im_sum += c * unit_im
+        assert s == reference_times_g(7, re_sum, im_sum)
+        # g (re + i im) = ((re + im) + i (im - re)) / sqrt(2)
+        for got, scaled in ((s.real, re_sum + im_sum), (s.imag, im_sum - re_sum)):
+            assert scaled != 0 and (got > 0) == (scaled > 0)
+            lo = Fraction(abs(got) - 2 * math.ulp(got))
+            hi = Fraction(abs(got) + 2 * math.ulp(got))
+            assert 2 * lo * lo < scaled * scaled < 2 * hi * hi
+
+
+def test_report_and_transcript_print_no_signed_zero(setup_2x2):
+    # On 2x2 (4 edges, a cycle) g = -1 and k is even, so u is -1 or 1 and
+    # the sums are real: zero imaginary parts, which a complex product by g
+    # would print as -0.0.
+    signed_zero = re.compile(r"-0\.0(?![0-9])")
+    lattice, spec, model = setup_2x2
+    transcript, report = run(model, lattice, spec, 20_000, seed=6)
+    assert not signed_zero.search(json.dumps(report.to_json_dict()))
+    u_printed = set()
+    for record in transcript.iter_records():
+        assert not signed_zero.search(json.dumps(record))
+        if record["u"] is not None:
+            u_printed.add(json.dumps(record["u"]))
+    assert u_printed == {"[1.0, 0.0]", "[-1.0, 0.0]"}
+    assert report.counters.s_xu.imag == report.counters.s_yu.imag == 0.0
+    # A merged sum of one count, at every cell and every g.
+    for cell in range(16):
+        counters = verifier.Counters(prop_counts=tuple(int(i == cell) for i in range(16)))
+        for edges in range(8):
+            merged, _ = verifier._merge([(counters, np.zeros(0, dtype=np.uint32))], edges)
+            assert not signed_zero.search(json.dumps(merged.to_json_dict()))
+
+
 def _old_bitstring(index, num_bits):
     return format(index, f"0{num_bits}b")[::-1]
 
@@ -201,7 +264,11 @@ def test_transcript_jsonl_matches_per_copy_reference(prover):
     transcript, _ = run_protocol(model, lattice, spec, config, noise=noise)
     records = list(transcript.iter_records())
     lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
-    u_table = zz_phases(lattice, 1.0)
+    # u = g (-i)^k per basis string, k = (E + edges) / 2.
+    u_table = [
+        reference_times_g(lattice.num_edges, *REFERENCE_MINUS_I_POWERS[k % 4])
+        for k in reference_aligned_edges(lattice).tolist()
+    ]
     columns, n = transcript_columns(transcript), transcript.dists.num_system
     reference = [
         json.dumps(_record_per_copy(columns, n, i, u_table), sort_keys=True) + "\n"
@@ -262,9 +329,9 @@ def test_process_chunk_decodes_the_documented_words(monkeypatch):
     monkeypatch.setattr(verifier, "substream", lambda *key: stream)
 
     count = len(cases)
-    levels = np.arange(dim, dtype=np.uint8) % 3
-    u_levels = np.exp(1j * np.arange(3.0))
-    transcript = verifier.ProtocolTranscript(count, count, 0, 0.0, dists, levels, u_levels)
+    # Arbitrary aligned-edge counts, every residue mod 4 among them.
+    levels = (np.arange(dim) * 3 % 7).astype(np.uint8)
+    transcript = verifier.ProtocolTranscript(count, count, 0, 0.0, dists, levels, 5)
     code, clock, sys_idx = transcript._measure(0)
     for i, (c, minus_bit, bin_, below) in enumerate(cases):
         j = bin_ if below else int(alias[table_of_code[c], bin_])
@@ -275,10 +342,13 @@ def test_process_chunk_decodes_the_documented_words(monkeypatch):
             expected = (-1 if minus_bit else 1, j if measured else -1)
         assert (code[i], clock[i], sys_idx[i]) == (c, *expected), cases[i]
     counters, samples = transcript._reduce(0)
-    expected = reference_chunk_counters(*decode_code(code), clock, sys_idx, u_levels[levels])
+    expected = reference_chunk_counters(*decode_code(code), clock, sys_idx, levels)
     assert counters == expected[0]
     assert samples.dtype == expected[1].dtype
     assert np.array_equal(samples, expected[1])
+    # The merge at every eighth root of unity g = e^{i pi edges/4}.
+    for edges in range(8):
+        assert verifier._merge([(counters, samples)], edges)[0] == reference_merge([expected], edges)[0]
 
 
 def _kernel_model(kind, rows, cols):
@@ -310,12 +380,13 @@ def _reference_run(model, num_copies, master_seed, eps):
         np.empty(num_copies, dtype=np.int8),
         np.empty(num_copies, dtype=np.int32),
     )
+    aligned = reference_aligned_edges(model.lattice)
     partials = []
     for start in range(0, num_copies, CHUNK_SIZE):
         rows = tuple(column[start : start + CHUNK_SIZE] for column in columns)
         reference_process_chunk(dists, master_seed, start // CHUNK_SIZE, eps, rows)
-        partials.append(reference_chunk_counters(*rows, zz_phases(model.lattice, 1.0)))
-    return (columns, *reference_merge(partials))
+        partials.append(reference_chunk_counters(*rows, aligned))
+    return (columns, *reference_merge(partials, model.lattice.num_edges))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)])
@@ -576,18 +647,18 @@ def test_same_seed_reproduces_everything(setup_2x2):
     assert np.array_equal(clock1, clock2)
 
 
-def _assert_same_at_one_and_eight_threads(model, monkeypatch, noise=None):
+def _assert_same_at_one_and_eight_threads(model, monkeypatch, noise=None, num=3 * CHUNK_SIZE + 777):
     # Eight usable CPUs, so that eight threads run whatever this host has.
+    # The default num is multiple chunks plus a partial one.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     lattice, spec = model.lattice, model.input_spec
-    num = 3 * CHUNK_SIZE + 777  # multiple chunks plus a partial one
     config = ProtocolConfig(num_copies=num, master_seed=314)
     t1, r1 = run_protocol(model, lattice, spec, config, noise=noise, threads=1)
     t8, r8 = run_protocol(model, lattice, spec, config, noise=noise, threads=8)
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
         r8.to_json_dict(), sort_keys=True
     )
-    assert r1.counters.s_xu == r8.counters.s_xu  # bitwise, not approximate
+    assert r1.counters == r8.counters  # s_xu and s_yu bitwise, not approximate
     columns1, columns8 = transcript_columns(t1), transcript_columns(t8)
     for got, expected in zip(columns8, columns1):
         assert np.array_equal(got, expected)
@@ -604,6 +675,13 @@ def test_thread_count_does_not_change_flipped_degraded_results(monkeypatch):
     # them either.
     model, noise = _kernel_model("degraded_flip", 3, 3)
     _assert_same_at_one_and_eight_threads(model, monkeypatch, noise)
+
+
+def test_thread_count_does_not_change_odd_edge_results(monkeypatch):
+    # 2x3 has 7 edges, so g = (1 - i) sqrt(1/2) rounds the sums: it must
+    # multiply them once, after the merge, at any thread count.
+    model, noise = _kernel_model("degraded_flip", 2, 3)
+    _assert_same_at_one_and_eight_threads(model, monkeypatch, noise, num=2 * CHUNK_SIZE + 99)
 
 
 def test_thread_count_is_capped_at_the_usable_cpus(monkeypatch):
