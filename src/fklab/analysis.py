@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    FklabError,
-    InconsistentInputsError,
-    NotInvertibleError,
-    OutOfRegimeError,
-    ValidationError,
-)
+from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, LatticeGeometry, build_lattice, random_input
 from .prover import ideal_history_state
 from .rng import TAG_BOUNDS, substream
@@ -141,7 +133,7 @@ class DensityMatrix:
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         dim = 1 << self.num_qubits
         if self.matrix.shape != (dim, dim):
-            raise DimensionMismatchError(f"expected {dim}x{dim} matrix, got {self.matrix.shape}")
+            raise ValidationError(f"expected {dim}x{dim} matrix, got {self.matrix.shape}")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERMITIAN_ATOL:
             raise ValidationError("matrix is not Hermitian within 1e-10")
         tr = complex(np.trace(self.matrix))
@@ -184,11 +176,9 @@ def exact_parameters(
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(f"exact parameters at {n} system qubits exceeds the guard")
     if input_spec.num_qubits != n:
-        raise DimensionMismatchError("input spec size does not match lattice")
+        raise ValidationError("input spec size does not match lattice")
     if rho.num_qubits != n + 1:
-        raise DimensionMismatchError(
-            f"density matrix has {rho.num_qubits} qubits, expected {n + 1}"
-        )
+        raise ValidationError(f"density matrix has {rho.num_qubits} qubits, expected {n + 1}")
     dim = 1 << n
     phi_in = product_state(input_spec).amplitudes
     u_diag = zz_phases(lattice, 1.0)
@@ -221,7 +211,7 @@ def tvd(p, q) -> float:
     """Total variation distance (1/2) sum |p - q|."""
     p_arr, q_arr = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p_arr.shape != q_arr.shape:
-        raise DimensionMismatchError(f"support sizes differ: {p_arr.shape} vs {q_arr.shape}")
+        raise ValidationError(f"support sizes differ: {p_arr.shape} vs {q_arr.shape}")
     return 0.5 * float(np.abs(p_arr - q_arr).sum())
 
 
@@ -242,9 +232,7 @@ def stochastic_trace_bound(delta_f: float, delta_p: float) -> float:
         raise ValidationError("delta_f and delta_p must be in [0, 1]")
     radicand = delta_f - delta_f**2 / 2.0 - delta_p / 2.0
     if radicand < -1e-12:
-        raise InconsistentInputsError(
-            f"impurity {delta_p} exceeds what infidelity {delta_f} permits"
-        )
+        raise ValidationError(f"impurity {delta_p} exceeds what infidelity {delta_f} permits")
     return delta_f + math.sqrt(max(0.0, radicand))
 
 
@@ -276,7 +264,7 @@ def noisy_measurement_tvd_bound(delta_f: float, eps: float, n: int) -> float:
     if eps < 0:
         raise ValidationError("eps must be non-negative")
     if eps * n >= 1.0:
-        raise OutOfRegimeError(f"eps*n = {eps * n} is out of the eps*n < 1 regime")
+        raise ValidationError(f"eps*n = {eps * n} is out of the eps*n < 1 regime")
     return (1.0 - eps * n) * math.sqrt(delta_f) + eps * n
 
 
@@ -284,7 +272,7 @@ def convolve_flip_noise(probabilities: np.ndarray, eps: float, n: int) -> np.nda
     """Exact outcome distribution after independent per-bit flips at rate eps."""
     p = np.asarray(probabilities, dtype=np.float64).copy()
     if p.size != 1 << n:
-        raise DimensionMismatchError(f"expected {1 << n} probabilities")
+        raise ValidationError(f"expected {1 << n} probabilities")
     for k in range(n):
         p = p.reshape(-1, 2, 1 << k)
         keep = p.copy()
@@ -420,7 +408,7 @@ def generalized_echo_prepare(terms, p: str, input_state: PureState, time: float)
     """History-state preparation for any Hamiltonian with a sign-inverting P:
     _echo_circuit on the dense H of `terms` and the dense P.
 
-    Raises CapacityError past the dense-echo guard and NotInvertibleError
+    Raises CapacityError past the dense-echo guard and ValidationError
     when P does not anticommute with every term.
     """
     n = input_state.num_qubits
@@ -429,7 +417,7 @@ def generalized_echo_prepare(terms, p: str, input_state: PureState, time: float)
             f"{n + 1} qubits exceeds the {MAX_CLOCKED_QUBITS}-qubit dense-echo guard"
         )
     if not php_negation_check(terms, p):
-        raise NotInvertibleError("P does not anticommute with every Hamiltonian term")
+        raise ValidationError("P does not anticommute with every Hamiltonian term")
     _validate_pauli_label(p, n)
     h = dense_hamiltonian(terms, n)
     return PureState(n + 1, _echo_circuit(h, dense_pauli(p), input_state.amplitudes, time))
@@ -515,15 +503,13 @@ class SuiteResult:
 def _tally(name: str, margins) -> SuiteResult:
     """Count the checks and the violations (margin > 0) of a stream of
     margins, and keep the worst margin (-inf when there is none). A
-    FklabError other than CapacityError that ends the stream is one more
-    check, violated with margin inf, and its text is printed to stderr."""
+    ValidationError that ends the stream is one more check, violated with
+    margin inf, and its text is printed to stderr."""
     counted = []
     try:
         for margin in margins:
             counted.append(margin)
-    except FklabError as exc:
-        if isinstance(exc, CapacityError):
-            raise
+    except ValidationError as exc:
         print(f"{name}: a check raised, counted as a violation: {exc}", file=sys.stderr)
         counted.append(math.inf)
     violations = sum(margin > 0 for margin in counted)

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import SUITE_NAMES, run_bound_suite
-from .errors import CapacityError, FklabError
+from .errors import CapacityError, ValidationError
 from .lattice import build_lattice, random_input
 from .prover import (
     MAX_ECHO_SYSTEM_QUBITS,
@@ -32,7 +32,7 @@ from .prover import (
 )
 from .rng import TAG_INPUT, TAG_REPETITION, child_seed, substream
 from .simulator import MAX_STATE_QUBITS, state_fidelity
-from .verifier import ProtocolConfig, run_protocol
+from .verifier import ProtocolConfig, resolve_threads, run_protocol
 
 ECHO_FIDELITY_FLOOR = 1.0 - 1e-10
 DEGRADED_TARGETS = ("target_o10_sq", "target_f_in")
@@ -41,46 +41,42 @@ DEGRADED_TARGETS = ("target_o10_sq", "target_f_in")
 MAX_REPETITIONS = 1000
 
 
-class ConfigError(FklabError, ValueError):
-    """Raised for malformed experiment configs; maps to exit code 2."""
-
-
 def _require(data: dict, key: str, context: str):
     if key not in data:
-        raise ConfigError(f"missing required field {key!r} in {context}")
+        raise ValidationError(f"missing required field {key!r} in {context}")
     return data[key]
 
 
 def _object(value, context: str, keys) -> dict:
     """A JSON object whose keys are all among `keys`."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a JSON object, got {value!r}")
+        raise ValidationError(f"{context} must be a JSON object, got {value!r}")
     unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ConfigError(f"{context} has unknown keys {unknown}; allowed: {sorted(keys)}")
+        raise ValidationError(f"{context} has unknown keys {unknown}; allowed: {sorted(keys)}")
     return value
 
 
 def _int(value, context: str) -> int:
     """A JSON integer: no bool, string or float."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be a JSON integer, got {value!r}")
+        raise ValidationError(f"{context} must be a JSON integer, got {value!r}")
     return value
 
 
 def _float(value, context: str) -> float:
     """A finite JSON number: no bool, string, NaN or infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} must be a JSON number, got {value!r}")
+        raise ValidationError(f"{context} must be a JSON number, got {value!r}")
     if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{context} must be finite, got {value!r}")
+        raise ValidationError(f"{context} must be finite, got {value!r}")
     return float(value)
 
 
 def _seed(value, context: str) -> int:
     seed = _int(value, context)
     if seed < 0:
-        raise ConfigError(f"{context} must be non-negative, got {seed}")
+        raise ValidationError(f"{context} must be non-negative, got {seed}")
     return seed
 
 
@@ -88,7 +84,7 @@ def _check_shape(rows: int, cols: int, max_qubits: int) -> None:
     """Lattice-shape checks made before anything is allocated: exit 2 below
     1x1, exit 3 above `max_qubits` system qubits."""
     if rows < 1 or cols < 1:
-        raise ConfigError(f"lattice dimensions must be at least 1, got {rows}x{cols}")
+        raise ValidationError(f"lattice dimensions must be at least 1, got {rows}x{cols}")
     if rows * cols > max_qubits:
         raise CapacityError(f"{rows}x{cols} lattice exceeds the {max_qubits}-qubit guard")
 
@@ -133,16 +129,16 @@ def _out_dir(text: str) -> str:
 
 
 def _read_json(path: str, what: str):
-    """The JSON value in the file at `path`, or ConfigError naming `what`."""
+    """The JSON value in the file at `path`, or ValidationError naming `what`."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
     # literal past Python's digit limit; RecursionError, nesting too deep.
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_experiment_config(path: str) -> dict:
@@ -179,7 +175,7 @@ def load_experiment_config(path: str) -> dict:
         # A degraded prover's state is fixed by its targets; only readout noise applies.
         prover_keys, noise_keys = ("type", "noise", *DEGRADED_TARGETS), ("meas_flip",)
     else:
-        raise ConfigError(f"unknown prover type {kind!r}")
+        raise ValidationError(f"unknown prover type {kind!r}")
     prover_cfg = _object(prover_cfg, "prover", prover_keys)
     noise_cfg = _object(prover_cfg.get("noise", {}), "prover.noise", noise_keys)
     noise = NoiseModel.from_json_dict(
@@ -195,7 +191,7 @@ def load_experiment_config(path: str) -> dict:
     )
     window = proto_cfg.get("psamp_window", [0.494, 0.506])
     if not isinstance(window, list) or len(window) != 2:
-        raise ConfigError(f"protocol.psamp_window must be a list of 2 numbers, got {window!r}")
+        raise ValidationError(f"protocol.psamp_window must be a list of 2 numbers, got {window!r}")
     protocol = ProtocolConfig(
         num_copies=_int(_require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies"),
         master_seed=_seed(_require(proto_cfg, "master_seed", "protocol"), "protocol.master_seed"),
@@ -205,7 +201,7 @@ def load_experiment_config(path: str) -> dict:
     )
     repetitions = _int(raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
-        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+        raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
     _check_repetitions(repetitions, "repetitions")
 
     spec = random_input(lattice.num_qubits, substream(input_seed, TAG_INPUT))
@@ -276,9 +272,11 @@ def cmd_run(args) -> int:
 
 
 def guarded_run(args) -> int:
-    """cmd_run, after a --reps override passes the repetition guard."""
+    """cmd_run, after a --reps override passes the repetition guard and
+    FKLAB_THREADS parses, so neither fails once the model is built."""
     if args.reps is not None:
         _check_repetitions(args.reps, "--reps")
+    resolve_threads()
     return cmd_run(args)
 
 
@@ -366,7 +364,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FklabError as exc:
+    except (ValidationError, OSError) as exc:
+        # An OSError here is an output path the command cannot create or write.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,37 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two exception types, one per CLI exit code."""
 
 
-class FklabError(Exception):
-    """Base class for all package-specific errors."""
+class ValidationError(ValueError):
+    """An input violates a documented invariant: a malformed config, a bad
+    rate, mismatched sizes, a target no search can reach. Exit code 2."""
 
 
-class InvalidDimensionError(FklabError, ValueError):
-    """Lattice dimensions are non-positive or otherwise unusable."""
-
-
-class DimensionMismatchError(FklabError, ValueError):
-    """Operands describe registers of incompatible sizes."""
-
-
-class ValidationError(FklabError, ValueError):
-    """An input violates a documented invariant (non-unitary gate, bad rate, ...)."""
-
-
-class CapacityError(FklabError, RuntimeError):
-    """A request exceeds the desk-scale memory guards."""
-
-
-class SearchFailureError(FklabError, RuntimeError):
-    """A parameter search could not reach the requested target."""
-
-
-class InconsistentInputsError(FklabError, ValueError):
-    """Jointly impossible inputs (e.g. impurity exceeding what the fidelity permits)."""
-
-
-class OutOfRegimeError(FklabError, ValueError):
-    """Inputs fall outside the regime in which a bound is valid."""
-
-
-class NotInvertibleError(FklabError, ValueError):
-    """The requested echo conjugation cannot invert the Hamiltonian sign."""
+class CapacityError(RuntimeError):
+    """A request exceeds the desk-scale memory and work guards. Exit code 3."""

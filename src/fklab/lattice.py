@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import ValidationError
 
 
 class InputType(Enum):
@@ -49,11 +49,11 @@ def build_lattice(rows: int, cols: int) -> LatticeGeometry:
     """Construct the rows x cols nearest-neighbor geometry.
 
     Edges are listed row-major, right neighbor before down neighbor, each as
-    an (i, j) pair with i < j. Raises InvalidDimensionError for non-positive
+    an (i, j) pair with i < j. Raises ValidationError for non-positive
     dimensions.
     """
     if rows < 1 or cols < 1:
-        raise InvalidDimensionError(f"lattice dimensions must be positive, got {rows}x{cols}")
+        raise ValidationError(f"lattice dimensions must be positive, got {rows}x{cols}")
     edges: list[tuple[int, int]] = []
     for r in range(rows):
         for c in range(cols):
@@ -80,6 +80,6 @@ class InputSpec:
 def random_input(n: int, rng: np.random.Generator) -> InputSpec:
     """Draw each qubit's input uniformly from {X_TYPE, Y_TYPE}."""
     if n < 1:
-        raise InvalidDimensionError(f"input length must be positive, got {n}")
+        raise ValidationError(f"input length must be positive, got {n}")
     bits = rng.integers(0, 2, size=n)
     return InputSpec(choices=tuple(InputType.Y_TYPE if b else InputType.X_TYPE for b in bits))

@@ -17,12 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    SearchFailureError,
-    ValidationError,
-)
+from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .simulator import (
     Distribution,
@@ -129,7 +124,7 @@ class HistoryStateModel:
 
     def __post_init__(self):
         if self.input_spec.num_qubits != self.lattice.num_qubits:
-            raise DimensionMismatchError("input spec size does not match lattice")
+            raise ValidationError("input spec size does not match lattice")
         if not 0.0 <= self.depolarizing_rate <= 1.0:
             raise ValidationError(
                 f"depolarizing_rate must be in [0, 1], got {self.depolarizing_rate}"
@@ -294,9 +289,7 @@ def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> 
         if overlap_sq(hi) < target_overlap_sq:
             break
     else:
-        raise SearchFailureError(
-            f"overlap target {target_overlap_sq} unreachable on the monotone segment"
-        )
+        raise ValidationError(f"overlap target {target_overlap_sq} unreachable on the monotone segment")
     lo = hi - 0.02
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -306,7 +299,7 @@ def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> 
             hi = mid
     eta = 0.5 * (lo + hi)
     if abs(overlap_sq(eta) - target_overlap_sq) > TARGET_TOL:
-        raise SearchFailureError("overlap bisection failed to converge")
+        raise ValidationError("overlap bisection failed to converge")
     return eta
 
 
@@ -346,9 +339,9 @@ def make_degraded_model(
     )
     params = exact_model_parameters(model)
     if abs(4.0 * abs(params.tr_rho_o10) ** 2 - target_o10_sq) > 2 * TARGET_TOL:
-        raise SearchFailureError("degraded model missed the o10 target")
+        raise ValidationError("degraded model missed the o10 target")
     if abs(params.f_in - target_f_in) > 2 * TARGET_TOL:
-        raise SearchFailureError("degraded model missed the f_in target")
+        raise ValidationError("degraded model missed the f_in target")
     return model
 
 
@@ -375,7 +368,7 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     """
     n = lattice.num_qubits
     if input_spec.num_qubits != n:
-        raise DimensionMismatchError("input spec size does not match lattice")
+        raise ValidationError("input spec size does not match lattice")
     if n > MAX_ECHO_SYSTEM_QUBITS:
         raise CapacityError(
             f"echo statevector needs {n}+1 qubits, over the {MAX_ECHO_SYSTEM_QUBITS}-qubit guard"

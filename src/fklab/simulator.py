@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, InputType, LatticeGeometry
 
 # Full statevectors are held up to 2^26 amplitudes; dense matrix oracles are
@@ -59,7 +59,7 @@ class PureState:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (1 << self.num_qubits,):
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"expected {1 << self.num_qubits} amplitudes, got {self.amplitudes.shape}"
             )
         norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -343,7 +343,7 @@ class Distribution:
         (see _vose_build) when one is given."""
         p = np.asarray(probabilities, dtype=np.float64)
         if p.shape != (1 << num_bits,):
-            raise DimensionMismatchError(f"expected {1 << num_bits} probabilities, got {p.shape}")
+            raise ValidationError(f"expected {1 << num_bits} probabilities, got {p.shape}")
         # Negated so that NaN probabilities fail too.
         if not np.all(p >= -1e-12):
             raise ValidationError("negative or NaN probability")
@@ -410,7 +410,7 @@ def state_fidelity(a: PureState, b: PureState) -> float:
     order in blocks of 2^16 amplitudes (1 MiB temporaries), so it does not
     depend on the BLAS thread count as np.vdot's order does."""
     if a.num_qubits != b.num_qubits:
-        raise DimensionMismatchError("states have different sizes")
+        raise ValidationError("states have different sizes")
     overlap = 0j
     for start in range(0, a.amplitudes.size, 1 << 16):
         block = slice(start, start + (1 << 16))

@@ -45,7 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, LatticeGeometry
 from .prover import HistoryStateModel, ModeDistributions, NoiseModel, mode_distributions
 from .rng import TAG_COPIES, substream
@@ -403,9 +403,9 @@ def run_protocol(
     than raising.
     """
     if model.lattice != lattice:
-        raise DimensionMismatchError("model lattice differs from the protocol lattice")
+        raise ValidationError("model lattice differs from the protocol lattice")
     if model.input_spec != input_spec:
-        raise DimensionMismatchError("model input spec differs from the protocol input")
+        raise ValidationError("model input spec differs from the protocol input")
     dists = mode_distributions(model)
     transcript = ProtocolTranscript(
         num_copies=config.num_copies,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
+from fklab.errors import CapacityError, ValidationError
 from fklab.lattice import InputSpec, InputType
 from fklab.rng import TAG_COPIES, substream
 from fklab.simulator import (
@@ -172,7 +172,7 @@ def random_state_vector(n, rng):
 def apply_zz_evolution(state, lattice, time):
     """Multiply each basis amplitude by its diagonal coupling phase."""
     if state.num_qubits != lattice.num_qubits:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"state has {state.num_qubits} qubits, lattice has {lattice.num_qubits}"
         )
     return PureState(state.num_qubits, zz_phases(lattice, time) * state.amplitudes)
@@ -182,7 +182,7 @@ def ideal_output_distribution(lattice, spec):
     """X-basis outcome law of the time-1 evolved input state, as an array."""
     n = lattice.num_qubits
     if spec.num_qubits != n:
-        raise DimensionMismatchError(f"input has {spec.num_qubits} qubits, lattice has {n}")
+        raise ValidationError(f"input has {spec.num_qubits} qubits, lattice has {n}")
     if n > MAX_STATE_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_STATE_QUBITS}-qubit guard")
     state = walsh_hadamard(apply_zz_evolution(product_state(spec), lattice, 1.0))
@@ -197,7 +197,7 @@ def u_value(z_outcomes, lattice):
     """
     z = np.asarray(z_outcomes, dtype=np.int64)
     if z.shape != (lattice.num_qubits,):
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"expected {lattice.num_qubits} outcomes, got shape {z.shape}"
         )
     if not np.all(np.abs(z) == 1):

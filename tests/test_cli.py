@@ -557,6 +557,42 @@ def test_verify_bounds_unusable_out_exit_2(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
 
 
+@pytest.mark.parametrize("command", ["run", "verify-bounds"])
+def test_out_that_mkdir_refuses_exit_2(tmp_path, capsys, monkeypatch, command):
+    # --out passes the argument check when its nearest existing ancestor is a
+    # directory, yet the command's mkdir can still fail: an unwritable or
+    # virtual parent such as /proc.
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    out = tmp_path / "out"
+    if command == "run":
+        cfg = tmp_path / "config.json"
+        write_config(cfg, repetitions=1)
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = ["verify-bounds", "cauchy_schwarz", "--instances", "5", "--out", str(out)]
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert "Traceback" not in err
+
+
+def test_run_malformed_thread_count_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a model was built under a malformed FKLAB_THREADS")
+
+    monkeypatch.setattr(cli, "make_honest_model", build)
+    monkeypatch.setenv("FKLAB_THREADS", "abc")
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: FKLAB_THREADS must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_run_out_creates_missing_directories(tmp_path):
     cfg = tmp_path / "config.json"
     write_config(cfg, repetitions=1)
@@ -763,7 +799,7 @@ def test_verify_bounds_counts_a_tvd_chain_violation(tmp_path, monkeypatch):
 def test_verify_bounds_counts_a_faulted_stochastic_bound(tmp_path, monkeypatch):
     # The bound reads every state as maximally impure (delta_p = 1), which no
     # infidelity below 1 permits: the first instance raises
-    # InconsistentInputsError, counted as a failed check with margin inf.
+    # ValidationError, counted as a failed check with margin inf.
     bound = analysis.stochastic_trace_bound
     monkeypatch.setattr(analysis, "stochastic_trace_bound", lambda delta_f, delta_p: bound(delta_f, 1.0))
     assert main(["verify-bounds", "stochastic", "--instances", "3", "--out", str(tmp_path)]) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fklab.errors import InvalidDimensionError
+from fklab.errors import ValidationError
 from fklab.lattice import InputType, build_lattice, random_input
 
 from conftest import brute_force_edges
@@ -48,7 +48,7 @@ def test_bipartiteness_and_adjacency(rows, cols):
 
 @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (-1, 2)])
 def test_invalid_dimensions(rows, cols):
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="lattice dimensions must be positive"):
         build_lattice(rows, cols)
 
 
@@ -73,5 +73,5 @@ def test_random_input_balanced():
 
 
 def test_random_input_rejects_zero_length():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ValidationError, match="input length must be positive"):
         random_input(0, np.random.default_rng(0))

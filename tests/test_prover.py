@@ -13,7 +13,7 @@ import pytest
 
 from fklab.analysis import DensityMatrix, exact_parameters
 from fklab.cli import ECHO_FIDELITY_FLOOR
-from fklab.errors import CapacityError, SearchFailureError, ValidationError
+from fklab.errors import CapacityError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab import prover, simulator
 from fklab.prover import (
@@ -261,7 +261,7 @@ def test_degraded_f_in_targets_hit_exactly(rows, cols):
 
 
 def test_degraded_infeasible_target(lattice, spec):
-    with pytest.raises(SearchFailureError):
+    with pytest.raises(ValidationError, match="unreachable on the monotone segment"):
         make_degraded_model(lattice, spec, 0.0, 1.0)
     with pytest.raises(ValidationError):
         make_degraded_model(lattice, spec, 1.2, 1.0)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fklab.errors import CapacityError, DimensionMismatchError, ValidationError
+from fklab.errors import CapacityError, ValidationError
 from fklab.lattice import InputSpec, InputType, build_lattice, random_input
 from fklab.simulator import (
     Distribution,
@@ -136,7 +136,7 @@ def test_zz_matches_dense_exponential(rows, cols, rng):
 
 def test_zz_size_mismatch():
     lat = build_lattice(2, 2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="state has 2 qubits, lattice has 4"):
         apply_zz_evolution(PureState(2, np.array([1, 0, 0, 0], dtype=complex)), lat, 1.0)
 
 
@@ -454,7 +454,7 @@ def test_state_fidelity_matches_exact_sum(rng):
     exact = math.fsum(terms.real) ** 2 + math.fsum(terms.imag) ** 2
     assert abs(state_fidelity(a, b) - exact) < 1e-15
     assert abs(state_fidelity(a, a) - 1.0) < 1e-14
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="states have different sizes"):
         state_fidelity(a, PureState(1, [1.0, 0.0]))
 
 
@@ -655,7 +655,7 @@ def test_u_two_edges_aligned():
 
 
 def test_u_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="expected 3 outcomes"):
         u_value([1, 1], build_lattice(1, 3))
 
 
