@@ -11,9 +11,11 @@ The public operations return fresh states and never mutate their inputs.
 The `_`-prefixed kernels work in place on an amplitude array, so a state is
 built and evolved in one buffer: _write_product_state fills it by doubling,
 _multiply_by_levels multiplies it by per-string phases 2^16 entries at a
-time, and the Hadamard butterflies and the half swap sweep it one
-cache-sized block of amplitude pairs at a time (_pair_blocks). zz_phases,
-the whole 2^n diagonal, stays for the analysis oracles.
+time, the Hadamard butterflies apply each run of low qubits to one
+cache-sized block at a time (_block_butterflies), and the butterflies at
+high qubits and the half swap sweep it one cache-sized block of amplitude
+pairs at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays
+for the analysis oracles.
 
 A string z enters every diagonal phase through two small integers: its
 Hamming weight w (hamming_weights, int8) and its count k of aligned edges
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -199,37 +202,114 @@ PAIR_BLOCK = 1 << 14
 
 
 def _pair_blocks(a: np.ndarray, qubit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Views (s0, s1) of the amplitudes of `a` whose `qubit` bit is 0 and 1,
-    in blocks of min(PAIR_BLOCK, a.size / 2) pairs, in index order: s1 holds
-    the partners of s0, element for element. Every block has the same shape.
+    """Flat views (s0, s1) of the amplitudes of `a` whose `qubit` bit is 0
+    and 1, in blocks of min(PAIR_BLOCK, 2^qubit) pairs, in index order: s1
+    holds the partners of s0, element for element.
     """
     stride = 1 << qubit
-    if stride >= PAIR_BLOCK:
-        for row in a.reshape(-1, 2, stride // PAIR_BLOCK, PAIR_BLOCK):
-            yield from zip(row[0], row[1])
-    else:
-        rows = min(a.size >> 1, PAIR_BLOCK) >> qubit
-        for block in a.reshape(-1, rows, 2, stride):
-            yield block[:, 0], block[:, 1]
+    block = min(stride, PAIR_BLOCK)
+    for row in a.reshape(-1, 2, stride // block, block):
+        yield from zip(row[0], row[1])
 
 
 def _block_temporary(a: np.ndarray) -> np.ndarray:
-    """One complex temporary of one _pair_blocks block of `a`, flat."""
+    """One complex temporary of one _pair_blocks block of `a` at its top
+    qubit, or at any qubit from log2(PAIR_BLOCK) up."""
     return np.empty(min(a.size >> 1, PAIR_BLOCK), dtype=np.complex128)
+
+
+# A Hadamard layer applies each run of qubits below this bit to one block of
+# 2^15 amplitudes (512 KiB) at a time, so the block and its two ping-pong
+# buffers stay in a core's cache for the whole run.
+HADAMARD_BLOCK_BITS = 15
+# numpy adds two strided views at full speed only where its inner loop gets
+# long: runs of at least 4096 contiguous elements, or runs of one element,
+# which it merges into one strided loop. At bit position p a block's pair
+# halves are runs of 2^p amplitudes, 2^(p+1) float64 parts, so a butterfly
+# runs at bit 0 or, on float views, at the top four positions of a 2^15
+# block: 38-44 us there against 90-300 us at positions 1-10 (numpy 2.4, one
+# core of a 2-vCPU x86-64 host).
+_FAST_TOP_POSITIONS = 4
 
 
 def _hadamard_butterflies(a: np.ndarray, qubits) -> None:
     """At each of `qubits`, in order, overwrite each amplitude pair (e, o) of
-    `a` with (e + o, e - o), block by block through one block temporary.
-    Nothing is scaled: H on m qubits is these butterflies times 2^(-m/2).
+    `a` with (e + o, e - o). Nothing is scaled: H on m qubits is these
+    butterflies times 2^(-m/2).
+
+    Each maximal run of qubits below HADAMARD_BLOCK_BITS takes one sweep:
+    block by block, every qubit of the run through two block buffers
+    (_block_steps, _block_butterflies). Each qubit at or above it takes one
+    _pair_blocks sweep through one block temporary. Every amplitude sees
+    the same sums in the same order as in one sweep per qubit, so the
+    result is the same bits.
     """
+    bits = min(HADAMARD_BLOCK_BITS, a.size.bit_length() - 1)
     total = _block_temporary(a)
-    for k in qubits:
-        for even, odd in _pair_blocks(a, k):
-            both = total.reshape(even.shape)
-            np.add(even, odd, out=both)
-            np.subtract(even, odd, out=odd)
-            even[...] = both
+    for below, run in groupby(qubits, key=lambda k: k < bits):
+        if below:
+            _block_butterflies(a, _block_steps(run, bits), bits)
+            continue
+        for k in run:
+            for even, odd in _pair_blocks(a, k):
+                np.add(even, odd, out=total)
+                np.subtract(even, odd, out=odd)
+                even[...] = total
+
+
+def _block_steps(run, bits: int) -> list:
+    """The out-of-place steps that apply the butterflies of `run`, in order,
+    to one block of 2^bits amplitudes. Block bit k sits at position
+    (k + shift) % bits: shift starts at 0, and a qubit outside bit 0 and the
+    top _FAST_TOP_POSITIONS positions is first rotated to the lowest of
+    those, so the next four qubits up land in them too. The last step
+    rotates the block back to shift 0.
+    """
+    steps, shift, lowest = [], 0, bits - _FAST_TOP_POSITIONS
+    for k in run:
+        if 0 < (k + shift) % bits < lowest:
+            steps.append(partial(_rotate_bits, shift=(lowest - k - shift) % bits))
+            shift = (lowest - k) % bits
+        steps.append(partial(_butterfly, position=(k + shift) % bits))
+    if shift:
+        steps.append(partial(_rotate_bits, shift=-shift % bits))
+    return steps
+
+
+def _block_butterflies(a: np.ndarray, steps: list, bits: int) -> None:
+    """Run `steps` on each 2^bits block of `a` in turn: each step reads one
+    buffer and writes the next, the two spare buffers in turn, and the
+    last step writes the block itself (a lone step goes through a spare
+    and is copied back)."""
+    spares = np.empty((2, 1 << bits), dtype=np.complex128)
+    for block in a.reshape(-1, 1 << bits):
+        src = block
+        for i, step in enumerate(steps):
+            dst = block if i == len(steps) - 1 and src is not block else spares[i & 1]
+            step(src, dst)
+            src = dst
+        if src is not block:
+            block[...] = src
+
+
+def _rotate_bits(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
+    """dst = src with each bit position p of the index moved to
+    (p + shift) % bits: one transposed copy."""
+    low = src.size >> shift
+    np.copyto(dst.reshape(low, -1), src.reshape(-1, low).T)
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, position: int) -> None:
+    """The butterflies at one bit position, from src into dst: each pair's
+    sum goes to dst's 0 half and its difference to the 1 half. Above bit 0
+    they run on float64 views, whose part-by-part sums are the complex sums
+    bit for bit, in rows twice as long."""
+    width = 1 << position
+    if position:
+        src, dst, width = src.view(np.float64), dst.view(np.float64), 2 * width
+    pairs, out = src.reshape(-1, 2, width), dst.reshape(-1, 2, width)
+    np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+    np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
 
 
 def _swap_halves_inplace(a: np.ndarray) -> None:
@@ -237,10 +317,9 @@ def _swap_halves_inplace(a: np.ndarray) -> None:
     through one block temporary, an exact permutation."""
     held = _block_temporary(a)
     for lower, upper in _pair_blocks(a, a.size.bit_length() - 2):
-        block = held.reshape(lower.shape)
-        block[...] = lower
+        held[...] = lower
         lower[...] = upper
-        upper[...] = block
+        upper[...] = held
 
 
 def walsh_hadamard(state: PureState) -> PureState:

@@ -62,6 +62,7 @@ def test_bench_append_writes_one_entry_per_round(tmp_path, monkeypatch):
         "runs": 1, "attempted": 2, "failed": 0, "metrics": {"wall_s": {"value": 11, "unit": "s"}}
     }
     assert entry["tier1"]["summary"] == "1885 passed in 43.74s"
+    assert entry["tier1"]["note"] == "wall_s is context only: one unpaired run, which cannot show a change"
     assert entry["tier1"]["exit_code"] == 0
     assert entry["tier1"]["slowest"] == [
         {"s": 7.21, "when": "call", "test": "tests/test_acceptance.py::test_criterion_3"},

@@ -16,6 +16,7 @@ from fklab.simulator import (
     PAIR_BLOCK,
     PureState,
     FORMAT_BLOCK,
+    HADAMARD_BLOCK_BITS,
     STRING_BLOCK,
     _hadamard_butterflies,
     _multiply_by_levels,
@@ -157,10 +158,15 @@ def test_zz_phases_bit_identical_to_time_pi_product(rng):
         assert np.array_equal(zz_phases(lat, t).view(np.uint64), former.view(np.uint64))
 
 
-# The in-place kernels sweep PAIR_BLOCK amplitude pairs at a time. Below
-# qubit log2(PAIR_BLOCK) a block holds whole rows of pairs; from it up, a
-# block is a slice of one row. These state sizes span 2, 4 and 8 blocks.
+# The half swap, and the butterflies from HADAMARD_BLOCK_BITS up, sweep
+# PAIR_BLOCK amplitude pairs at a time, each block a slice of one row of
+# pairs. These state sizes span 2, 4 and 8 blocks.
 BLOCK_SIZES = tuple(PAIR_BLOCK.bit_length() + k for k in range(3))
+# A Hadamard layer applies each run of qubits below HADAMARD_BLOCK_BITS block
+# by block, with the block's bit positions rotated between butterflies, and
+# each qubit from it up by one pair sweep. These state sizes are one block
+# of half the size, then 1, 2 and 4 full blocks.
+HADAMARD_SIZES = tuple(HADAMARD_BLOCK_BITS + k for k in range(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def test_gates_preserve_norm(qubit, rng):
     assert abs(np.sum(np.abs(out) ** 2) - 1) < 1e-10
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
+@pytest.mark.parametrize("n", [*range(1, 9), *HADAMARD_SIZES])
 def test_single_qubit_bit_identical_to_reference(n, rng):
     before = random_state_vector(n, rng)
     for qubit in range(n):
@@ -267,17 +273,19 @@ def test_single_qubit_bit_identical_to_reference(n, rng):
 
 def _butterfly_qubit_sets(n):
     """No qubit, the sublattice-B set of every lattice of n qubits with up to
-    5 rows, and all qubits in both orders."""
+    5 rows, all qubits in both orders, and two orders that mix low and high
+    qubits."""
     shapes = [(rows, n // rows) for rows in range(1, 6) if n % rows == 0]
     return [
         (),
         *(sorted(build_lattice(*shape).partition_b) for shape in shapes),
         tuple(range(n)),
         tuple(reversed(range(n))),
+        *([(n - 1, 0, n - 2, 1), (0, n - 1, *range(1, n - 1, 3), n - 2, n // 2)] if n > 1 else []),
     ]
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])
+@pytest.mark.parametrize("n", [*range(1, 9), *HADAMARD_SIZES])
 def test_hadamard_butterflies_bit_identical_to_reference(n, rng):
     before = random_state_vector(n, rng)
     for qubits in _butterfly_qubit_sets(n):
@@ -285,6 +293,35 @@ def test_hadamard_butterflies_bit_identical_to_reference(n, rng):
         _hadamard_butterflies(out, qubits)
         expected = reference_hadamard_butterflies(before, qubits)
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), qubits
+
+
+def test_hadamard_butterflies_bit_identical_at_the_echo_guard(rng):
+    # The 21-qubit echo state of the 20-qubit lattices 4x5, 1x20 and 20x1,
+    # which share one sublattice B: its H_B layer, then the same layer
+    # followed by the clock bit.
+    b_qubits = sorted(build_lattice(4, 5).partition_b)
+    assert all(sorted(build_lattice(*shape).partition_b) == b_qubits for shape in [(1, 20), (20, 1)])
+    before = random_state_vector(21, rng)
+    for qubits in (b_qubits, [*b_qubits, 20]):
+        out = before.copy()
+        _hadamard_butterflies(out, qubits)
+        expected = reference_hadamard_butterflies(before, qubits)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), qubits
+
+
+def test_hadamard_butterflies_make_no_state_sized_temporary(rng):
+    # Two block buffers of 2^15 amplitudes and one 2^14-amplitude pair
+    # temporary: about 1.25 MiB against the 32 MiB state.
+    a = random_state_vector(21, rng)
+    qubits = [20, 0, *sorted(build_lattice(4, 5).partition_b), 19, 1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _hadamard_butterflies(a, qubits)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), *BLOCK_SIZES])

@@ -9,8 +9,11 @@ to the day's file, a JSON list with one entry per round: the git SHA and
 the SHA-256 of src/fklab/*.py, nproc and the Python and numpy versions (all
 from the first run's provenance), each workload's end-to-end metrics with
 its failed and attempted operation counts, and the tier-1 wall time,
-summary line and slowest tests. A round takes about run_seconds + 20 s per
-workload, plus the suite.
+summary line and slowest tests. The tier-1 wall time is context only, and
+the entry says so: it comes from one unpaired run, and two runs of one tree
+on one host have read 43.6 s and 69.1 s, so a claim on it needs alternating
+parent/change pairs. A round takes about run_seconds + 20 s per workload,
+plus the suite.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=20", "-p", "no:cacheprovider"]
+TIER1_NOTE = "wall_s is context only: one unpaired run, which cannot show a change"
 # One line of pytest's --durations table: "7.21s call     tests/x.py::test_y".
 DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)")
 
@@ -50,6 +54,7 @@ def run_tier1() -> dict:
     lines = proc.stdout.splitlines()
     return {
         "wall_s": round(wall_s, 2),
+        "note": TIER1_NOTE,
         "exit_code": proc.returncode,
         "summary": lines[-1].strip("= ") if lines else "",
         "slowest": [
