@@ -8,7 +8,6 @@ are computed spectrally.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Callable, Iterator
@@ -149,7 +148,7 @@ class ExactParameters:
 
     Construction raises ValidationError on a fidelity, sampling probability
     or purity outside [0, 1]; in a bound suite _tally counts that as a failed
-    check. suite_cauchy_schwarz checks the ceiling |Tr rho O10|^2 <= 1/4.
+    check. The cauchy_schwarz suite checks the ceiling |Tr rho O10|^2 <= 1/4.
     """
 
     f_in: float
@@ -516,25 +515,6 @@ def _tally(name: str, margins) -> SuiteResult:
     return SuiteResult(name, len(counted), violations, max(counted, default=-math.inf))
 
 
-# Every suite by name, in definition order: the order SUITE_NAMES and the CLI list them.
-SUITES: dict[str, Callable[..., SuiteResult]] = {}
-
-
-def _suite(name: str):
-    """Register a generator of margins, one per check, as the suite `name`;
-    calling the registered suite tallies its margins."""
-
-    def register(margins: Callable[..., Iterator[float]]) -> Callable[..., SuiteResult]:
-        @functools.wraps(margins)
-        def suite(*args, **kwargs) -> SuiteResult:
-            return _tally(name, margins(*args, **kwargs))
-
-        SUITES[name] = suite
-        return suite
-
-    return register
-
-
 def _suite_setting(
     seed: int, stream: int
 ) -> tuple[LatticeGeometry, InputSpec, np.ndarray, np.random.Generator]:
@@ -552,8 +532,7 @@ def _x_basis_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(walsh_hadamard(PureState(n, amplitudes)).amplitudes) ** 2
 
 
-@_suite("cauchy_schwarz")
-def suite_cauchy_schwarz(instances: int, seed: int):
+def _cauchy_schwarz_margins(instances: int, seed: int) -> Iterator[float]:
     """|Tr rho O10|^2 <= 1/4 for arbitrary states."""
     lattice, spec, _, rng = _suite_setting(seed, 0)
     for _ in range(instances):
@@ -562,13 +541,12 @@ def suite_cauchy_schwarz(instances: int, seed: int):
         yield abs(params.tr_rho_o10) ** 2 - 0.25 - 1e-10
 
 
-# Draws suite_lower_bound makes per instance before it gives up (a failed check).
+# Draws the lower_bound suite makes per instance before it gives up (a failed check).
 LOWER_BOUND_DRAWS = 10
 LOWER_BOUND_SLACK = 5e-3
 
 
-@_suite("lower_bound")
-def suite_lower_bound(instances: int, seed: int):
+def _lower_bound_margins(instances: int, seed: int) -> Iterator[float]:
     """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - LOWER_BOUND_SLACK for in-regime states."""
     lattice, spec, _, rng = _suite_setting(seed, 1)
     for _ in range(instances):
@@ -589,8 +567,7 @@ def suite_lower_bound(instances: int, seed: int):
         yield (bound - LOWER_BOUND_SLACK) - params.f_out
 
 
-@_suite("tvd_chain")
-def suite_tvd_chain(instances: int, seed: int):
+def _tvd_chain_margins(instances: int, seed: int) -> Iterator[float]:
     """tvd(P_ideal, P_real) <= sqrt(1 - f_out) for pure output states."""
     lattice, _, ideal_out, rng = _suite_setting(seed, 2)
     n = lattice.num_qubits
@@ -605,8 +582,7 @@ def suite_tvd_chain(instances: int, seed: int):
         yield tvd(p_ideal, _x_basis_probabilities(phi)) - tvd_fidelity_bound(f_out) - 1e-10
 
 
-@_suite("stochastic")
-def suite_stochastic(instances: int, seed: int):
+def _stochastic_margins(instances: int, seed: int) -> Iterator[float]:
     """(1/2)||rho - sigma||_tr <= stochastic_trace_bound(delta_f, delta_p)."""
     lattice, _, ideal_out, rng = _suite_setting(seed, 3)
     n = lattice.num_qubits
@@ -624,8 +600,7 @@ def suite_stochastic(instances: int, seed: int):
         yield trace_distance(rho, sigma) - bound - 1e-10
 
 
-@_suite("martingale")
-def suite_martingale(instances: int, seed: int):
+def _martingale_margins(instances: int, seed: int) -> Iterator[float]:
     """Exact 99th-percentile deviations inside the 3.2 beta/sqrt(N) envelope.
 
     For N = 1000 and 10000 trials of each scheme (IID_CHAIN,
@@ -639,8 +614,7 @@ def suite_martingale(instances: int, seed: int):
             yield deviation_quantile(trials, chain, 0.99) - 3.2 / math.sqrt(trials)
 
 
-@_suite("php_echo")
-def suite_php_echo(instances: int, seed: int):
+def _php_echo_margins(instances: int, seed: int) -> Iterator[float]:
     """Symbolic PHP = -H checks against dense algebra plus echo fidelities.
 
     A symbolic check that disagrees with the dense algebra yields 1.0; one
@@ -671,8 +645,7 @@ def suite_php_echo(instances: int, seed: int):
     yield (1.0 - 1e-10) - float(np.abs(np.vdot(target, state)) ** 2)
 
 
-@_suite("noisy_meas")
-def suite_noisy_meas(instances: int, seed: int):
+def _noisy_meas_margins(instances: int, seed: int) -> Iterator[float]:
     """Exact flip-convolved sampling TVD at eps = 1/(100 n) against (1 - eps n) sqrt(delta_f) + eps n."""
     lattice, _, ideal_out, rng = _suite_setting(seed, 4)
     n = lattice.num_qubits
@@ -689,6 +662,16 @@ def suite_noisy_meas(instances: int, seed: int):
         yield tvd(p_noisy, p_ideal) - noisy_measurement_tvd_bound(min(delta_f, 1.0), eps, n) - 1e-10
 
 
+# Each suite's margin generator by name, in the order SUITE_NAMES and the CLI list them.
+SUITES: dict[str, Callable[[int, int], Iterator[float]]] = {
+    "cauchy_schwarz": _cauchy_schwarz_margins,
+    "lower_bound": _lower_bound_margins,
+    "tvd_chain": _tvd_chain_margins,
+    "stochastic": _stochastic_margins,
+    "martingale": _martingale_margins,
+    "php_echo": _php_echo_margins,
+    "noisy_meas": _noisy_meas_margins,
+}
 SUITE_NAMES = tuple(SUITES)
 # The most instances one suite runs. The slowest suite, lower_bound, takes
 # 1.6-2 ms per instance (x86-64, numpy 2.4), so at most about 20 s at the
@@ -697,12 +680,13 @@ MAX_SUITE_INSTANCES = 10_000
 
 
 def run_bound_suite(name: str, instances: int, seed: int) -> SuiteResult:
-    """Dispatch a named suite; unknown names raise ValidationError, and more
-    than MAX_SUITE_INSTANCES instances raise CapacityError."""
+    """Run a named suite and tally its margins; unknown names raise
+    ValidationError, and more than MAX_SUITE_INSTANCES instances raise
+    CapacityError."""
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if instances > MAX_SUITE_INSTANCES:
         raise CapacityError(
             f"{instances} instances exceeds the {MAX_SUITE_INSTANCES}-instance suite guard"
         )
-    return SUITES[name](instances, seed)
+    return _tally(name, SUITES[name](instances, seed))

@@ -1,8 +1,8 @@
 """Configuration-driven experiment runner.
 
-Commands: run (full protocol from a JSON config), echo-check (gate-level
-preparation fidelity), verify-bounds (analysis suites to CSV), report
-(pretty-print a report JSON). Exit codes: 0 success, 2 malformed
+Commands: run (full protocol from a JSON config; its reports are already
+sorted, indented JSON), echo-check (gate-level preparation fidelity) and
+verify-bounds (analysis suites to CSV). Exit codes: 0 success, 2 malformed
 config/arguments, 3 capacity guard; echo-check and verify-bounds exit 1 on a
 failed check. FKLAB_THREADS caps internal parallelism.
 """
@@ -128,17 +128,17 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in the file at `path`, or ValidationError naming `what`."""
+def _read_json(path: str):
+    """The JSON value in the config file at `path`, or ValidationError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read {what}: {exc}") from exc
+        raise ValidationError(f"cannot read config: {exc}") from exc
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
     # literal past Python's digit limit; RecursionError, nesting too deep.
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
 
 
 def load_experiment_config(path: str) -> dict:
@@ -148,7 +148,7 @@ def load_experiment_config(path: str) -> dict:
     config exits without paying for the model (a degraded one tunes eta
     over the level grid)."""
     raw = _object(
-        _read_json(path, "config"),
+        _read_json(path),
         "config",
         ("lattice", "input_seed", "prover", "protocol", "repetitions"),
     )
@@ -189,16 +189,20 @@ def load_experiment_config(path: str) -> dict:
         "protocol",
         ("num_copies", "master_seed", "threshold_o10", "threshold_fin", "psamp_window"),
     )
-    window = proto_cfg.get("psamp_window", [0.494, 0.506])
-    if not isinstance(window, list) or len(window) != 2:
+    window = proto_cfg.get("psamp_window")
+    if "psamp_window" in proto_cfg and not (isinstance(window, list) and len(window) == 2):
         raise ValidationError(f"protocol.psamp_window must be a list of 2 numbers, got {window!r}")
-    protocol = ProtocolConfig(
-        num_copies=_int(_require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies"),
-        master_seed=_seed(_require(proto_cfg, "master_seed", "protocol"), "protocol.master_seed"),
-        threshold_o10=_float(proto_cfg.get("threshold_o10", 0.994), "protocol.threshold_o10"),
-        threshold_fin=_float(proto_cfg.get("threshold_fin", 0.994), "protocol.threshold_fin"),
-        psamp_window=tuple(_float(w, "protocol.psamp_window") for w in window),
-    )
+    num_copies = _int(_require(proto_cfg, "num_copies", "protocol"), "protocol.num_copies")
+    master_seed = _seed(_require(proto_cfg, "master_seed", "protocol"), "protocol.master_seed")
+    # A key the config leaves out takes ProtocolConfig's default.
+    optional = {
+        key: _float(proto_cfg[key], f"protocol.{key}")
+        for key in ("threshold_o10", "threshold_fin")
+        if key in proto_cfg
+    }
+    if window is not None:
+        optional["psamp_window"] = tuple(_float(w, "protocol.psamp_window") for w in window)
+    protocol = ProtocolConfig(num_copies, master_seed, **optional)
     repetitions = _int(raw.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ValidationError(f"repetitions must be at least 1, got {repetitions}")
@@ -311,11 +315,6 @@ def cmd_verify_bounds(args) -> int:
     return 0 if result.violations == 0 else 1
 
 
-def cmd_report(args) -> int:
-    print(json.dumps(_read_json(args.path, "report"), sort_keys=True, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--seed", type=_nonnegative_int, default=0)
     p_bounds.add_argument("--out", type=_out_dir, default=None)
     p_bounds.set_defaults(func=cmd_verify_bounds)
-
-    p_report = sub.add_parser("report", help="pretty-print a report JSON")
-    p_report.add_argument("path")
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 

@@ -42,6 +42,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import ClassVar
 
 import numpy as np
 
@@ -174,8 +175,10 @@ class ProtocolTranscript:
     outcome's aligned-edge count k (levels, the cached simulator.aligned_edges).
     """
 
+    # Not a field: the report counted CHUNK_SIZE-copy chunks, so any other
+    # size would re-measure different copies.
+    chunk_size: ClassVar[int] = CHUNK_SIZE
     num_copies: int
-    chunk_size: int
     master_seed: int
     eps: float
     dists: ModeDistributions
@@ -409,7 +412,6 @@ def run_protocol(
     dists = mode_distributions(model)
     transcript = ProtocolTranscript(
         num_copies=config.num_copies,
-        chunk_size=CHUNK_SIZE,
         master_seed=config.master_seed,
         eps=noise.measurement_flip_rate if noise is not None else 0.0,
         dists=dists,

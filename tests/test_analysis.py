@@ -32,13 +32,6 @@ from fklab.analysis import (
     random_density_matrix,
     run_bound_suite,
     stochastic_trace_bound,
-    suite_cauchy_schwarz,
-    suite_lower_bound,
-    suite_martingale,
-    suite_noisy_meas,
-    suite_php_echo,
-    suite_stochastic,
-    suite_tvd_chain,
     trace_distance,
     tvd,
     tvd_fidelity_bound,
@@ -330,7 +323,7 @@ def _binomial_row(trials):
 
 def _iid_envelope_tail(trials):
     """Exact P(|2k - N|/N > 3.2/sqrt(N)) for k ~ Bin(N, 1/2): the IID scheme's
-    deviation outside suite_martingale's envelope. The condition is tested in
+    deviation outside the martingale suite's envelope. The condition is tested in
     integers, 100 (2k - N)^2 > 1024 N, so no rounding enters."""
     outside = sum(
         count
@@ -521,13 +514,13 @@ def test_expm_hermitian_unitary(rng):
 
 
 def test_suite_cauchy_schwarz_clean():
-    res = suite_cauchy_schwarz(100, seed=0)
+    res = run_bound_suite("cauchy_schwarz", 100, 0)
     assert res.violations == 0
     assert res.max_margin <= 0
 
 
 def test_suite_lower_bound_clean():
-    res = suite_lower_bound(100, seed=0)
+    res = run_bound_suite("lower_bound", 100, 0)
     assert res.violations == 0
 
 
@@ -535,38 +528,38 @@ def test_suite_lower_bound_clean():
 def test_suite_lower_bound_redraws_out_of_regime_states(seed):
     # At these seeds a generated state leaves the epsilon <= 0.02 regime; the
     # suite replaces it with the next draw instead of failing.
-    res = suite_lower_bound(200, seed=seed)
+    res = run_bound_suite("lower_bound", 200, seed)
     assert res.instances == 200
     assert res.violations == 0
 
 
 def test_suite_tvd_chain_clean():
-    res = suite_tvd_chain(100, seed=0)
+    res = run_bound_suite("tvd_chain", 100, 0)
     assert res.violations == 0
 
 
 def test_suite_stochastic_clean():
-    res = suite_stochastic(100, seed=0)
+    res = run_bound_suite("stochastic", 100, 0)
     assert res.violations == 0
 
 
 def test_suite_noisy_meas_clean():
-    res = suite_noisy_meas(50, seed=0)
+    res = run_bound_suite("noisy_meas", 50, 0)
     assert res.violations == 0
 
 
 def test_suite_martingale_clean():
     # Seed 1 failed the earlier Monte-Carlo gate (a 0.3% false alarm); the
     # exact gate gives the same four clean checks for every seed and count.
-    res = suite_martingale(1, seed=1)
-    assert res == suite_martingale(200, seed=0) == run_bound_suite("martingale", 10_000, 7)
+    res = run_bound_suite("martingale", 1, 1)
+    assert res == run_bound_suite("martingale", 200, 0) == run_bound_suite("martingale", 10_000, 7)
     assert (res.instances, res.violations) == (4, 0)
     # The worst check is IID at N = 10000: q99 = 258/N against 3.2/sqrt(N).
     assert res.max_margin == 258 / 10_000 - 3.2 / 100
 
 
 def test_suite_php_echo_clean():
-    res = suite_php_echo(12, seed=0)
+    res = run_bound_suite("php_echo", 12, 0)
     assert res.violations == 0
 
 
@@ -576,21 +569,21 @@ def test_suite_tally_counts_php_disagreements(monkeypatch):
     # still pass.
     true_check = analysis.php_negation_check
     monkeypatch.setattr(analysis, "php_negation_check", lambda terms, p: not true_check(terms, p))
-    res = suite_php_echo(12, seed=0)
+    res = run_bound_suite("php_echo", 12, 0)
     assert (res.instances, res.violations, res.max_margin) == (7, 3, 1.0)
 
 
 def test_suite_tally_counts_every_violated_bound(monkeypatch):
     monkeypatch.setattr(analysis, "tvd_fidelity_bound", lambda f_out: -1.0)
-    res = suite_tvd_chain(10, seed=0)
+    res = run_bound_suite("tvd_chain", 10, 0)
     assert (res.instances, res.violations) == (10, 10)
     assert res.max_margin > 0
 
 
-@pytest.mark.parametrize("suite", [suite_cauchy_schwarz, suite_lower_bound, suite_tvd_chain,
-                                   suite_stochastic, suite_noisy_meas])
+@pytest.mark.parametrize("suite", ["cauchy_schwarz", "lower_bound", "tvd_chain", "stochastic", "noisy_meas"],
+                         ids=lambda name: f"suite_{name}")
 def test_suite_with_no_instances(suite):
-    res = suite(0, seed=0)
+    res = run_bound_suite(suite, 0, 0)
     assert (res.instances, res.violations, res.max_margin) == (0, 0, -math.inf)
 
 
@@ -598,7 +591,7 @@ def test_run_bound_suite_dispatch():
     assert run_bound_suite("cauchy_schwarz", 10, 1).test_name == "cauchy_schwarz"
     with pytest.raises(ValidationError):
         run_bound_suite("not_a_suite", 10, 1)
-    assert set(SUITE_NAMES) == {
+    assert SUITE_NAMES == (
         "cauchy_schwarz",
         "lower_bound",
         "tvd_chain",
@@ -606,7 +599,7 @@ def test_run_bound_suite_dispatch():
         "martingale",
         "php_echo",
         "noisy_meas",
-    }
+    )
 
 
 def test_near_ideal_generator_stays_in_regime(setting):

@@ -331,7 +331,7 @@ def test_process_chunk_decodes_the_documented_words(monkeypatch):
     count = len(cases)
     # Arbitrary aligned-edge counts, every residue mod 4 among them.
     levels = (np.arange(dim) * 3 % 7).astype(np.uint8)
-    transcript = verifier.ProtocolTranscript(count, count, 0, 0.0, dists, levels, 5)
+    transcript = verifier.ProtocolTranscript(count, 0, 0.0, dists, levels, 5)
     code, clock, sys_idx = transcript._measure(0)
     for i, (c, minus_bit, bin_, below) in enumerate(cases):
         j = bin_ if below else int(alias[table_of_code[c], bin_])

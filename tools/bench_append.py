@@ -7,9 +7,11 @@ Runs each workload that BENCHMARK.json lists once, as
 then the tier-1 suite once with its 20 slowest tests. It appends one entry
 to the day's file, a JSON list with one entry per round: the git SHA and
 the SHA-256 of src/fklab/*.py, nproc and the Python and numpy versions (all
-from the first run's provenance), each workload's end-to-end metrics with
-its failed and attempted operation counts, and the tier-1 wall time,
-summary line and slowest tests. The tier-1 wall time is context only, and
+from the first run's provenance), src_dirty, each workload's end-to-end
+metrics with its failed and attempted operation counts, and the tier-1 wall
+time, summary line and slowest tests. src_dirty says whether src/ had
+uncommitted changes when the round began: if so, git_sha names the commit
+those changes sit on, not the tree measured, which src_sha256 names. The tier-1 wall time is context only, and
 the entry says so: it comes from one unpaired run, and two runs of one tree
 on one host have read 43.6 s and 69.1 s, so a claim on it needs alternating
 parent/change pairs. A round takes about run_seconds + 20 s per workload,
@@ -63,10 +65,16 @@ def run_tier1() -> dict:
     }
 
 
+def src_dirty() -> bool:
+    """Whether src/ has changes that are not committed."""
+    argv = ["git", "status", "--porcelain", "--", "src"]
+    return bool(subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip())
+
+
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     now = datetime.datetime.now(datetime.timezone.utc)
-    entry = {"utc": now.isoformat(timespec="seconds"), "workloads": {}}
+    entry = {"utc": now.isoformat(timespec="seconds"), "src_dirty": src_dirty(), "workloads": {}}
     for workload in bench["workloads"]:
         detail, result = run_workload(workload["name"], bench["run_seconds"])
         for key in ("git_sha", "src_sha256", "nproc", "python", "numpy"):
