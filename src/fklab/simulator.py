@@ -24,6 +24,10 @@ table has one entry per level, n + 1 by weight or edges + 1 by k, and
 _multiply_by_levels gathers it per string. That one kernel applies every
 diagonal in place: the coupling phases by k, the input tilt by w, and the
 echo's global controlled Z, a sign table (-1)^w on the clock-1 half.
+
+bitstring_blocks formats outcome indices as text lines, for the sample file
+and the transcript alike: each block's lines are written in place in one
+record array, one gather per index byte from a 256-entry table.
 """
 
 from __future__ import annotations
@@ -456,32 +460,46 @@ class Distribution:
 # Indices are formatted in blocks of this many, so the temporaries stay near
 # 1 MiB whatever the input size.
 FORMAT_BLOCK = 1 << 16
-# Entry b holds the bits of byte b, least significant first, as eight ASCII
-# '0'/'1' bytes in one uint64, so one gather formats a whole index byte.
-_BYTE_CHARS = (
-    (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0"))
-    .astype(np.uint8)
-    .view(np.uint64)
-    .ravel()
-)
+# Row b holds the bits of byte b, least significant first, as eight ASCII
+# '0'/'1' bytes: 2 KiB, so the gathers read it from cache.
+_BYTE_CHARS = (((np.arange(256)[:, None] >> np.arange(8)) & 1) + ord("0")).astype(np.uint8)
 
 
 def bitstring_blocks(indices, num_bits: int) -> Iterator[str]:
-    """Format outcome indices in [0, 2^num_bits) as bit strings, qubit 0 first.
+    """Format outcome indices in [0, 2^num_bits), num_bits <= 32, as bit
+    strings, qubit 0 first.
 
     Each FORMAT_BLOCK indices yield one str: their bit strings joined by
     "\\n", with no trailing newline. Empty input yields nothing.
+
+    Each line is written in place in a record of num_bits + 1 bytes: index
+    byte k gathers its characters into the field at offset 8k, one void item
+    per byte value from the first w columns of _BYTE_CHARS (w = 8, less in
+    the last piece when 8 does not divide num_bits), and the last byte is
+    the newline. A block's records are then decoded at once into its str.
     """
     indices = np.asarray(indices)
-    num_bytes = (num_bits + 7) // 8
+    starts = range(0, num_bits, 8)
+    widths = [min(8, num_bits - s) for s in starts]
+    tables = [np.ascontiguousarray(_BYTE_CHARS[:, :w]).view(f"V{w}").ravel() for w in widths]
+    record = np.dtype(
+        {
+            "names": [*(f"bits{s}" for s in starts), "newline"],
+            "formats": [*(t.dtype for t in tables), np.uint8],
+            "offsets": [*starts, num_bits],
+            "itemsize": num_bits + 1,
+        }
+    )
+    # Reused from block to block: each str is a copy.
+    records = np.empty(min(indices.size, FORMAT_BLOCK), dtype=record)
+    records["newline"] = ord("\n")
     for start in range(0, indices.size, FORMAT_BLOCK):
-        block = indices[start : start + FORMAT_BLOCK].astype("<u8")
-        count = block.size
-        index_bytes = block.view(np.uint8).reshape(count, 8)[:, :num_bytes]
-        chars = np.empty((count, num_bits + 1), dtype=np.uint8)
-        chars[:, :num_bits] = _BYTE_CHARS[index_bytes].view(np.uint8)[:, :num_bits]
-        chars[:, num_bits] = ord("\n")
-        yield str(memoryview(chars.reshape(-1)[:-1]), "ascii")
+        block = np.ascontiguousarray(indices[start : start + FORMAT_BLOCK], dtype="<u4")
+        index_bytes = block.view(np.uint8).reshape(-1, 4).T
+        lines = records[: block.size]
+        for name, table, index_byte in zip(record.names, tables, index_bytes):
+            lines[name] = np.take(table, index_byte)
+        yield str(memoryview(lines.view(np.uint8)[:-1]), "ascii")
 
 
 def state_fidelity(a: PureState, b: PureState) -> float:

@@ -54,9 +54,12 @@ from .simulator import aligned_edges, bitstring_blocks
 
 CHUNK_SIZE = 1 << 16
 # A chunk is measured this many copies at a time, so that the allocator keeps
-# the kernel's temporaries (about 50 B a copy) from one chunk to the next
-# rather than returning them to the system and faulting them in again.
-MEASURE_BLOCK = 1 << 14
+# the kernel's temporaries (about 38 B a copy, 1.2 MiB a block: the tracemalloc
+# peak of _reduce grows by that much per copy of block size) from one chunk to
+# the next rather than returning them to the system and faulting them in
+# again. 2^16-copy blocks have read up to 53k minor faults in one 3.5e6-copy
+# 4x4 run, against 26-27k at 2^15.
+MEASURE_BLOCK = 1 << 15
 # A run holds its published samples, about a quarter of the copies at 4 B
 # each, and _merge joins the per-chunk parts into a second array: a
 # tracemalloc peak of 2.0 B per copy in run_protocol (2^22 copies, 2x2), and
@@ -234,12 +237,11 @@ class ProtocolTranscript:
             # Every table has 2^n bins, so int(u_bin * 2^n) is the top n bits of
             # a: Distribution.pick's clamp to 2^n - 1 never binds here. The uint64
             # shifts take np.uint64 counts, which numpy 1.x needs to keep them
-            # uint64. Each bound adds 2^n to the entries after it, so group r
-            # reads row r.
+            # uint64. Group r adds r 2^n to its own entries, so it reads row r.
             entry = (a[idx] >> np.uint64(64 - n)).view(np.int64)
             local = entry.astype(np.int32)
-            for bound in bounds:
-                entry[bound:] += 1 << n
+            for row, (lo, hi) in enumerate(zip(bounds, bounds[1:] + [idx.size]), 1):
+                entry[lo:hi] += row << n
             u_coin = (b[idx] >> np.uint64(11)).astype(np.float64)
             u_coin *= 2.0**-53
             # j = local where the coin is below the bin's accept, else its
@@ -285,20 +287,22 @@ class ProtocolTranscript:
         for _, key, _, picks, (s, p, x) in self._picks(chunk_index):
             sampled, in_plus, prop = picks[:s], picks[s:p], picks[p:]
             n_sampling = int(np.count_nonzero(key & 4))
-            n_in_plus = int(np.count_nonzero(key < 2))
+            # Without clock flips the reported clock is the true one, so N_in+
+            # is the input group's size.
+            n_in_plus = p - s if self.eps == 0.0 else int(np.count_nonzero(key < 2))
             counters.n_total_sampling += n_sampling
             counters.n_in_plus += n_in_plus
             counters.n_clock_minus += key.size - n_sampling - n_in_plus - prop.size
             counters.n_in_plus_0 += int(np.count_nonzero(in_plus == 0))
             if self.eps > 0.0:
                 sampled = sampled[(sampled >> n) == 0]
-            samples.append(sampled.astype(np.uint32))
+            samples.append(sampled)
             cell = np.take(self.levels, prop & ((1 << n) - 1)) & 3
             cell |= (prop >> n << 2).astype(np.uint8)
             cell[x - p :] |= 8
             prop_counts += np.bincount(cell, minlength=16)
         counters.prop_counts = tuple(prop_counts.tolist())
-        return counters, np.concatenate(samples)
+        return counters, np.concatenate(samples, dtype=np.uint32, casting="unsafe")
 
     def _records(self, chunk_index: int):
         """JSON-ready records of one chunk, built from list columns."""

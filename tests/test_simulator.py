@@ -747,18 +747,31 @@ def test_bitstring_formatting():
         assert _split_bitstrings(indices, 16) == [_bitstring_per_bit(i, 16) for i in indices.tolist()]
 
 
-@pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 16, 17, 26])
+@pytest.mark.parametrize("num_bits", range(1, 27))
 def test_bitstring_blocks_match_format_per_index(num_bits):
-    # Each index byte is one uint64 gather of eight characters; the text must
-    # be format(i, "0{n}b") reversed, index by index, across a block boundary.
+    # Each index byte gathers one piece of up to eight characters, narrower
+    # in the last piece when 8 does not divide the width; the text must be
+    # format(i, "0{n}b") reversed, index by index, across a block boundary,
+    # for every index type the package passes: the report's uint32 samples,
+    # the transcript's int32 slice of sys_idx, int64, a list and a strided view.
     assert list(bitstring_blocks(np.zeros(0, dtype=np.uint32), num_bits)) == []
     rng = np.random.default_rng(num_bits)
-    indices = rng.integers(0, 1 << num_bits, size=FORMAT_BLOCK + 3).astype(np.uint32)
+    indices = rng.integers(0, 1 << num_bits, size=FORMAT_BLOCK + 3)
     indices[:2] = 0, (1 << num_bits) - 1
-    blocks = list(bitstring_blocks(indices, num_bits))
-    assert len(blocks) == 2 and blocks[1].count("\n") == 2
-    expected = [format(i, f"0{num_bits}b")[::-1] for i in indices.tolist()]
-    assert "\n".join(blocks).split("\n") == expected
+    expected = "\n".join(format(i, f"0{num_bits}b")[::-1] for i in indices.tolist())
+    strided = np.repeat(indices.astype(np.uint32), 2)[::2]
+    assert not strided.flags.c_contiguous
+    sys_idx = np.concatenate(([-1], indices)).astype(np.int32)
+    for given in (
+        indices.astype(np.uint32),
+        sys_idx[1:],
+        indices,
+        indices.tolist(),
+        strided,
+    ):
+        blocks = list(bitstring_blocks(given, num_bits))
+        assert len(blocks) == 2 and blocks[1].count("\n") == 2
+        assert "\n".join(blocks) == expected
 
 
 def _per_bit_text(indices, num_bits):

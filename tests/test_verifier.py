@@ -450,6 +450,36 @@ def test_chunk_kernel_on_blocks_of_one_key(monkeypatch, kind, key):
     assert np.array_equal(report.samples, samples)
 
 
+@pytest.mark.parametrize("kind", ["honest", "degraded_flip"])
+def test_measure_block_changes_no_output(monkeypatch, kind):
+    # MEASURE_BLOCK sets only how many copies each kernel step takes: at any
+    # block size, from 2^12 up to a whole chunk, and any thread count, the
+    # counters, samples and columns are those at the default size.
+    model, noise = _kernel_model(kind, 3, 3)
+
+    def outputs(num, threads):
+        config = ProtocolConfig(num_copies=num, master_seed=31)
+        transcript, report = run_protocol(
+            model, model.lattice, model.input_spec, config, noise=noise, threads=threads
+        )
+        return report.counters, report.samples, transcript_columns(transcript)
+
+    nums = (0, 1, MEASURE_BLOCK + 5, 3 * CHUNK_SIZE + 777)
+    expected = {num: outputs(num, 1) for num in nums}
+    for block in (1 << 12, 1 << 14, 1 << 15, CHUNK_SIZE):
+        monkeypatch.setattr(verifier, "MEASURE_BLOCK", block)
+        for num in nums:
+            counters, samples, columns = expected[num]
+            for threads in (1, 2):
+                got_counters, got_samples, got_columns = outputs(num, threads)
+                assert got_counters == counters, (block, num, threads)
+                assert got_samples.dtype == samples.dtype == np.uint32
+                assert np.array_equal(got_samples, samples), (block, num, threads)
+                for got, column in zip(got_columns, columns):
+                    assert got.dtype == column.dtype
+                    assert np.array_equal(got, column), (block, num, threads)
+
+
 # ---------------------------------------------------------------------------
 # estimator statistics
 
