@@ -17,15 +17,14 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, LatticeGeometry, build_lattice, random_input
-from .prover import ideal_history_state
+from .prover import ExactParameters, ideal_history_state
 from .rng import TAG_BOUNDS, substream
-from .simulator import (
-    MAX_DENSE_QUBITS,
-    PureState,
-    product_state,
-    walsh_hadamard,
-    zz_phases,
-)
+from .simulator import PureState, product_state, walsh_hadamard, zz_phases
+
+# The dense guards: 2^n x 2^n matrices of at most 6 system qubits, and
+# density matrices and the dense echo of those qubits plus the clock.
+MAX_DENSE_QUBITS = 6
+MAX_CLOCKED_QUBITS = MAX_DENSE_QUBITS + 1
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -114,9 +113,6 @@ def apply_two_qubit_dense(vec: np.ndarray, num_qubits: int, qi: int, qj: int, ga
 # Exact protocol parameters
 
 
-MAX_CLOCKED_QUBITS = MAX_DENSE_QUBITS + 1  # density matrices and the dense echo: clock included
-
-
 @dataclass
 class DensityMatrix:
     """Validated density matrix on `num_qubits` qubits (at most 7)."""
@@ -142,35 +138,14 @@ class DensityMatrix:
             raise ValidationError("matrix has an eigenvalue below -1e-10")
 
 
-@dataclass(frozen=True)
-class ExactParameters:
-    """Exact protocol parameters of a density matrix.
-
-    Construction raises ValidationError on a fidelity, sampling probability
-    or purity outside [0, 1]; in a bound suite _tally counts that as a failed
-    check. The cauchy_schwarz suite checks the ceiling |Tr rho O10|^2 <= 1/4.
-    """
-
-    f_in: float
-    p_samp: float
-    tr_rho_o10: complex
-    f_out: float
-    purity: float
-
-    def __post_init__(self):
-        for name in ("f_in", "p_samp", "f_out", "purity"):
-            v = getattr(self, name)
-            if not -1e-10 <= v <= 1.0 + 1e-10:
-                raise ValidationError(f"{name} = {v!r} is outside [0, 1]")
-
-
 def exact_parameters(
     rho: DensityMatrix, lattice: LatticeGeometry, input_spec: InputSpec
 ) -> ExactParameters:
     """The parameters as matrix elements of rho's 2^n clock blocks rho_ab
     (clock = highest qubit), with phi the input and U the diagonal coupling:
     F_in = <phi|rho00|phi> / Tr rho00, p_samp = Tr rho11, Tr rho O10 =
-    Tr(rho01 U), F_out = <U phi|rho11|U phi> / Tr rho11, purity = Tr rho^2."""
+    Tr(rho01 U), F_out = <U phi|rho11|U phi> / Tr rho11. The cauchy_schwarz
+    suite checks the ceiling |Tr rho O10|^2 <= 1/4."""
     n = lattice.num_qubits
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(f"exact parameters at {n} system qubits exceeds the guard")
@@ -193,7 +168,6 @@ def exact_parameters(
         p_samp=weight_minus,
         tr_rho_o10=complex(np.sum(np.diagonal(rho01) * u_diag)),
         f_out=float(np.vdot(u_phi, rho11 @ u_phi).real) / weight_minus,
-        purity=float(np.vdot(m, m).real),
     )
 
 

@@ -198,13 +198,25 @@ class HistoryStateModel:
 
 
 @dataclass(frozen=True)
-class ModelParameters:
-    """Exact protocol parameters of an analytic model (any guarded size)."""
+class ExactParameters:
+    """Exact protocol parameters F_in, p_samp, Tr[rho O10] and F_out, of an
+    analytic model (exact_model_parameters) or of a density matrix
+    (analysis.exact_parameters).
+
+    Construction raises ValidationError on a fidelity or sampling
+    probability outside [0, 1], which a bound suite counts as a failed check.
+    """
 
     f_in: float
     p_samp: float
     tr_rho_o10: complex
     f_out: float
+
+    def __post_init__(self):
+        for name in ("f_in", "p_samp", "f_out"):
+            v = getattr(self, name)
+            if not -1e-10 <= v <= 1.0 + 1e-10:
+                raise ValidationError(f"{name} = {v!r} is outside [0, 1]")
 
 
 def _write_input(out: np.ndarray, spec: InputSpec, tilt: float) -> None:
@@ -254,7 +266,7 @@ def level_sum(lattice: LatticeGeometry, weight_phase: float, energy_phase: float
     return np.sum(by_energy * np.exp(1j * energy_phase * levels)) / (1 << n)
 
 
-def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
+def exact_model_parameters(model: HistoryStateModel) -> ExactParameters:
     """Exact F_in, p_samp, Tr[rho O10], F_out of an analytic model.
 
     Every amplitude of a, b and the ideal input has modulus 2^(-n/2) and a
@@ -270,7 +282,7 @@ def exact_model_parameters(model: HistoryStateModel) -> ModelParameters:
     tr = (1.0 - p) * level_sum(lattice, t_in - t_out, energy_phase) * 0.5
     tr *= np.exp(-1j * model.clock_phase)
     f_out = (1.0 - p) * float(np.abs(level_sum(lattice, -t_out, energy_phase)) ** 2) + p / (1 << n)
-    return ModelParameters(f_in=f_in, p_samp=P_CLOCK_MINUS, tr_rho_o10=complex(tr), f_out=f_out)
+    return ExactParameters(f_in=f_in, p_samp=P_CLOCK_MINUS, tr_rho_o10=complex(tr), f_out=f_out)
 
 
 def tune_evolution_scale(lattice: LatticeGeometry, target_overlap_sq: float) -> float:
@@ -307,10 +319,9 @@ def _tune_input_tilt(input_spec: InputSpec, target_f_in: float) -> float:
     """Tilt t in [0, pi] with |<phi_ideal | phi_tilt>|^2 = target.
 
     Every input qubit has amplitudes of modulus 1/sqrt(2), so R_z(t) keeps an
-    overlap cos(t/2) per qubit and F_in(t) = cos(t/2)^(2n).
+    overlap cos(t/2) per qubit and F_in(t) = cos(t/2)^(2n). Its one caller,
+    make_degraded_model, checks that the target lies in [0, 1].
     """
-    if not 0.0 <= target_f_in <= 1.0:
-        raise ValidationError(f"target input fidelity must be in [0, 1], got {target_f_in}")
     return 2.0 * math.acos(target_f_in ** (1.0 / (2 * input_spec.num_qubits)))
 
 

@@ -42,10 +42,8 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .lattice import InputSpec, InputType, LatticeGeometry
 
-# Full statevectors are held up to 2^26 amplitudes; dense matrix oracles are
-# meant for n <= 6 only.
+# Full statevectors are held up to 2^26 amplitudes.
 MAX_STATE_QUBITS = 26
-MAX_DENSE_QUBITS = 6
 
 NORM_ATOL = 1e-10
 
@@ -69,7 +67,10 @@ class PureState:
             raise ValidationError(
                 f"expected {1 << self.num_qubits} amplitudes, got {self.amplitudes.shape}"
             )
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        # A float view summed by einsum: no BLAS call, so the bits and the
+        # time of the check do not depend on the BLAS thread count.
+        view = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        norm_sq = float(np.einsum("i,i->", view, view))
         # Negated so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValidationError(f"state norm^2 = {norm_sq!r}, not 1 within {NORM_ATOL}")

@@ -70,7 +70,6 @@ def _direct_params(matrix, lattice, spec):
         "p_samp": float(np.real(np.trace(rho11))),
         "tr": complex(np.trace(rho01 @ u)),
         "f_out": float(np.real((u @ phi).conj() @ rho11 @ (u @ phi) / np.trace(rho11))),
-        "purity": float(np.real(np.trace(matrix @ matrix))),
     }
 
 
@@ -88,7 +87,6 @@ def test_perfect_history_state_parameters(setting, theta):
     assert abs(params.p_samp - 0.5) < 1e-10
     assert abs(abs(params.tr_rho_o10) ** 2 - 0.25) < 1e-10
     assert abs(params.f_out - 1.0) < 1e-10
-    assert abs(params.purity - 1.0) < 1e-10
 
 
 def test_maximally_mixed_parameters(setting):
@@ -97,7 +95,6 @@ def test_maximally_mixed_parameters(setting):
     params = exact_parameters(rho, lattice, spec)
     assert abs(params.p_samp - 0.5) < 1e-12
     assert abs(params.tr_rho_o10) < 1e-12
-    assert abs(params.purity - 1.0 / 32) < 1e-12
 
 
 def test_tuned_overlap_state_parameters(setting):
@@ -121,7 +118,6 @@ def test_parameters_match_block_formulas(setting):
         assert abs(params.p_samp - direct["p_samp"]) < 1e-10
         assert abs(params.tr_rho_o10 - direct["tr"]) < 1e-10
         assert abs(params.f_out - direct["f_out"]) < 1e-10
-        assert abs(params.purity - direct["purity"]) < 1e-12
 
 
 def test_density_matrix_validation():
@@ -619,3 +615,87 @@ def test_trace_distance_basics(setting):
     rho = np.outer(psi, psi.conj())
     assert trace_distance(rho, rho) < 1e-14
     assert trace_distance(rho, np.eye(32) / 32) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+
+def _clock_zero_density():
+    matrix = np.zeros((32, 32))
+    matrix[0, 0] = 1.0
+    return DensityMatrix(5, matrix)
+
+
+_ANALYSIS_RAISES = {
+    "pauli-label-length": (
+        lambda: dense_hamiltonian([(1.0, "XX")], 3),
+        ValidationError, "label 'XX' has length 2, expected 3",
+    ),
+    "dense-product-guard": (
+        lambda: dense_evolution_product(build_lattice(1, 7)),
+        CapacityError, "dense product at 7 qubits exceeds the 6-qubit guard",
+    ),
+    "two-qubit-gate-same-qubit": (
+        lambda: analysis.apply_two_qubit_dense(np.ones(4) / 2.0, 2, 1, 1, np.eye(4)),
+        ValidationError, "two-qubit gate needs distinct qubits",
+    ),
+    "density-guard": (
+        lambda: DensityMatrix(8, np.zeros((1, 1))),
+        CapacityError, "8 qubits exceeds the 7-qubit density guard",
+    ),
+    "exact-parameters-guard": (
+        lambda: exact_parameters(
+            DensityMatrix(1, np.eye(2) / 2.0), build_lattice(1, 7),
+            random_input(7, np.random.default_rng(0)),
+        ),
+        CapacityError, "exact parameters at 7 system qubits exceeds the guard",
+    ),
+    "exact-parameters-input-size": (
+        lambda: exact_parameters(
+            DensityMatrix(5, np.eye(32) / 32.0), build_lattice(2, 2),
+            random_input(3, np.random.default_rng(0)),
+        ),
+        ValidationError, "input spec size does not match lattice",
+    ),
+    "exact-parameters-one-branch": (
+        lambda: exact_parameters(
+            _clock_zero_density(), build_lattice(2, 2), random_input(4, np.random.default_rng(0))
+        ),
+        ValidationError, r"state has \(numerically\) no support on one clock branch",
+    ),
+    "tvd-fidelity-range": (
+        lambda: tvd_fidelity_bound(1.5),
+        ValidationError, r"fidelity must be in \[0, 1\], got 1.5",
+    ),
+    "stochastic-range": (
+        lambda: stochastic_trace_bound(-0.1, 0.0),
+        ValidationError, r"delta_f and delta_p must be in \[0, 1\]",
+    ),
+    "noisy-meas-delta-range": (
+        lambda: noisy_measurement_tvd_bound(1.5, 0.01, 4),
+        ValidationError, r"delta_f must be in \[0, 1\], got 1.5",
+    ),
+    "noisy-meas-negative-eps": (
+        lambda: noisy_measurement_tvd_bound(0.5, -0.01, 4),
+        ValidationError, "eps must be non-negative",
+    ),
+    "flip-noise-size": (
+        lambda: convolve_flip_noise(np.ones(3) / 3.0, 0.01, 2),
+        ValidationError, "expected 4 probabilities",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ANALYSIS_RAISES))
+def test_analysis_raise_sites(case):
+    call, error, message = _ANALYSIS_RAISES[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_php_negation_check_skips_zero_coefficient_terms():
+    # ZZ commutes with XX, so it would fail the check; at coefficient 0 it is
+    # not a term of H and is skipped, and ZI anticommutes with XX.
+    assert not php_negation_check([(1.0, "ZZ"), (1.0, "ZI")], "XX")
+    assert php_negation_check([(0.0, "ZZ"), (1.0, "ZI")], "XX")

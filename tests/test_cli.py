@@ -1,5 +1,6 @@
 """End-to-end command-line tests: files, exit codes, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -572,6 +573,48 @@ def test_out_that_mkdir_refuses_exit_2(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err == f"error: [Errno 13] Permission denied: '{out}'\n"
     assert "Traceback" not in err
+
+
+def test_run_disk_full_part_way_through_the_samples_exit_2(tmp_path, capsys, monkeypatch):
+    # The sample file's second block write fails as on a full disk: the run
+    # stops at once with one error line, and the directory keeps what was
+    # written before, the report and the first block, and no summary.
+    class FullAfterFirstWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, text):
+            if self.writes:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.fh.name)
+            self.writes += 1
+            return self.fh.write(text)
+
+    def full_disk_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FullAfterFirstWrite(fh) if Path(path).name.startswith("samples_") else fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    cfg = tmp_path / "config.json"
+    write_config(cfg, lattice={"rows": 3, "cols": 3}, protocol={
+        "num_copies": 300_000, "master_seed": 11, "threshold_o10": 0.5,
+        "threshold_fin": 0.5, "psamp_window": [0.3, 0.7],
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--transcript"]) == 2
+    captured = capsys.readouterr()
+    samples = out / "samples_rep000.txt"
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{samples}'\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["report_rep000.json", "samples_rep000.txt"]
+    assert "accepted" in json.loads((out / "report_rep000.json").read_text())
+    assert samples.read_text().count("\n") == FORMAT_BLOCK
 
 
 def test_run_malformed_thread_count_exit_2_before_any_work(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from fklab import prover, simulator
 from fklab.prover import (
     MODE_ORDER,
     P_CLOCK_MINUS,
+    ExactParameters,
     HistoryStateModel,
     NoiseModel,
     echo_prepare,
@@ -265,6 +266,8 @@ def test_degraded_infeasible_target(lattice, spec):
         make_degraded_model(lattice, spec, 0.0, 1.0)
     with pytest.raises(ValidationError):
         make_degraded_model(lattice, spec, 1.2, 1.0)
+    with pytest.raises(ValidationError, match=r"targets must lie in \[0, 1\]"):
+        make_degraded_model(lattice, spec, 0.99, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -861,3 +864,39 @@ def test_statevector_against_conftest_oracle(lattice, spec):
     mine = model.to_statevector().amplitudes
     oracle = dense_history_vector(lattice, spec, theta=1.1)
     assert np.max(np.abs(mine - oracle)) < 1e-10
+
+
+def test_both_routes_return_one_range_checked_record(lattice, spec):
+    model = honest(lattice, spec, input_tilt=0.2, depolarizing_rate=0.1)
+    dense = exact_parameters(DensityMatrix(5, depolarized_mixture_density(model)), lattice, spec)
+    assert type(exact_model_parameters(model)) is type(dense) is ExactParameters
+    for name in ("f_in", "p_samp", "f_out"):
+        values = {"f_in": 1.0, "p_samp": 0.5, "tr_rho_o10": 0.5, "f_out": 1.0, name: 1.0 + 2e-10}
+        with pytest.raises(ValidationError, match=rf"{name} = 1.0000000002 is outside \[0, 1\]"):
+            ExactParameters(**values)
+        ExactParameters(**{**values, name: 1.0 + 1e-10})
+
+
+_PROVER_RAISES = {
+    "model-input-size": (
+        lambda: HistoryStateModel(
+            build_lattice(2, 2), random_input(3, np.random.default_rng(0)), clock_phase=0.0
+        ),
+        ValidationError, "input spec size does not match lattice",
+    ),
+    "echo-input-size": (
+        lambda: echo_prepare(build_lattice(2, 2), random_input(3, np.random.default_rng(0))),
+        ValidationError, "input spec size does not match lattice",
+    ),
+    "overlap-target-range": (
+        lambda: tune_evolution_scale(build_lattice(2, 2), 1.5),
+        ValidationError, r"target overlap must be in \[0, 1\], got 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROVER_RAISES))
+def test_prover_raise_sites(case):
+    call, error, message = _PROVER_RAISES[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -505,6 +505,11 @@ v = np.random.default_rng(7).normal(size=(4, 1 << n))
 a = unit(v[0] + 1j * v[1])
 b = unit(a + 1e-3 * unit(v[2] + 1j * v[3]))
 print(repr(state_fidelity(PureState(n, a), PureState(n, b))))
+from fklab.errors import ValidationError
+try:
+    PureState(n, a * np.sqrt(1 + 3e-10))
+except ValidationError as exc:
+    print(exc)
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import NoiseModel, exact_model_parameters, make_honest_model
 lattice = build_lattice(3, 6)
@@ -516,8 +521,9 @@ print(repr(exact_model_parameters(model)))
 
 def test_state_fidelity_independent_of_blas_threads():
     # np.vdot's threaded BLAS sum changes order with the thread count; the
-    # printed fidelity of a pair of 2^17 amplitudes and the exact parameters
-    # of an 18-qubit model must not.
+    # printed fidelity of a pair of 2^17 amplitudes, the norm^2 in the
+    # PureState error of a 2^17-amplitude state off by about 3e-10, and the
+    # exact parameters of an 18-qubit model must not.
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -528,6 +534,7 @@ def test_state_fidelity_independent_of_blas_threads():
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         outputs.append(result.stdout)
+    assert "not 1 within 1e-10" in outputs[0]
     assert outputs[0] == outputs[1]
 
 
@@ -572,6 +579,14 @@ def test_ideal_distribution_capacity_guard():
 def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
     with pytest.raises(ValidationError):
         PureState(1, amplitudes)
+
+
+def test_pure_state_checks_the_norm_of_a_strided_view():
+    # The norm is summed over a float view, which needs contiguous amplitudes.
+    amplitudes = np.array([0.6, 9.0, 0.8j, 9.0])[::2]
+    assert PureState(1, amplitudes).amplitudes.tolist() == [0.6, 0.8j]
+    with pytest.raises(ValidationError, match="state norm"):
+        PureState(1, 2 * amplitudes)
 
 
 @pytest.mark.parametrize("probabilities", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.inf]])
@@ -795,3 +810,35 @@ def test_bitstring_blocks(num_bits, count):
     assert "".join(block + "\n" for block in blocks) == _per_bit_text(indices, num_bits)
     if count:
         assert blocks[0].split("\n", 1)[0] == _bitstring_per_bit(int(indices[0]), num_bits)
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+
+_SIMULATOR_RAISES = {
+    "state-amplitude-count": (
+        lambda: PureState(2, np.ones(3) / math.sqrt(3)),
+        ValidationError, r"expected 4 amplitudes, got \(3,\)",
+    ),
+    # Both guards raise before they allocate the 2^27 entries.
+    "aligned-edges-guard": (
+        lambda: aligned_edges(build_lattice(1, 27)),
+        CapacityError, "27 qubits exceeds the 26-qubit guard",
+    ),
+    "hamming-weights-guard": (
+        lambda: hamming_weights(27),
+        CapacityError, "27 qubits exceeds the 26-qubit guard",
+    ),
+    "distribution-shape": (
+        lambda: Distribution.from_probabilities(2, np.ones(3) / 3.0),
+        ValidationError, r"expected 4 probabilities, got \(3,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMULATOR_RAISES))
+def test_simulator_raise_sites(case):
+    call, error, message = _SIMULATOR_RAISES[case]
+    with pytest.raises(error, match=message):
+        call()

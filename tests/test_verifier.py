@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 from fklab.analysis import hoeffding_bound
-from fklab.errors import CapacityError
+from fklab.errors import CapacityError, ValidationError
 from fklab.lattice import build_lattice, random_input
 from fklab.prover import (
     P_CLOCK_MINUS,
@@ -783,3 +783,24 @@ def test_sample_bitstrings_shape(setup_2x2):
     assert len(strings) == report.samples.size
     assert all(len(s) == 4 and set(s) <= {"0", "1"} for s in strings)
     assert strings == [_old_bitstring(x, 4) for x in report.samples.tolist()]
+
+
+_VERIFIER_RAISES = {
+    "model-lattice": (
+        lambda lattice, spec, model: run_protocol(model, build_lattice(1, 4), spec, ProtocolConfig(20000, 1)),
+        "model lattice differs from the protocol lattice",
+    ),
+    "model-input": (
+        lambda lattice, spec, model: run_protocol(
+            model, lattice, random_input(4, np.random.default_rng(12)), ProtocolConfig(20000, 1)
+        ),
+        "model input spec differs from the protocol input",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFIER_RAISES))
+def test_verifier_raise_sites(setup_2x2, case):
+    call, message = _VERIFIER_RAISES[case]
+    with pytest.raises(ValidationError, match=message):
+        call(*setup_2x2)
