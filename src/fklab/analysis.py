@@ -517,11 +517,10 @@ def _cauchy_schwarz_margins(instances: int, seed: int) -> Iterator[float]:
 
 # Draws the lower_bound suite makes per instance before it gives up (a failed check).
 LOWER_BOUND_DRAWS = 10
-LOWER_BOUND_SLACK = 5e-3
 
 
 def _lower_bound_margins(instances: int, seed: int) -> Iterator[float]:
-    """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 - LOWER_BOUND_SLACK for in-regime states."""
+    """f_out >= 16|Tr rho O10|^2 + 3 f_in - 6 for in-regime states."""
     lattice, spec, _, rng = _suite_setting(seed, 1)
     for _ in range(instances):
         # An out-of-regime draw is replaced by the next one from the same stream.
@@ -538,7 +537,7 @@ def _lower_bound_margins(instances: int, seed: int) -> Iterator[float]:
                 f"{LOWER_BOUND_DRAWS} generated states in a row left the epsilon <= 0.02 regime"
             )
         bound = fidelity_lower_bound(abs(params.tr_rho_o10) ** 2, params.f_in)
-        yield (bound - LOWER_BOUND_SLACK) - params.f_out
+        yield (bound - params.f_out) - 1e-10
 
 
 def _tvd_chain_margins(instances: int, seed: int) -> Iterator[float]:

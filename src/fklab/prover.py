@@ -23,6 +23,7 @@ from .simulator import (
     Distribution,
     PureState,
     _hadamard_butterflies,
+    _input_states,
     _multiply_by_levels,
     _swap_halves_inplace,
     _write_product_state,
@@ -161,7 +162,8 @@ class HistoryStateModel:
     def _write_output(self, out: np.ndarray) -> None:
         """Write b into `out`: the input (tilted if tilted_output), then the
         coupling phases of time 1 + evolution_scale, phases first."""
-        _write_input(out, self.input_spec, self.input_tilt if self.tilted_output else 0.0)
+        tilt = self.input_tilt if self.tilted_output else 0.0
+        _write_product_state(out, _input_states(self.input_spec, tilt))
         phases = zz_phase_levels(self.lattice, 1.0 + self.evolution_scale)
         _multiply_by_levels(out, phases, aligned_edges(self.lattice), table_first=True)
 
@@ -169,15 +171,11 @@ class HistoryStateModel:
     def distributions(self) -> ModeDistributions:
         """The four measurement distributions and their alias tables, built
         here, once, so that the threads of a run only read them."""
-        dim = 1 << self.num_system_qubits
-        alias = np.empty((len(MODE_ORDER), dim), dtype=np.int32)
-        accept = np.empty((len(MODE_ORDER), dim), dtype=np.float64)
-        return ModeDistributions(
-            num_system=self.num_system_qubits,
-            **dict(zip(MODE_ORDER, _mode_tables(self, alias, accept))),
-            alias=alias,
-            accept=accept,
-        )
+        n = self.num_system_qubits
+        shape = (len(MODE_ORDER), 1 << n)
+        dists = ModeDistributions(n, np.empty(shape, np.int32), np.empty(shape, np.float64))
+        _mode_tables(self, dists.alias, dists.accept)
+        return dists
 
     def components(self) -> list[tuple[float, PureState]]:
         """The coherent output component and its weight 1-p."""
@@ -189,7 +187,7 @@ class HistoryStateModel:
         (first operand) on b and 1/sqrt(2) on both."""
         dim = 1 << self.num_system_qubits
         amps = np.empty(2 * dim, dtype=np.complex128)
-        _write_input(amps[:dim], self.input_spec, self.input_tilt)
+        _write_product_state(amps[:dim], _input_states(self.input_spec, self.input_tilt))
         output = amps[dim:]
         self._write_output(output)
         np.multiply(np.exp(1j * self.clock_phase), output, out=output)
@@ -217,24 +215,6 @@ class ExactParameters:
             v = getattr(self, name)
             if not -1e-10 <= v <= 1.0 + 1e-10:
                 raise ValidationError(f"{name} = {v!r} is outside [0, 1]")
-
-
-def _write_input(out: np.ndarray, spec: InputSpec, tilt: float) -> None:
-    """Write the ideal product input of `spec` into `out` with a diagonal
-    R_z(tilt) error on every qubit: unless tilt is 0, the state is multiplied
-    (amplitude first) by the R_z phase of every string.
-
-    The phase depends on the string's weight w alone, so the n+1 level
-    phases are built once, from the int8 levels 2w - n as the per-string
-    formula would build them, and _multiply_by_levels gathers them by
-    hamming_weights: every amplitude is bit for bit the per-string product.
-    """
-    _write_product_state(out, spec)
-    if tilt != 0.0:
-        n = spec.num_qubits
-        # R_z(t) = diag(e^{-it/2}, e^{+it/2}) per qubit.
-        levels = np.exp(1j * (tilt / 2.0) * (2 * np.arange(n + 1, dtype=np.int8) - n))
-        _multiply_by_levels(out, levels, hamming_weights(n), table_first=False)
 
 
 def make_honest_model(
@@ -366,8 +346,8 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     stray controlled-Z phases on sublattice A cancel between the two blocks.
 
     Every step runs in place on one 2^(n+1) buffer, and the norm check
-    follows the input and each step: phi_in is written into the upper half,
-    and |+> (x) phi_in is taken from it in np.kron's operand order. An H_B
+    follows the input and each step: |+> (x) phi_in is written by
+    _write_product_state, with |+> as the top qubit's state. An H_B
     layer is the Hadamard butterflies over sorted(B) and then one multiply by
     2^(-|B|/2); the X on the clock swaps the two halves. The other steps are
     diagonal, and each is one _multiply_by_levels sweep (amplitude first)
@@ -387,10 +367,7 @@ def echo_prepare(lattice: LatticeGeometry, input_spec: InputSpec) -> PureState:
     dim = 1 << n
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2)
     a = np.empty(2 * dim, dtype=np.complex128)
-    lower, upper = a[None, :dim], a[None, dim:]
-    _write_product_state(a[dim:], input_spec)
-    np.multiply(plus[0:1, None], upper, out=lower)
-    np.multiply(plus[1:2, None], upper, out=upper)
+    _write_product_state(a, [*_input_states(input_spec), plus])
     PureState(n + 1, a)  # the norm check the input state passes
 
     b_qubits = sorted(lattice.partition_b)
@@ -428,6 +405,14 @@ def ideal_history_state(
 MODE_ORDER = ("sample_given_minus", "input_given_plus", "prop_x", "prop_y")
 
 
+def _row_table(row: int, clock_bits: int) -> property:
+    """A read-only ModeDistributions table: the Distribution over views of
+    row `row` of its (alias, accept) buffer."""
+    return property(
+        lambda self: Distribution(self.num_system + clock_bits, self.alias[row], self.accept[row])
+    )
+
+
 @dataclass
 class ModeDistributions:
     """Per-instruction-mode outcome distributions of one model.
@@ -437,23 +422,24 @@ class ModeDistributions:
     outcome +1. Every alias table has 2^n bins, and table t's is row t of
     one (4, 2^n) (alias, accept) pair, in MODE_ORDER: int32 aliases (every
     outcome is below 2^27 under the 26-qubit guard) and float64 accepts,
-    48 B per 2^n in all.
+    48 B per 2^n in all. A table is read as the views of its row, so
+    nothing is stored twice.
     """
 
     num_system: int
-    sample_given_minus: Distribution
-    input_given_plus: Distribution
-    prop_x: Distribution
-    prop_y: Distribution
     alias: np.ndarray
     accept: np.ndarray
 
+    # The propagation tables draw the clock too, at bit n.
+    sample_given_minus = _row_table(0, clock_bits=0)
+    input_given_plus = _row_table(1, clock_bits=0)
+    prop_x = _row_table(2, clock_bits=1)
+    prop_y = _row_table(3, clock_bits=1)
 
-def _mode_tables(
-    model: HistoryStateModel, alias: np.ndarray, accept: np.ndarray
-) -> tuple[Distribution, ...]:
-    """The four measurement distributions of a model, in MODE_ORDER, with their
-    alias tables written into the rows of (alias, accept).
+
+def _mode_tables(model: HistoryStateModel, alias: np.ndarray, accept: np.ndarray) -> None:
+    """Write the alias tables of a model's four measurement distributions
+    into the rows of (alias, accept), in MODE_ORDER.
 
     All of a and b have modulus 2^(-n/2), so e^{i theta} b_z / a_z = e^{i phi}
     with phi = theta + (t_out - t_in)(w - n/2) - (pi/4)(1+eta)E for z of weight
@@ -470,21 +456,18 @@ def _mode_tables(
     p = model.depolarizing_rate
     samp = (1.0 - p) * np.abs(walsh_hadamard(model.output_component).amplitudes) ** 2 + p / dim
     samp /= samp.sum()
-    sample_given_minus = Distribution.from_probabilities(n, samp, (alias[0], accept[0]))
+    Distribution.from_probabilities(n, samp, (alias[0], accept[0]))
     del samp
 
     t_in = model.input_tilt
     c, s = math.cos(t_in / 2) ** 2, math.sin(t_in / 2) ** 2
     w = np.arange(n + 1)
-    input_given_plus = Distribution.from_probabilities(
-        n, (c ** (n - w) * s**w)[hamming_weights(n)], (alias[1], accept[1])
-    )
+    law = (c ** (n - w) * s**w)[hamming_weights(n)]
+    Distribution.from_probabilities(n, law, (alias[1], accept[1]))
 
     levels = model.accept_levels.reshape(2, -1)
     np.take(levels, string_levels(model.lattice), axis=1, out=accept[2:], mode="clip")
     alias[2:] = np.arange(dim, 2 * dim)
-    prop_x, prop_y = (Distribution(n + 1, alias[row], accept[row]) for row in (2, 3))
-    return sample_given_minus, input_given_plus, prop_x, prop_y
 
 
 def mode_distributions(model: HistoryStateModel) -> ModeDistributions:

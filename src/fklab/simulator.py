@@ -9,21 +9,23 @@ Conventions, fixed package-wide:
 
 The public operations return fresh states and never mutate their inputs.
 The `_`-prefixed kernels work in place on an amplitude array, so a state is
-built and evolved in one buffer: _write_product_state fills it by doubling,
-_multiply_by_levels multiplies it by per-string phases 2^16 entries at a
-time, the Hadamard butterflies apply each run of low qubits to one
-cache-sized block at a time (_block_butterflies), and the butterflies at
-high qubits and the half swap sweep it one cache-sized block of amplitude
-pairs at a time (_pair_blocks). zz_phases, the whole 2^n diagonal, stays
-for the analysis oracles.
+built and evolved in one buffer: _write_product_state fills it by doubling
+from one 2-entry state per qubit (_input_states, with any R_z tilt taken
+into each, and the echo's |+> clock), _multiply_by_levels multiplies it by
+per-string phases 2^16 entries at a time, the Hadamard butterflies apply
+each run of low qubits to one cache-sized block at a time
+(_block_butterflies), and the butterflies at high qubits and the half swap
+sweep it one cache-sized block of amplitude pairs at a time (_pair_blocks).
+zz_phases, the whole 2^n diagonal, stays for the analysis oracles.
 
 A string z enters every diagonal phase through two small integers: its
 Hamming weight w (hamming_weights, int8) and its count k of aligned edges
 (aligned_edges, uint8), with interaction energy E = 2k - edges. A phase
 table has one entry per level, n + 1 by weight or edges + 1 by k, and
 _multiply_by_levels gathers it per string. That one kernel applies every
-diagonal in place: the coupling phases by k, the input tilt by w, and the
-echo's global controlled Z, a sign table (-1)^w on the clock-1 half.
+diagonal that is no product of single-qubit phases, in place: the coupling
+phases by k, and the echo's global controlled Z, a sign table (-1)^w on the
+clock-1 half.
 
 bitstring_blocks formats outcome indices as text lines, for the sample file
 and the transcript alike: each block's lines are written in place in one
@@ -80,22 +82,33 @@ def product_state(spec: InputSpec) -> PureState:
     """Tensor product of the per-qubit input states, qubit 0 at bit 0, built
     in one 2^n buffer by _write_product_state."""
     amps = np.empty(1 << spec.num_qubits, dtype=np.complex128)
-    _write_product_state(amps, spec)
+    _write_product_state(amps, _input_states(spec))
     return PureState(spec.num_qubits, amps)
 
 
-def _write_product_state(amps: np.ndarray, spec: InputSpec) -> None:
-    """Write the product state of `spec` into `amps`, a complex128 array of
-    2^n entries, by doubling: with the first m = 2^k entries holding qubits
-    0..k-1, qubit k's state s sets amps[m:2m] = s[1] amps[:m], then
-    amps[:m] = s[0] amps[:m].
+def _input_states(spec: InputSpec, tilt: float = 0.0) -> list[np.ndarray]:
+    """The single-qubit input states of `spec`, qubit 0 first, each with an
+    R_z(tilt) = diag(e^{-it/2}, e^{+it/2}) error taken entry by entry. At
+    tilt 0 no product is taken, so the ideal states keep their bits."""
+    states = [_SINGLE_QUBIT_STATES[kind] for kind in spec.choices]
+    if tilt != 0.0:
+        rz = np.exp(1j * (tilt / 2.0) * np.array([-1.0, 1.0]))
+        states = [state * rz for state in states]
+    return states
+
+
+def _write_product_state(amps: np.ndarray, states) -> None:
+    """Write the product of the 2-entry single-qubit `states`, qubit 0 first,
+    into `amps`, a complex128 array of 2^len(states) entries, by doubling:
+    with the first m = 2^k entries holding qubits 0..k-1, qubit k's state s
+    sets amps[m:2m] = s[1] amps[:m], then amps[:m] = s[0] amps[:m].
 
     Each product takes the state entry first, in np.kron's broadcast form,
     so every amplitude is bit for bit that of the np.kron chain.
     """
     amps[0] = 1.0
-    for k, kind in enumerate(spec.choices):
-        state, m = _SINGLE_QUBIT_STATES[kind], 1 << k
+    for k, state in enumerate(states):
+        m = 1 << k
         np.multiply(state[1:2, None], amps[None, :m], out=amps[None, m : 2 * m])
         np.multiply(state[0:1, None], amps[None, :m], out=amps[None, :m])
 

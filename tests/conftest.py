@@ -228,31 +228,27 @@ def reference_apply_global_cz(amplitudes, control, targets):
     return a
 
 
-def reference_product_state(spec):
-    """The product state as a chain of np.kron calls, qubit 0 at bit 0."""
+def reference_product_state(spec, tilt=0.0):
+    """The product state as a chain of np.kron calls, qubit 0 at bit 0: each
+    qubit's input state times R_z(tilt) = diag(e^{-i tilt/2}, e^{+i tilt/2})
+    entry by entry, unless tilt is 0."""
     amps = np.array([1.0 + 0.0j])
     for kind in spec.choices:
-        amps = np.kron({InputType.X_TYPE: X_STATE, InputType.Y_TYPE: Y_STATE}[kind], amps)
+        state = {InputType.X_TYPE: X_STATE, InputType.Y_TYPE: Y_STATE}[kind]
+        if tilt != 0.0:
+            state = state * np.exp(np.array([-0.5j, 0.5j]) * tilt)
+        amps = np.kron(state, amps)
     return amps
 
 
 def reference_components(model):
     """The input component, output component and statevector of a model from
-    whole-register arrays: the np.kron product, the R_z phases of every
-    string from its per-bit weight, then the per-string coupling phases
-    (reference_zz_phases) times the evolved input (phases first)."""
-    n = model.num_system_qubits
-    ideal = reference_product_state(model.input_spec)
-
-    def tilted(tilt):
-        if tilt == 0.0:
-            return ideal
-        # Named, so that numpy does not reuse the temporary and swap operands.
-        phases = np.exp(1j * (tilt / 2.0) * (2 * reference_hamming_weights(n) - n))
-        return ideal * phases
-
-    a = tilted(model.input_tilt)
-    evolved = tilted(model.input_tilt if model.tilted_output else 0.0)
+    whole-register arrays: the np.kron product of the R_z-tilted input
+    states, then the per-string coupling phases (reference_zz_phases) times
+    the evolved input (phases first)."""
+    spec, t_in = model.input_spec, model.input_tilt
+    a = reference_product_state(spec, t_in)
+    evolved = reference_product_state(spec, t_in if model.tilted_output else 0.0)
     phases = reference_zz_phases(model.lattice, 1.0 + model.evolution_scale)
     b = np.multiply(phases, evolved, out=phases)
     psi = np.empty(2 * a.size, dtype=np.complex128)

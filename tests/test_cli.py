@@ -824,6 +824,19 @@ def test_verify_bounds_counts_a_faulted_lower_bound_oracle(tmp_path, monkeypatch
     assert "lower_bound" in err and "outside [0, 1]" in err
 
 
+def test_verify_bounds_counts_a_raised_fidelity_floor(tmp_path, monkeypatch):
+    # The suite checks the exact floor, so one raised by 0.004 fails: of the
+    # 200 near-ideal states at seed 0, the one closest to its floor (2.0e-3
+    # above it) now sits about 2.0e-3 below it. Each margin is positive only
+    # where the raised floor is false.
+    floor = analysis.fidelity_lower_bound
+    monkeypatch.setattr(analysis, "fidelity_lower_bound", lambda o10_sq, f_in: floor(o10_sq, f_in) + 0.004)
+    assert main(["verify-bounds", "lower_bound", "--instances", "200", "--out", str(tmp_path)]) == 1
+    name, instances, violations, margin = _bounds_row(tmp_path, "lower_bound")
+    assert (name, instances, violations) == ("lower_bound", "200", "1")
+    assert 1.5e-3 < float(margin) < 2.5e-3
+
+
 def test_verify_bounds_counts_a_tvd_chain_violation(tmp_path, monkeypatch):
     # A ceiling of 0 claims the real and ideal laws are equal; every random
     # state's law differs from the ideal one.

@@ -337,9 +337,9 @@ def test_history_state_peak_memory_is_one_buffer(build):
 
 
 def test_tilted_statevector_peak_memory_is_one_buffer():
-    # The R_z phases of a tilted input are gathered by weight level one
-    # STRING_BLOCK at a time, bit for bit the whole-register formula: at 3x6
-    # (four blocks per half) the state peaks near 1.2 state sizes, as it does
+    # The R_z tilt is taken into each single-qubit input state, so the tilted
+    # statevector is built in its one buffer, bit for bit the np.kron chain of
+    # the tilted states: at 3x6 it peaks near 1.2 state sizes, as it does
     # untilted; one 2^n phase array took it to 2.0.
     lat = build_lattice(3, 6)
     spec = random_input(lat.num_qubits, np.random.default_rng(36))

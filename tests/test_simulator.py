@@ -19,9 +19,11 @@ from fklab.simulator import (
     HADAMARD_BLOCK_BITS,
     STRING_BLOCK,
     _hadamard_butterflies,
+    _input_states,
     _multiply_by_levels,
     _swap_halves_inplace,
     _vose_build,
+    _write_product_state,
     aligned_edges,
     bitstring_blocks,
     hamming_weights,
@@ -86,7 +88,8 @@ def test_product_state_normalized(n, rng):
 @pytest.mark.parametrize("pattern", ["all X", "all Y", "mixed"])
 def test_product_state_bit_identical_to_kron_chain(n, pattern):
     # The doubling fill equals the np.kron chain as uint64 views, on both
-    # sides of the 2^16-string block size.
+    # sides of the 2^16-string block size: untilted through product_state,
+    # and at each tilt through _write_product_state of the R_z-tilted states.
     kinds = {
         "all X": [InputType.X_TYPE] * n,
         "all Y": [InputType.Y_TYPE] * n,
@@ -95,6 +98,10 @@ def test_product_state_bit_identical_to_kron_chain(n, pattern):
     spec = InputSpec(choices=tuple(kinds))
     amps = product_state(spec).amplitudes
     assert np.array_equal(amps.view(np.uint64), reference_product_state(spec).view(np.uint64))
+    for tilt in (0.05, -1.3, 3.0):
+        _write_product_state(amps, _input_states(spec, tilt))
+        expected = reference_product_state(spec, tilt)
+        assert np.array_equal(amps.view(np.uint64), expected.view(np.uint64)), tilt
 
 
 # ---------------------------------------------------------------------------

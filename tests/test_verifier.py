@@ -726,6 +726,12 @@ def test_thread_count_is_capped_at_the_usable_cpus(monkeypatch):
         assert resolve_threads() == expected
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert resolve_threads(64) == 1
+    # Without CPU affinity every CPU counts, and an unknown count as one.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_threads(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads(8) == 1
 
 
 def test_run_protocol_pool_is_capped_at_the_usable_cpus(setup_2x2, monkeypatch):
